@@ -37,13 +37,16 @@ from .kernels import (
 )
 from .models import (
     DiagonalGaussian,
+    NumericalError,
     ScoredDensity,
+    ScoreShapeError,
     SyntheticSetup,
     as_scored,
     chi_square_quantile,
     coverage_rate,
     gaussian_score,
     hdr_contains,
+    row_density,
     sample_setup,
 )
 from .sampling import (
@@ -51,7 +54,6 @@ from .sampling import (
     MalaConfig,
     MalaRun,
     RandomStream,
-    mala_sample,
     rademacher,
     run_mala,
     sample_gaussian,

@@ -5,8 +5,9 @@ Subcommands:
   experiment  run a configured rejection-rate sweep, write a CSV
   gram        print the distribution-kernel Gram matrix of a model file
 
-Exit codes: 0 success, 1 configuration or input validation error,
-2 runtime numerical failure.
+Exit codes: 0 success, 1 configuration or input validation error (NaN or
+Infinity in a dataset, a score of the wrong shape), 2 runtime numerical
+failure (a degenerate bandwidth, non-finite scores or distances).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .harness import (
     write_csv,
 )
 from .kernels import DegenerateBandwidthError, UnsupportedKernelError
+from .models import ScoreShapeError
 from .sampling import CapabilityError, RandomStream
 
 
@@ -169,7 +171,7 @@ def cli(argv) -> int:
             return _cmd_experiment(args)
         return _cmd_gram(args)
     except (ConfigError, DatasetFormatError, CapabilityError,
-            UnsupportedKernelError, FileNotFoundError) as exc:
+            UnsupportedKernelError, ScoreShapeError, FileNotFoundError) as exc:
         print(f"steincal: error: {exc}", file=sys.stderr)
         return 1
     except (DegenerateBandwidthError, FloatingPointError, ArithmeticError) as exc:

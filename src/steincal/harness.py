@@ -504,42 +504,63 @@ def write_dataset(pairs, fh: IO[str]) -> None:
 def read_dataset(fh: IO[str], where: str = "<dataset>") -> list[tuple[DiagonalGaussian, np.ndarray]]:
     """Parse a JSON-lines dataset; failures name the offending line."""
     pairs = []
+    linenos = []
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{where}: line {lineno}: not valid JSON ({exc.msg})") from exc
+        obj = _parse_line(line, where, lineno)
         if not isinstance(obj, dict) or "model" not in obj or "y" not in obj:
             raise DatasetFormatError(f"{where}: line {lineno}: expected an object "
                                      "with 'model' and 'y'")
+        model = _parse_model(obj["model"], where, lineno)
         try:
-            model = DiagonalGaussian.from_json_dict(obj["model"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{where}: line {lineno}: bad model ({exc})") from exc
-        y = np.atleast_1d(np.asarray(obj["y"], dtype=float))
+            y = np.atleast_1d(np.asarray(obj["y"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{where}: line {lineno}: bad target ({exc})") from exc
         if y.ndim != 1 or y.size != model.dim:
             raise DatasetFormatError(f"{where}: line {lineno}: target dimension "
                                      f"{y.size} does not match model dimension {model.dim}")
         pairs.append((model, y))
+        linenos.append(lineno)
+    _require_finite_lines([(m.mean, m.var, y) for m, y in pairs], linenos, where)
     return pairs
 
 
 def read_models(fh: IO[str], where: str = "<models>") -> list[DiagonalGaussian]:
     """Parse models from JSON lines; accepts bare models or dataset rows."""
     models = []
+    linenos = []
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{where}: line {lineno}: not valid JSON ({exc.msg})") from exc
+        obj = _parse_line(line, where, lineno)
         if isinstance(obj, dict) and "model" in obj:
             obj = obj["model"]
-        try:
-            models.append(DiagonalGaussian.from_json_dict(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{where}: line {lineno}: bad model ({exc})") from exc
+        models.append(_parse_model(obj, where, lineno))
+        linenos.append(lineno)
+    _require_finite_lines([(m.mean, m.var) for m in models], linenos, where)
     return models
+
+
+def _parse_line(line: str, where: str, lineno: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{where}: line {lineno}: not valid JSON ({exc.msg})") from exc
+
+
+def _parse_model(obj, where: str, lineno: int) -> DiagonalGaussian:
+    try:
+        return DiagonalGaussian.from_json_dict(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{where}: line {lineno}: bad model ({exc})") from exc
+
+
+def _require_finite_lines(rows: list[tuple], linenos: list[int], where: str) -> None:
+    """Reject NaN and +-Infinity (which JSON parsing accepts) with the first
+    offending line; one array check covers a healthy file."""
+    if not rows or np.isfinite(np.concatenate([a for row in rows for a in row])).all():
+        return
+    for lineno, row in zip(linenos, rows):
+        if not all(np.isfinite(a).all() for a in row):
+            raise DatasetFormatError(f"{where}: line {lineno}: NaN or Infinity in the values")

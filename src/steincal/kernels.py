@@ -17,6 +17,7 @@ import numpy as np
 from .models import (
     DiagonalGaussian,
     is_gaussian_models,
+    require_finite,
     score_tensor,
     stack_gaussians,
 )
@@ -293,7 +294,7 @@ class DistributionKernel(ABC):
     def gram(self, models: Sequence, stream: Optional[RandomStream] = None) -> np.ndarray:
         if len(models) == 1:
             return np.ones((1, 1))
-        sq = self.squared_distances(models, stream)
+        sq = require_finite(self.squared_distances(models, stream), "squared distance")
         sigma = self.sigma
         if sigma is None:
             sigma = _median_of_distances(np.sqrt(sq))

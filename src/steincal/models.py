@@ -18,6 +18,21 @@ _HGM_CENTER = np.full(3, 2.0 / 3.0)
 _HGM_WIDTH_SQ = 0.8 ** 2
 
 
+class NumericalError(ArithmeticError):
+    """A computed score, log density or distance is not finite."""
+
+
+class ScoreShapeError(ValueError):
+    """A density's score or log density returned a batch of the wrong shape."""
+
+
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Return ``values`` unchanged, or raise :class:`NumericalError` naming ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} is not finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalGaussian:
     """Gaussian with diagonal covariance, the predictive density of every setup."""
@@ -46,23 +61,26 @@ class DiagonalGaussian:
         return bool(np.all(self.var == self.var[0]))
 
     def score(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the log density at y: (mean - y) / var."""
+        """Gradient of the log density, (mean - y) / var, at a point (d,) or
+        row-wise on a batch (m, d)."""
         y = self._check_point(y)
         return (self.mean - y) / self.var
 
-    def log_density(self, y: np.ndarray) -> float:
+    def log_density(self, y: np.ndarray):
+        """Log density at a point (a float) or row-wise on a batch (an (m,) array)."""
         y = self._check_point(y)
-        quad = np.sum((y - self.mean) ** 2 / self.var)
+        quad = np.sum((y - self.mean) ** 2 / self.var, axis=-1)
         norm = np.sum(np.log(2.0 * np.pi * self.var))
-        return -0.5 * float(quad + norm)
+        out = -0.5 * (quad + norm)
+        return float(out) if y.ndim == 1 else out
 
     def sample(self, n: int, stream: RandomStream) -> np.ndarray:
         return sample_gaussian(self, n, stream)
 
     def _check_point(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != self.mean.shape:
-            raise ValueError(f"point has dimension {y.size}, model has {self.dim}")
+        if y.ndim > 2 or y.shape[-1] != self.dim:
+            raise ValueError(f"points have shape {y.shape}, model has dimension {self.dim}")
         return y
 
     def to_json_dict(self) -> dict:
@@ -81,19 +99,53 @@ def gaussian_score(g: DiagonalGaussian, y: np.ndarray) -> np.ndarray:
 class ScoredDensity:
     """Capability record for a (possibly unnormalised) density.
 
-    ``score`` maps a point in R^dim to the gradient of the log density there.
-    ``log_unnorm`` and ``sampler`` are optional capabilities; operations that
-    need them declare it and raise :class:`CapabilityError` otherwise.
+    Both callables are batched. ``score`` maps an (m, dim) array of points to
+    the (m, dim) gradients of the log density there; ``log_unnorm`` maps it to
+    the (m,) unnormalised log densities, which may be -inf where the density
+    vanishes. ``log_unnorm`` and ``sampler`` are optional capabilities;
+    operations that need them declare it and raise :class:`CapabilityError`
+    otherwise. The library calls the callables only through
+    :meth:`score_batch` and :meth:`log_unnorm_batch`, which check what they
+    return.
     """
 
     dim: int
     score: Callable[[np.ndarray], np.ndarray]
-    log_unnorm: Optional[Callable[[np.ndarray], float]] = None
+    log_unnorm: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sampler: Optional[Callable[[int, RandomStream], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+
+    def score_batch(self, points: np.ndarray) -> np.ndarray:
+        """Scores at an (m, dim) batch. Raises :class:`ScoreShapeError` for a
+        result of the wrong shape and :class:`NumericalError` for a non-finite one."""
+        points = self._check_batch(points)
+        out = _batch_of_shape(self.score(points), points.shape, "score")
+        return require_finite(out, "score")
+
+    def log_unnorm_batch(self, points: np.ndarray) -> np.ndarray:
+        """Unnormalised log densities at an (m, dim) batch; -inf is allowed,
+        NaN and +inf raise :class:`NumericalError`."""
+        points = self._check_batch(points)
+        out = _batch_of_shape(self.log_unnorm(points), points.shape[:1], "log_unnorm")
+        if np.any(np.isnan(out) | (out == np.inf)):
+            raise NumericalError("log density is NaN or +inf")
+        return out
+
+    def _check_batch(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points must be an (m, {self.dim}) array, got shape {points.shape}")
+        return points
+
+
+def _batch_of_shape(values, shape: tuple, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ScoreShapeError(f"{what} returned shape {values.shape}, expected {shape}")
+    return values
 
 
 def as_scored(model) -> ScoredDensity:
@@ -228,17 +280,45 @@ def stack_gaussians(models) -> tuple[np.ndarray, np.ndarray]:
     return means, variances
 
 
+def gaussian_rows(means: np.ndarray, variances: np.ndarray) -> ScoredDensity:
+    """Stacked diagonal Gaussians as one density on (n, d) arrays whose row i
+    is scored under the Gaussian (means[i], variances[i])."""
+    norms = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+
+    def log_unnorm(points):
+        return -0.5 * (np.sum((points - means) ** 2 / variances, axis=1) + norms)
+
+    return ScoredDensity(dim=means.shape[1], score=lambda points: (means - points) / variances,
+                         log_unnorm=log_unnorm)
+
+
+def row_density(models) -> ScoredDensity:
+    """The models as one density on (n, d) arrays: row i is scored under models[i].
+
+    Diagonal Gaussians are stacked once and evaluated as whole arrays; any
+    other model list calls each model on its own row.
+    """
+    if is_gaussian_models(models):
+        return gaussian_rows(*stack_gaussians(models))
+    scored = [as_scored(m) for m in models]
+
+    def score(points):
+        return np.concatenate([s.score_batch(points[i:i + 1]) for i, s in enumerate(scored)])
+
+    def log_unnorm(points):
+        return np.concatenate([s.log_unnorm_batch(points[i:i + 1]) for i, s in enumerate(scored)])
+
+    has_log_unnorm = all(s.log_unnorm is not None for s in scored)
+    return ScoredDensity(dim=scored[0].dim, score=score,
+                         log_unnorm=log_unnorm if has_log_unnorm else None)
+
+
 def score_matrix(models, points: np.ndarray) -> np.ndarray:
     """Row i is the score of model i at points[i]. Shape (n, d)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] != len(models):
         raise ValueError("points must be an (n, d) array matching the model list")
-    if is_gaussian_models(models):
-        means, variances = stack_gaussians(models)
-        if means.shape[1] != points.shape[1]:
-            raise ValueError("target dimension does not match the models")
-        return (means - points) / variances
-    return np.stack([np.asarray(m.score(points[i]), dtype=float) for i, m in enumerate(models)])
+    return row_density(models).score_batch(points)
 
 
 def score_tensor(models, points: np.ndarray) -> np.ndarray:
@@ -250,8 +330,6 @@ def score_tensor(models, points: np.ndarray) -> np.ndarray:
         means, variances = stack_gaussians(models)
         if means.shape[1] != points.shape[1]:
             raise ValueError("base-sample dimension does not match the models")
-        return (means[:, None, :] - points[None, :, :]) / variances[:, None, :]
-    rows = []
-    for m in models:
-        rows.append(np.stack([np.asarray(m.score(z), dtype=float) for z in points]))
-    return np.stack(rows)
+        scores = (means[:, None, :] - points[None, :, :]) / variances[:, None, :]
+        return require_finite(scores, "score")
+    return np.stack([as_scored(m).score_batch(points) for m in models])

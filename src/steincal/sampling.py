@@ -7,7 +7,6 @@ This makes parallel sweeps reproducible independent of scheduling.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -16,8 +15,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .models import ScoredDensity
-
-logger = logging.getLogger(__name__)
 
 
 class CapabilityError(ValueError):
@@ -99,57 +96,56 @@ class MalaRun:
     acceptance_rate: float
 
 
-def _langevin_log_q(y_to: np.ndarray, y_from: np.ndarray, score_from: np.ndarray, tau: float) -> float:
-    # log density (up to const) of the proposal N(y_from + tau*score_from, 2*tau*I) at y_to
-    resid = y_to - y_from - tau * score_from
-    return -float(resid @ resid) / (4.0 * tau)
-
-
 def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
              n_samples: int, stream: RandomStream) -> MalaRun:
-    """Run one MALA chain against an unnormalised density and thin it.
+    """Run MALA chains in lock step against an unnormalised density and thin them.
 
-    Proposal: y* = y + tau * score(y) + sqrt(2 tau) * xi, Metropolis-corrected
-    with the unnormalised log density. Requires ``target.log_unnorm``.
+    ``init`` is one start point (d,) or a (c, d) stack of them; row i of the
+    (c, d) state is chain i, and ``target`` is called on the whole state, so a
+    :func:`~steincal.models.row_density` target runs chain i against model i.
+    Each step draws one (c, d) normal and one (c,) uniform array from the
+    stream's generator. Proposal: y* = y + tau * score(y) + sqrt(2 tau) * xi,
+    Metropolis-corrected with the unnormalised log density, which the target
+    must provide. Samples are (c, n_samples, d), or (n_samples, d) for a 1-d
+    ``init``; ``acceptance_rate`` is accepted over proposed moves, all chains
+    together.
     """
     if target.log_unnorm is None:
         raise CapabilityError("MALA requires a log unnormalised density")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
+    init = np.asarray(init, dtype=float)
+    y = np.atleast_2d(init)
+    chains = y.shape[0]
     rng = stream.generator()
     tau = cfg.step_size
-    y = np.asarray(init, dtype=float).copy()
-    log_f = float(target.log_unnorm(y))
-    if not math.isfinite(log_f):
+    log_f = target.log_unnorm_batch(y)
+    if not np.all(np.isfinite(log_f)):
         raise ValueError("log density is not finite at the chain initialisation")
-    score = np.asarray(target.score(y), dtype=float)
+    score = target.score_batch(y)
 
     total_steps = cfg.burn_in + cfg.n_steps * n_samples
-    out = np.empty((n_samples, y.shape[0]))
+    out = np.empty((chains, n_samples, y.shape[1]))
     kept = 0
     accepted = 0
     for step in range(total_steps):
-        xi = rng.standard_normal(y.shape[0])
+        xi = rng.standard_normal(y.shape)
         proposal = y + tau * score + math.sqrt(2.0 * tau) * xi
-        log_f_prop = float(target.log_unnorm(proposal))
-        score_prop = np.asarray(target.score(proposal), dtype=float)
+        log_f_prop = target.log_unnorm_batch(proposal)
+        score_prop = target.score_batch(proposal)
+        # log q(y | y*) - log q(y* | y) for the Langevin proposal N(. + tau s, 2 tau I)
+        backward = y - proposal - tau * score_prop
+        forward = proposal - y - tau * score
         log_alpha = (log_f_prop - log_f
-                     + _langevin_log_q(y, proposal, score_prop, tau)
-                     - _langevin_log_q(proposal, y, score, tau))
-        if math.log(rng.random()) < log_alpha:
-            y, log_f, score = proposal, log_f_prop, score_prop
-            accepted += 1
+                     + (np.sum(forward ** 2, axis=1) - np.sum(backward ** 2, axis=1)) / (4.0 * tau))
+        accept = np.log(rng.random(chains)) < log_alpha
+        y = np.where(accept[:, None], proposal, y)
+        log_f = np.where(accept, log_f_prop, log_f)
+        score = np.where(accept[:, None], score_prop, score)
+        accepted += int(np.count_nonzero(accept))
         if step >= cfg.burn_in and (step - cfg.burn_in + 1) % cfg.n_steps == 0:
-            out[kept] = y
+            out[:, kept] = y
             kept += 1
-    rate = accepted / total_steps
-    return MalaRun(samples=out, acceptance_rate=rate)
-
-
-def mala_sample(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
-                n_samples: int, stream: RandomStream) -> np.ndarray:
-    """Thinned MALA samples; logs the acceptance rate at debug level."""
-    run = run_mala(target, cfg, init, n_samples, stream)
-    logger.debug("MALA acceptance rate: %.3f", run.acceptance_rate)
-    return run.samples
+    rate = accepted / (total_steps * chains)
+    return MalaRun(samples=out[0] if init.ndim == 1 else out, acceptance_rate=rate)

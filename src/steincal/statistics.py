@@ -27,7 +27,9 @@ from .models import (
     as_scored,
     dataset_models,
     dataset_targets,
+    gaussian_rows,
     is_gaussian_models,
+    row_density,
     score_matrix,
     stack_gaussians,
 )
@@ -78,8 +80,8 @@ def h_term(l: ScalarKernel, p, y: np.ndarray, p2, y2: np.ndarray) -> float:
     """Single Stein term between (p, y) and (p', y')."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    s1 = np.asarray(as_scored(p).score(y), dtype=float)[None, :]
-    s2 = np.asarray(as_scored(p2).score(y2), dtype=float)[None, :]
+    s1 = score_matrix([p], y[None, :])
+    s2 = score_matrix([p2], y2[None, :])
     return float(h_matrix_between(l, s1, y[None, :], s2, y2[None, :])[0, 0])
 
 
@@ -133,12 +135,12 @@ class ExactSampler:
 
 @dataclass(frozen=True)
 class MalaSampler:
-    """Expectations from short MALA chains, one chain per batch.
+    """Expectations from short MALA chains, one chain per model and batch.
 
-    Chains start at the model mean plus unit noise (at the origin plus unit
-    noise for score-only densities). Untuned step sizes and short chains are
-    allowed on purpose; they are the failure mode this strategy exists to
-    exhibit.
+    The chains of one batch run in lock step as a single (n, d) state. They
+    start at the model mean plus unit noise (at the origin plus unit noise for
+    score-only densities). Untuned step sizes and short chains are allowed on
+    purpose; they are the failure mode this strategy exists to exhibit.
     """
 
     num_samples: int
@@ -161,28 +163,31 @@ def _draw_exact(model, m: int, stream: RandomStream) -> np.ndarray:
     return np.asarray(scored.sampler(m, stream), dtype=float)
 
 
-def _draw_mala(model, m: int, cfg: MalaConfig, stream: RandomStream) -> np.ndarray:
-    scored = as_scored(model)
-    if scored.log_unnorm is None:
-        raise CapabilityError("the MALA strategy needs a log unnormalised density")
-    center = model.mean if isinstance(model, DiagonalGaussian) else np.zeros(scored.dim)
-    init = center + stream.derive("init").generator().standard_normal(scored.dim)
-    return run_mala(scored, cfg, init, m, stream.derive("chain")).samples
+def _mala_batches(models, strategy: MalaSampler, stream: RandomStream) -> list[np.ndarray]:
+    """One lock-step run per batch label; chain i targets models[i]."""
+    if is_gaussian_models(models):
+        centers, variances = stack_gaussians(models)
+        target = gaussian_rows(centers, variances)
+    else:
+        target = row_density(models)
+        centers = np.stack([m.mean if isinstance(m, DiagonalGaussian) else np.zeros(target.dim)
+                            for m in models])
+    batches = []
+    for label in _BATCH_LABELS:
+        child = stream.derive(label)
+        init = centers + child.derive("init").generator().standard_normal(centers.shape)
+        run = run_mala(target, strategy.config, init, strategy.num_samples, child.derive("chain"))
+        batches.append(run.samples)
+    return batches
 
 
 def _strategy_batches(models, strategy, stream: RandomStream) -> list[np.ndarray]:
     """Four independent (n, m, d) sample batches per model, one per term."""
-    batches = []
-    for label in _BATCH_LABELS:
-        rows = []
-        for i, model in enumerate(models):
-            child = stream.derive(label, i)
-            if isinstance(strategy, ExactSampler):
-                rows.append(_draw_exact(model, strategy.num_samples, child))
-            else:
-                rows.append(_draw_mala(model, strategy.num_samples, strategy.config, child))
-        batches.append(np.stack(rows))
-    return batches
+    if isinstance(strategy, MalaSampler):
+        return _mala_batches(models, strategy, stream)
+    return [np.stack([_draw_exact(model, strategy.num_samples, stream.derive(label, i))
+                      for i, model in enumerate(models)])
+            for label in _BATCH_LABELS]
 
 
 def _closed_form_bracket(l: ScalarKernel, pairs: Dataset) -> np.ndarray:

@@ -294,3 +294,26 @@ def test_criterion_11_csv_bytes_identical_across_thread_counts(tmp_path):
     report("criterion 11 byte-identical CSV across thread counts",
            code1 == 0 and code8 == 0 and same,
            f"exit codes {code1}/{code8}, bytes equal: {same}")
+
+
+def test_skce_mala_csv_bytes_identical_across_thread_counts(tmp_path):
+    # criterion 11 for the lock-step MALA strategy: one stream per batch label
+    config = tmp_path / "mala.json"
+    config.write_text("""
+    {
+      "setup": {"family": "lgm", "delta": 0.0},
+      "n_grid": [16, 24],
+      "repetitions": 3,
+      "bootstrap": 100,
+      "statistic": {"name": "skce", "strategy": {"mode": "mala", "samples": 2,
+                    "step_size": 0.01, "steps": 5, "burn_in": 0}},
+      "dist_kernel": {"variant": "exp_gfd"},
+      "master_seed": 117
+    }
+    """)
+    out1 = tmp_path / "threads1.csv"
+    out2 = tmp_path / "threads2.csv"
+    assert cli(["experiment", "--config", str(config), "--out", str(out1), "--threads", "1"]) == 0
+    assert cli(["experiment", "--config", str(config), "--out", str(out2), "--threads", "2"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+

@@ -8,7 +8,7 @@ import pytest
 
 from steincal.cli import cli
 from steincal.harness import read_csv, write_dataset
-from steincal.models import SyntheticSetup, sample_setup
+from steincal.models import ScoredDensity, SyntheticSetup, sample_setup
 from steincal.sampling import RandomStream
 
 
@@ -144,6 +144,59 @@ def test_degenerate_bandwidth_exits_two(tmp_path, capsys):
     code = cli(["test", "--config", str(config), "--data", str(data)])
     assert code == 2
     assert "numerical" in capsys.readouterr().err
+
+
+def test_tiny_variance_overflowing_the_scores_exits_two(test_config, tmp_path, capsys):
+    data = tmp_path / "tiny.jsonl"
+    data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [1e-320]}}, "y": [{i}.5]}}\n'
+                            for i in range(4)))
+    with np.errstate(over="ignore"):
+        code = cli(["test", "--config", str(test_config), "--data", str(data)])
+    assert code == 2
+    assert "numerical failure: score is not finite" in capsys.readouterr().err
+
+
+_NON_FINITE_MODELS = [
+    '{"model": {"mean": [NaN], "var": [1.0]}, "y": [0.5]}',
+    '{"model": {"mean": [0.0], "var": [Infinity]}, "y": [0.5]}',
+    '{"model": {"mean": [1e400], "var": [1.0]}, "y": [0.5]}',
+]
+_NON_FINITE_TARGET = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [-Infinity]}'
+
+
+@pytest.mark.parametrize("command, bad_line",
+                         [("test", line) for line in _NON_FINITE_MODELS + [_NON_FINITE_TARGET]]
+                         + [("gram", line) for line in _NON_FINITE_MODELS])
+def test_non_finite_input_exits_one_naming_the_line(command, bad_line, test_config, tmp_path,
+                                                    capsys):
+    good = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
+    data = tmp_path / "nonfinite.jsonl"
+    data.write_text(good + bad_line + "\n" + good)
+    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    assert code == 1
+    assert "line 2: NaN or Infinity" in capsys.readouterr().err
+
+
+def _user_density_dataset(score):
+    return lambda fh, where: [(ScoredDensity(dim=1, score=score), np.array([y]))
+                              for y in (-0.4, 0.1, 0.7, 1.3)]
+
+
+def test_wrong_shape_user_score_exits_one(test_config, dataset_file, monkeypatch, capsys):
+    import steincal.cli
+    monkeypatch.setattr(steincal.cli, "read_dataset", _user_density_dataset(lambda y: -y[:, 0]))
+    code = cli(["test", "--config", str(test_config), "--data", str(dataset_file)])
+    assert code == 1
+    assert "score returned shape" in capsys.readouterr().err
+
+
+def test_non_finite_user_score_exits_two(test_config, dataset_file, monkeypatch, capsys):
+    import steincal.cli
+    monkeypatch.setattr(steincal.cli, "read_dataset", _user_density_dataset(lambda y: -y / 0.0))
+    with np.errstate(divide="ignore"):
+        code = cli(["test", "--config", str(test_config), "--data", str(dataset_file)])
+    assert code == 2
+    assert "score is not finite" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():
