@@ -20,18 +20,8 @@ from .kernels import (
     IMQKernel,
     ScalarKernel,
     UnsupportedKernelError,
-    exp_gfd,
-    exp_kgfd,
-    exp_mmd,
-    exp_wasserstein,
-    gaussian_kernel_double_expectation,
-    gaussian_kernel_single_expectation,
-    gfd_estimate,
     gfd_gaussian_closed,
-    gram,
-    kgfd_estimate,
     median_heuristic,
-    scalar_bundle,
     scalar_kernel,
     second_order_median_heuristic,
 )
@@ -44,7 +34,6 @@ from .models import (
     as_scored,
     chi_square_quantile,
     coverage_rate,
-    gaussian_score,
     hdr_contains,
     row_density,
     sample_setup,
@@ -54,7 +43,6 @@ from .sampling import (
     MalaConfig,
     MalaRun,
     RandomStream,
-    rademacher,
     run_mala,
     sample_gaussian,
 )
@@ -67,10 +55,8 @@ from .statistics import (
     StatMatrix,
     TestResult,
     h_matrix,
-    h_term,
     kccsd_stat_matrix,
     run_calibration_test,
-    skce_g_term,
     skce_stat_matrix,
     u_statistic,
     wild_bootstrap,

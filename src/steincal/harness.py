@@ -51,6 +51,20 @@ CSV_HEADER = ("family", "delta", "n", "rep", "statistic_name", "dist_kernel",
 
 DIST_KERNEL_VARIANTS = ("exp_gfd", "exp_kgfd", "exp_mmd", "exp_wasserstein")
 
+# The keys each variant, statistic and strategy mode reads; any other key is an error.
+_DIST_KERNEL_KEYS = {
+    "exp_gfd": ("variant", "sigma", "base_samples"),
+    "exp_kgfd": ("variant", "sigma", "base_samples", "ground"),
+    "exp_mmd": ("variant", "sigma", "ground", "mode", "samples"),
+    "exp_wasserstein": ("variant", "sigma"),
+}
+_STATISTIC_KEYS = {"kccsd": ("name",), "skce": ("name", "strategy")}
+_STRATEGY_KEYS = {
+    "closed_form": ("mode",),
+    "exact_sampler": ("mode", "samples"),
+    "mala": ("mode", "samples", "step_size", "steps", "burn_in"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -192,6 +206,13 @@ def _field(obj: dict, key: str, kind, default=None, required=False, where=""):
     raise ConfigError(f"{label}: expected {kind.__name__}, got {type(value).__name__}")
 
 
+def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
+    """Raise :class:`ConfigError` naming the first key of ``obj`` not in ``allowed``."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{where}{key}: unknown key (allowed: {', '.join(allowed)})")
+
+
 def _bandwidth_field(obj: dict, key: str, allowed_token: str, default, where: str):
     if key not in obj:
         return default
@@ -219,11 +240,13 @@ def parse_dist_kernel(obj: dict, where: str = "dist_kernel.") -> DistKernelSpec:
     variant = _field(obj, "variant", str, required=True, where=where)
     if variant not in DIST_KERNEL_VARIANTS:
         raise ConfigError(f"{where}variant: must be one of {DIST_KERNEL_VARIANTS}")
+    _require_known_keys(obj, _DIST_KERNEL_KEYS[variant], where)
     sigma = _bandwidth_field(obj, "sigma", "median", "median", where)
     base_samples = _field(obj, "base_samples", int, default=10, where=where)
     if base_samples < 1:
         raise ConfigError(f"{where}base_samples: must be >= 1")
     ground = _field(obj, "ground", dict, default={}, where=where)
+    _require_known_keys(ground, ("family", "bandwidth"), where + "ground.")
     ground_family = _field(ground, "family", str, default="gaussian", where=where + "ground.")
     if ground_family not in ("gaussian", "imq"):
         raise ConfigError(f"{where}ground.family: must be 'gaussian' or 'imq'")
@@ -244,6 +267,7 @@ def parse_statistic(obj: dict, where: str = "statistic.") -> StatisticConfig:
     name = _field(obj, "name", str, required=True, where=where)
     if name not in ("kccsd", "skce"):
         raise ConfigError(f"{where}name: must be 'kccsd' or 'skce'")
+    _require_known_keys(obj, _STATISTIC_KEYS[name], where)
     if name == "kccsd":
         return StatisticConfig(name="kccsd")
     strategy = _field(obj, "strategy", dict, default={}, where=where)
@@ -251,6 +275,7 @@ def parse_statistic(obj: dict, where: str = "statistic.") -> StatisticConfig:
     if mode not in ("closed_form", "exact_sampler", "mala"):
         raise ConfigError(f"{where}strategy.mode: must be 'closed_form', "
                           "'exact_sampler' or 'mala'")
+    _require_known_keys(strategy, _STRATEGY_KEYS[mode], where + "strategy.")
     samples = _field(strategy, "samples", int, default=10, where=where + "strategy.")
     if samples < 1:
         raise ConfigError(f"{where}strategy.samples: must be >= 1")
@@ -522,7 +547,7 @@ def read_dataset(fh: IO[str], where: str = "<dataset>") -> list[tuple[DiagonalGa
                                      f"{y.size} does not match model dimension {model.dim}")
         pairs.append((model, y))
         linenos.append(lineno)
-    _require_finite_lines([(m.mean, m.var, y) for m, y in pairs], linenos, where)
+    _require_consistent_lines([(m.mean, m.var, y) for m, y in pairs], linenos, where)
     return pairs
 
 
@@ -538,7 +563,7 @@ def read_models(fh: IO[str], where: str = "<models>") -> list[DiagonalGaussian]:
             obj = obj["model"]
         models.append(_parse_model(obj, where, lineno))
         linenos.append(lineno)
-    _require_finite_lines([(m.mean, m.var) for m in models], linenos, where)
+    _require_consistent_lines([(m.mean, m.var) for m in models], linenos, where)
     return models
 
 
@@ -556,11 +581,17 @@ def _parse_model(obj, where: str, lineno: int) -> DiagonalGaussian:
         raise DatasetFormatError(f"{where}: line {lineno}: bad model ({exc})") from exc
 
 
-def _require_finite_lines(rows: list[tuple], linenos: list[int], where: str) -> None:
-    """Reject NaN and +-Infinity (which JSON parsing accepts) with the first
-    offending line; one array check covers a healthy file."""
-    if not rows or np.isfinite(np.concatenate([a for row in rows for a in row])).all():
+def _require_consistent_lines(rows: list[tuple], linenos: list[int], where: str) -> None:
+    """Reject the first line whose dimension differs from the first line's, or
+    that holds NaN or +-Infinity (which JSON parsing accepts). A healthy file
+    costs one size comparison per line and one array check."""
+    if not rows:
         return
+    dim = rows[0][0].size
+    finite = np.isfinite(np.concatenate([a for row in rows for a in row])).all()
     for lineno, row in zip(linenos, rows):
-        if not all(np.isfinite(a).all() for a in row):
+        if row[0].size != dim:
+            raise DatasetFormatError(f"{where}: line {lineno}: dimension {row[0].size} "
+                                     f"differs from dimension {dim} on line {linenos[0]}")
+        if not finite and not all(np.isfinite(a).all() for a in row):
             raise DatasetFormatError(f"{where}: line {lineno}: NaN or Infinity in the values")

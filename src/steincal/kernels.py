@@ -16,6 +16,7 @@ import numpy as np
 
 from .models import (
     DiagonalGaussian,
+    as_scored,
     is_gaussian_models,
     require_finite,
     score_tensor,
@@ -61,20 +62,13 @@ class ScalarKernel(ABC):
         """Second derivative of the profile."""
 
     def __call__(self, y: np.ndarray, y2: np.ndarray) -> float:
-        y, y2 = _check_pair(y, y2)
-        return float(self._f(np.sum((y - y2) ** 2)))
+        """Kernel value at one pair of points: a one-row view of :meth:`gram`."""
+        return float(self.gram(y, y2)[0, 0])
 
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        points2 = points if points2 is None else np.atleast_2d(np.asarray(points2, dtype=float))
+        points, points2 = _point_stacks(points, points if points2 is None else points2)
         diff = points[:, None, :] - points2[None, :, :]
         return self._f(np.sum(diff ** 2, axis=-1))
-
-    def bundle(self, y: np.ndarray, y2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-        """Value, grad wrt y, grad wrt y', and the mixed-derivative trace at (y, y')."""
-        y, y2 = _check_pair(y, y2)
-        value, g1, g2, tr = self.bundle_matrices(y[None, :], y2[None, :])
-        return float(value[0, 0]), g1[0, 0], g2[0, 0], float(tr[0, 0])
 
     def bundle_matrices(self, points: np.ndarray, points2: np.ndarray):
         """Pairwise bundle between two stacks of points.
@@ -83,10 +77,7 @@ class ScalarKernel(ABC):
         mixed_trace (n1,n2)) where entry [i, j] is evaluated at
         (points[i], points2[j]).
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        points2 = np.atleast_2d(np.asarray(points2, dtype=float))
-        if points.shape[1] != points2.shape[1]:
-            raise ValueError("point stacks have mismatched dimensions")
+        points, points2 = _point_stacks(points, points2)
         d = points.shape[1]
         diff = points[:, None, :] - points2[None, :, :]
         sq = np.sum(diff ** 2, axis=-1)
@@ -131,10 +122,6 @@ class IMQKernel(ScalarKernel):
         return 2.0 * self._f(sq) ** 3 / self.bandwidth ** 4
 
 
-def scalar_bundle(l: ScalarKernel, y: np.ndarray, y2: np.ndarray):
-    return l.bundle(y, y2)
-
-
 def scalar_kernel(family: str, bandwidth: float) -> ScalarKernel:
     if family == "gaussian":
         return GaussianKernel(bandwidth)
@@ -143,47 +130,29 @@ def scalar_kernel(family: str, bandwidth: float) -> ScalarKernel:
     raise UnsupportedKernelError(f"unknown scalar kernel family {family!r}")
 
 
-def _check_pair(y, y2):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    if y.shape != y2.shape:
-        raise ValueError(f"points have mismatched dimensions {y.shape} vs {y2.shape}")
-    return y, y2
+def _point_stacks(points, points2) -> tuple[np.ndarray, np.ndarray]:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points2 = np.atleast_2d(np.asarray(points2, dtype=float))
+    if points.shape[1] != points2.shape[1]:
+        raise ValueError("point stacks have mismatched dimensions")
+    return points, points2
 
 
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
 
-def gaussian_kernel_single_expectation(g: DiagonalGaussian, y: np.ndarray, gamma: float) -> float:
-    """E_{z ~ g} exp(-||z - y||^2 / (2 gamma^2)) for a diagonal Gaussian g."""
-    y = g._check_point(y)
-    return float(_smoothed_values(g.mean[None, :], g.var[None, :], y[None, :], gamma)[0, 0])
-
-
-def gaussian_kernel_double_expectation(g: DiagonalGaussian, g2: DiagonalGaussian, gamma: float) -> float:
-    """E_{z ~ g, z' ~ g2} exp(-||z - z'||^2 / (2 gamma^2))."""
-    if g.dim != g2.dim:
-        raise ValueError("models have mismatched dimensions")
-    return float(_smoothed_values(g.mean[None, :], g.var[None, :] + g2.var[None, :],
-                                  g2.mean[None, :], gamma)[0, 0])
-
-
-def _smoothed_values(means: np.ndarray, variances: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
+def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
+    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l."""
     # exp of sum_a [ -log(1 + v_a/g^2)/2 - (mu_a - y_a)^2 / (2 (g^2 + v_a)) ], broadcast (n, m)
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    means, variances, points = (np.asarray(a, float) for a in (means, variances, points))
     g2 = gamma ** 2
     denom = g2 + variances  # (n, d)
     quad = (means[:, None, :] - points[None, :, :]) ** 2 / (2.0 * denom[:, None, :])
     logs = 0.5 * np.log1p(variances / g2)
     return np.exp(-np.sum(quad, axis=-1) - np.sum(logs, axis=-1)[:, None])
-
-
-def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l."""
-    return _smoothed_values(np.asarray(means, float), np.asarray(variances, float),
-                            np.asarray(points, float), gamma)
 
 
 def double_expectation_gram(means, variances, gamma) -> np.ndarray:
@@ -201,17 +170,6 @@ def double_expectation_gram(means, variances, gamma) -> np.ndarray:
 # Score-difference divergences
 # ---------------------------------------------------------------------------
 
-def _scores_at(model, points: np.ndarray) -> np.ndarray:
-    return score_tensor([model], points)[0]
-
-
-def gfd_estimate(p, q, base_samples: np.ndarray) -> float:
-    """Mean squared norm of the score difference over the base samples."""
-    base_samples = np.atleast_2d(np.asarray(base_samples, dtype=float))
-    diff = _scores_at(p, base_samples) - _scores_at(q, base_samples)
-    return float(np.mean(np.sum(diff ** 2, axis=1)))
-
-
 def gfd_gaussian_closed(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
     """Closed form of the score divergence under a standard Gaussian base measure.
 
@@ -224,15 +182,6 @@ def gfd_gaussian_closed(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
     a = 1.0 / q.var - 1.0 / p.var
     b = p.mean / p.var - q.mean / q.var
     return float(np.sum(a ** 2) + np.sum(b ** 2))
-
-
-def kgfd_estimate(p, q, base_samples: np.ndarray, ground: ScalarKernel) -> float:
-    """Kernel-smoothed score divergence estimate over shared base samples."""
-    base_samples = np.atleast_2d(np.asarray(base_samples, dtype=float))
-    m = base_samples.shape[0]
-    diff = _scores_at(p, base_samples) - _scores_at(q, base_samples)
-    w = ground.gram(base_samples)
-    return float(np.sum(w * (diff @ diff.T)) / m ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +251,6 @@ class DistributionKernel(ABC):
         out = 0.5 * (out + out.T)
         np.fill_diagonal(out, 1.0)
         return out
-
-    def _require_sigma(self) -> float:
-        if self.sigma is None:
-            raise ValueError("pairwise evaluation needs an explicit sigma; "
-                             "the median policy is resolved per Gram matrix")
-        return self.sigma
 
 
 class ExpGFDKernel(DistributionKernel):
@@ -400,7 +343,7 @@ class ExpMMDKernel(DistributionKernel):
         m = self.num_samples
         draws = []
         for i, model in enumerate(models):
-            sampler = getattr(model, "sample", None) or getattr(model, "sampler", None)
+            sampler = as_scored(model).sampler
             if sampler is None:
                 raise CapabilityError("sampled MMD needs a sampler on every model")
             draws.append(np.asarray(sampler(m, stream.derive("mmd-samples", i)), dtype=float))
@@ -432,42 +375,6 @@ class ExpWassersteinKernel(DistributionKernel):
         sd = np.sqrt(variances[:, 0])
         mean_sq = np.sum((means[:, None, :] - means[None, :, :]) ** 2, axis=-1)
         return mean_sq + d * (sd[:, None] - sd[None, :]) ** 2
-
-
-def exp_gfd(kernel: ExpGFDKernel, p, q) -> float:
-    """Pairwise exponentiated-GFD value; needs frozen base samples."""
-    if kernel.base.samples is None:
-        raise ValueError("pairwise evaluation needs a frozen base sample set")
-    sigma = kernel._require_sigma()
-    return float(np.exp(-gfd_estimate(p, q, kernel.base.samples) / (2.0 * sigma ** 2)))
-
-
-def exp_kgfd(kernel: ExpKGFDKernel, p, q) -> float:
-    """Pairwise exponentiated-KGFD value; needs frozen base samples."""
-    if kernel.base.samples is None:
-        raise ValueError("pairwise evaluation needs a frozen base sample set")
-    sigma = kernel._require_sigma()
-    value = kgfd_estimate(p, q, kernel.base.samples, kernel.ground)
-    return float(np.exp(-value / (2.0 * sigma ** 2)))
-
-
-def exp_mmd(kernel: ExpMMDKernel, p, q, stream: Optional[RandomStream] = None) -> float:
-    """Pairwise exponentiated-MMD value."""
-    sigma = kernel._require_sigma()
-    sq = kernel.squared_distances([p, q], stream)
-    return float(np.exp(-sq[0, 1] / (2.0 * sigma ** 2)))
-
-
-def exp_wasserstein(p: DiagonalGaussian, q: DiagonalGaussian, ell: float) -> float:
-    """Pairwise exponentiated-Wasserstein value for isotropic Gaussians."""
-    kernel = ExpWassersteinKernel(ell)
-    sq = kernel.squared_distances([p, q])
-    return float(np.exp(-sq[0, 1] / (2.0 * ell ** 2)))
-
-
-def gram(kernel: DistributionKernel, models: Sequence, stream: Optional[RandomStream] = None) -> np.ndarray:
-    """Gram matrix of a distribution kernel; base samples are drawn once."""
-    return kernel.gram(models, stream)
 
 
 def _require_stream(base: BaseMeasure, stream: Optional[RandomStream]) -> Optional[RandomStream]:

@@ -91,10 +91,6 @@ class DiagonalGaussian:
         return cls(np.asarray(obj["mean"], dtype=float), np.asarray(obj["var"], dtype=float))
 
 
-def gaussian_score(g: DiagonalGaussian, y: np.ndarray) -> np.ndarray:
-    return g.score(y)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredDensity:
     """Capability record for a (possibly unnormalised) density.
@@ -311,14 +307,6 @@ def row_density(models) -> ScoredDensity:
     has_log_unnorm = all(s.log_unnorm is not None for s in scored)
     return ScoredDensity(dim=scored[0].dim, score=score,
                          log_unnorm=log_unnorm if has_log_unnorm else None)
-
-
-def score_matrix(models, points: np.ndarray) -> np.ndarray:
-    """Row i is the score of model i at points[i]. Shape (n, d)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] != len(models):
-        raise ValueError("points must be an (n, d) array matching the model list")
-    return row_density(models).score_batch(points)
 
 
 def score_tensor(models, points: np.ndarray) -> np.ndarray:

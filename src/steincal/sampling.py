@@ -61,14 +61,6 @@ def sample_gaussian(g, n: int, stream: RandomStream) -> np.ndarray:
     return g.mean[None, :] + np.sqrt(g.var)[None, :] * xi
 
 
-def rademacher(n: int, stream: RandomStream) -> np.ndarray:
-    """n i.i.d. uniform signs in {-1.0, +1.0}."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = stream.generator()
-    return np.where(rng.random(n) < 0.5, -1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class MalaConfig:
     """MALA tuning knobs.

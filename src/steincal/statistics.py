@@ -18,8 +18,6 @@ from .kernels import (
     ScalarKernel,
     UnsupportedKernelError,
     double_expectation_gram,
-    gaussian_kernel_double_expectation,
-    gaussian_kernel_single_expectation,
     single_expectation_gram,
 )
 from .models import (
@@ -27,10 +25,8 @@ from .models import (
     as_scored,
     dataset_models,
     dataset_targets,
-    gaussian_rows,
     is_gaussian_models,
     row_density,
-    score_matrix,
     stack_gaussians,
 )
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -76,19 +72,10 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     return value * inner + trace + cross1 + cross2
 
 
-def h_term(l: ScalarKernel, p, y: np.ndarray, p2, y2: np.ndarray) -> float:
-    """Single Stein term between (p, y) and (p', y')."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    s1 = score_matrix([p], y[None, :])
-    s2 = score_matrix([p2], y2[None, :])
-    return float(h_matrix_between(l, s1, y[None, :], s2, y2[None, :])[0, 0])
-
-
 def h_matrix(l: ScalarKernel, pairs: Dataset) -> np.ndarray:
     """Full symmetric matrix of Stein terms for a dataset (diagonal included)."""
     targets = dataset_targets(pairs)
-    scores = score_matrix(dataset_models(pairs), targets)
+    scores = row_density(dataset_models(pairs)).score_batch(targets)
     return h_matrix_between(l, scores, targets, scores, targets)
 
 
@@ -165,13 +152,9 @@ def _draw_exact(model, m: int, stream: RandomStream) -> np.ndarray:
 
 def _mala_batches(models, strategy: MalaSampler, stream: RandomStream) -> list[np.ndarray]:
     """One lock-step run per batch label; chain i targets models[i]."""
-    if is_gaussian_models(models):
-        centers, variances = stack_gaussians(models)
-        target = gaussian_rows(centers, variances)
-    else:
-        target = row_density(models)
-        centers = np.stack([m.mean if isinstance(m, DiagonalGaussian) else np.zeros(target.dim)
-                            for m in models])
+    target = row_density(models)
+    centers = np.stack([m.mean if isinstance(m, DiagonalGaussian) else np.zeros(target.dim)
+                        for m in models])
     batches = []
     for label in _BATCH_LABELS:
         child = stream.derive(label)
@@ -239,29 +222,6 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, pairs: Dataset,
     entries = k_gram * bracket
     upper = np.triu(entries, k=1)
     return StatMatrix(upper + upper.T)
-
-
-def skce_g_term(k_dist: float, l: ScalarKernel, p, y: np.ndarray, p2, y2: np.ndarray,
-                strategy: ExpectationStrategy,
-                stream: Optional[RandomStream] = None) -> float:
-    """Single calibration-error term for the tensor-product kernel k_dist * l."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    if isinstance(strategy, ClosedFormGaussian):
-        if not isinstance(l, GaussianKernel):
-            raise UnsupportedKernelError("closed-form expectations need a Gaussian target kernel")
-        if not (isinstance(p, DiagonalGaussian) and isinstance(p2, DiagonalGaussian)):
-            raise CapabilityError("closed-form expectations need diagonal Gaussian models")
-        bracket = (l(y, y2)
-                   - gaussian_kernel_single_expectation(p, y2, l.bandwidth)
-                   - gaussian_kernel_single_expectation(p2, y, l.bandwidth)
-                   + gaussian_kernel_double_expectation(p, p2, l.bandwidth))
-        return float(k_dist) * bracket
-    if stream is None:
-        raise ValueError("sampled expectation strategies need a random stream")
-    matrix = skce_stat_matrix(np.full((2, 2), float(k_dist)), l, [(p, y), (p2, y2)],
-                              strategy, stream)
-    return float(matrix.entries[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,29 @@ def mc_gaussian_kernel_double(mean1, var1, mean2, var2, gamma, n, rng):
     return float(np.mean(np.exp(-np.sum((z1 - z2) ** 2, axis=1) / (2.0 * gamma ** 2))))
 
 
+def direct_gfd(score_p, score_q, base_points):
+    """Score divergence mean_k ||s_p(z_k) - s_q(z_k)||^2, one base point at a time."""
+    total = 0.0
+    for z in base_points:
+        diff = np.asarray(score_p(z), float) - np.asarray(score_q(z), float)
+        total += float(diff @ diff)
+    return total / len(base_points)
+
+
+def gaussian_kernel_expectation(mean, var, point, gamma):
+    """Closed form of E_{z ~ N(mean, diag var)} exp(-||z - point||^2 / (2 gamma^2)).
+
+    Per coordinate the integral is sqrt(g^2 / (g^2 + v)) exp(-(mu - y)^2 / (2 (g^2 + v))).
+    The double expectation over z ~ N(m1, v1), z' ~ N(m2, v2) is this with
+    mean m1, variance v1 + v2 and point m2.
+    """
+    total = 1.0
+    for mu, v, y in zip(np.atleast_1d(mean), np.atleast_1d(var), np.atleast_1d(point)):
+        s = gamma ** 2 + v
+        total *= np.sqrt(gamma ** 2 / s) * np.exp(-(mu - y) ** 2 / (2.0 * s))
+    return float(total)
+
+
 def brute_force_kgfd(score_diffs, ground_fn, base_points):
     """Double-loop kernel-smoothed score divergence."""
     m = base_points.shape[0]

@@ -24,13 +24,10 @@ from steincal.kernels import (
     ExpWassersteinKernel,
     GaussianKernel,
     IMQKernel,
-    exp_mmd,
-    gaussian_kernel_double_expectation,
-    gaussian_kernel_single_expectation,
-    gfd_estimate,
+    double_expectation_gram,
     gfd_gaussian_closed,
     median_heuristic,
-    scalar_bundle,
+    single_expectation_gram,
 )
 from steincal.models import (
     DiagonalGaussian,
@@ -189,7 +186,8 @@ def test_criterion_08_kernel_correctness_oracles():
         per_sample = np.sum((np.stack([p.score(x) for x in z])
                              - np.stack([q.score(x) for x in z])) ** 2, axis=1)
         tol = 3.0 * per_sample.std() / np.sqrt(m)
-        if abs(gfd_estimate(p, q, z) - gfd_gaussian_closed(p, q)) > tol:
+        gfd = ExpGFDKernel(None, BaseMeasure.frozen(z)).squared_distances([p, q])[0, 1]
+        if abs(gfd - gfd_gaussian_closed(p, q)) > tol:
             problems.append(f"gfd seed {seed}")
 
     # closed-form Gaussian kernel expectations vs 1e6-sample MC, 3e-3
@@ -197,10 +195,11 @@ def test_criterion_08_kernel_correctness_oracles():
     g = DiagonalGaussian(np.array([0.4, -0.2]), np.array([1.1, 0.7]))
     h = DiagonalGaussian(np.array([-0.5, 0.1]), np.array([0.6, 1.8]))
     y = np.array([0.3, -0.8])
-    single = gaussian_kernel_single_expectation(g, y, 1.0)
+    single = single_expectation_gram(g.mean[None], g.var[None], y[None], 1.0)[0, 0]
     if abs(single - mc_gaussian_kernel_single(g.mean, g.var, y, 1.0, 1_000_000, rng)) > 3e-3:
         problems.append("single expectation")
-    double = gaussian_kernel_double_expectation(g, h, 1.0)
+    double = double_expectation_gram(np.stack([g.mean, h.mean]), np.stack([g.var, h.var]),
+                                     1.0)[0, 1]
     if abs(double - mc_gaussian_kernel_double(g.mean, g.var, h.mean, h.var, 1.0,
                                               1_000_000, rng)) > 3e-3:
         problems.append("double expectation")
@@ -209,10 +208,9 @@ def test_criterion_08_kernel_correctness_oracles():
     m_mmd = 400
     p = DiagonalGaussian(np.array([0.0]), np.array([1.0]))
     q = DiagonalGaussian(np.array([1.2]), np.array([1.8]))
-    closed = exp_mmd(ExpMMDKernel(1.0, GaussianKernel(1.0)), p, q)
-    sampled = exp_mmd(ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled",
-                                   num_samples=m_mmd), p, q,
-                      RandomStream(112).derive("mmd"))
+    closed = ExpMMDKernel(1.0, GaussianKernel(1.0)).gram([p, q])[0, 1]
+    sampled = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled",
+                           num_samples=m_mmd).gram([p, q], RandomStream(112).derive("mmd"))[0, 1]
     if abs(sampled - closed) > 3.0 / np.sqrt(m_mmd):
         problems.append("sampled mmd")
 
@@ -223,7 +221,8 @@ def test_criterion_08_kernel_correctness_oracles():
             d = int(rng.integers(1, 4))
             kernel = kernel_cls(rng.uniform(0.5, 2.0))
             y1, y2 = rng.normal(size=d), rng.normal(size=d)
-            got = scalar_bundle(kernel, y1, y2)
+            value, grad_y, grad_y2, trace = kernel.bundle_matrices(y1[None], y2[None])
+            got = (value[0, 0], grad_y[0, 0], grad_y2[0, 0], trace[0, 0])
             want = fd_kernel_bundle(lambda a, b: kernel(a, b), y1, y2)
             for lhs, rhs in zip(got, want):
                 err = np.abs(np.asarray(lhs) - np.asarray(rhs))

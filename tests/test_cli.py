@@ -177,6 +177,33 @@ def test_non_finite_input_exits_one_naming_the_line(command, bad_line, test_conf
     assert "line 2: NaN or Infinity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["test", "gram"])
+def test_mixed_dimensions_exit_one_naming_the_line(command, test_config, tmp_path, capsys):
+    data = tmp_path / "mixed.jsonl"
+    data.write_text('{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
+                    '{"model": {"mean": [0.5], "var": [1.0]}, "y": [0.75]}\n'
+                    '{"model": {"mean": [0.0, 1.0], "var": [1.0, 1.0]}, "y": [0.5, 0.5]}\n')
+    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "line 3: dimension 2 differs from dimension 1 on line 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["test", "gram"])
+def test_unknown_config_key_exits_one_naming_the_key(command, dataset_file, tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({
+        "statistic": {"name": "kccsd"},
+        "dist_kernel": {"variant": "exp_gfd", "sigam": 3, "mode": "sampled", "samples": 50},
+    }))
+    code = cli([command, "--config", str(config), "--data", str(dataset_file)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "dist_kernel.sigam: unknown key" in err
+    assert "Traceback" not in err
+
+
 def _user_density_dataset(score):
     return lambda fh, where: [(ScoredDensity(dim=1, score=score), np.array([y]))
                               for y in (-0.4, 0.1, 0.7, 1.3)]

@@ -71,6 +71,40 @@ class TestConfigParsing:
             parse_experiment_config(minimal_config(**patch))
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("patch,fragment", [
+        ({"dist_kernel": {"variant": "exp_gfd", "sigam": 3, "mode": "sampled", "samples": 50}},
+         "dist_kernel.sigam"),
+        ({"dist_kernel": {"variant": "exp_gfd", "ground": {}}}, "dist_kernel.ground"),
+        ({"dist_kernel": {"variant": "exp_kgfd", "mode": "sampled"}}, "dist_kernel.mode"),
+        ({"dist_kernel": {"variant": "exp_mmd", "base_samples": 5}}, "dist_kernel.base_samples"),
+        ({"dist_kernel": {"variant": "exp_wasserstein", "ground": {}}}, "dist_kernel.ground"),
+        ({"dist_kernel": {"variant": "exp_kgfd", "ground": {"familly": "imq"}}},
+         "dist_kernel.ground.familly"),
+        ({"statistic": {"name": "kccsd", "strategy": {}}}, "statistic.strategy"),
+        ({"statistic": {"name": "skce", "mode": "mala"}}, "statistic.mode"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "samples": 4}}},
+         "statistic.strategy.samples"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "exact_sampler", "steps": 4}}},
+         "statistic.strategy.steps"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "mala", "step": 0.1}}},
+         "statistic.strategy.step"),
+    ])
+    def test_unknown_keys_are_named(self, patch, fragment):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_config(minimal_config(**patch))
+        assert f"{fragment}: unknown key" in str(err.value)
+
+    @pytest.mark.parametrize("dist_kernel", [
+        {"variant": "exp_gfd", "sigma": 1.0, "base_samples": 5},
+        {"variant": "exp_kgfd", "sigma": "median", "base_samples": 5,
+         "ground": {"family": "imq", "bandwidth": 1.0}},
+        {"variant": "exp_mmd", "sigma": 1.0, "mode": "sampled", "samples": 5,
+         "ground": {"family": "gaussian", "bandwidth": "second_order_median"}},
+        {"variant": "exp_wasserstein", "sigma": 1.0},
+    ])
+    def test_every_key_a_variant_reads_is_accepted(self, dist_kernel):
+        parse_experiment_config(minimal_config(dist_kernel=dist_kernel))
+
     def test_missing_required_field(self):
         obj = minimal_config()
         del obj["statistic"]

@@ -11,25 +11,18 @@ from steincal.kernels import (
     GaussianKernel,
     IMQKernel,
     UnsupportedKernelError,
-    exp_gfd,
-    exp_kgfd,
-    exp_mmd,
-    exp_wasserstein,
-    gaussian_kernel_double_expectation,
-    gaussian_kernel_single_expectation,
-    gfd_estimate,
+    double_expectation_gram,
     gfd_gaussian_closed,
-    gram,
-    kgfd_estimate,
     median_heuristic,
-    scalar_bundle,
     second_order_median_heuristic,
+    single_expectation_gram,
 )
 from steincal.models import DiagonalGaussian, ScoredDensity
 from steincal.sampling import CapabilityError, RandomStream
 
 from oracles import (
     brute_force_kgfd,
+    direct_gfd,
     fd_kernel_bundle,
     mc_gaussian_kernel_double,
     mc_gaussian_kernel_single,
@@ -47,14 +40,45 @@ def random_gaussians(rng, count, dim, spread=2.0):
             for _ in range(count)]
 
 
+def bundle_at(kernel, y, y2):
+    """Derivative bundle at one pair of points, read off the (1, 1) matrices."""
+    value, gy, gy2, tr = kernel.bundle_matrices(np.atleast_1d(y)[None, :],
+                                                np.atleast_1d(y2)[None, :])
+    return value[0, 0], gy[0, 0], gy2[0, 0], tr[0, 0]
+
+
+def gfd(p, q, z):
+    """Score divergence between two models on frozen base samples z."""
+    return ExpGFDKernel(None, BaseMeasure.frozen(z)).squared_distances([p, q])[0, 1]
+
+
+def kgfd(p, q, z, ground):
+    """Kernel-smoothed score divergence between two models on frozen base samples z."""
+    return ExpKGFDKernel(None, BaseMeasure.frozen(z), ground).squared_distances([p, q])[0, 1]
+
+
+def pair_value(kernel, p, q, stream=None):
+    """Distribution-kernel value between two models, read off their 2 x 2 Gram matrix."""
+    return kernel.gram([p, q], stream)[0, 1]
+
+
+def single_expectation(g, y, gamma):
+    return single_expectation_gram(g.mean[None, :], g.var[None, :], y[None, :], gamma)[0, 0]
+
+
+def double_expectation(g, h, gamma):
+    return double_expectation_gram(np.stack([g.mean, h.mean]), np.stack([g.var, h.var]),
+                                   gamma)[0, 1]
+
+
 class TestScalarBundle:
     def test_gaussian_at_coincidence(self):
-        value, gy, gy2, tr = scalar_bundle(GaussianKernel(1.0), np.zeros(1), np.zeros(1))
+        value, gy, gy2, tr = bundle_at(GaussianKernel(1.0), np.zeros(1), np.zeros(1))
         assert (value, tr) == (pytest.approx(1.0), pytest.approx(1.0))
         assert gy == pytest.approx([0.0]) and gy2 == pytest.approx([0.0])
 
     def test_gaussian_at_unit_distance(self):
-        value, gy, gy2, tr = scalar_bundle(GaussianKernel(1.0), np.zeros(1), np.ones(1))
+        value, gy, gy2, tr = bundle_at(GaussianKernel(1.0), np.zeros(1), np.ones(1))
         e = np.exp(-0.5)
         assert value == pytest.approx(e)
         assert gy == pytest.approx([e])
@@ -64,7 +88,7 @@ class TestScalarBundle:
     def test_imq_at_coincidence(self):
         for d in (1, 3):
             y = np.random.default_rng(d).normal(size=d)
-            value, gy, gy2, tr = scalar_bundle(IMQKernel(1.0), y, y)
+            value, gy, gy2, tr = bundle_at(IMQKernel(1.0), y, y)
             assert value == pytest.approx(1.0)
             assert gy == pytest.approx(np.zeros(d)) and gy2 == pytest.approx(np.zeros(d))
             assert tr == pytest.approx(2.0 * d)
@@ -77,7 +101,7 @@ class TestScalarBundle:
             kernel = kernel_cls(rng.uniform(0.5, 2.0))
             y = rng.normal(size=d)
             y2 = rng.normal(size=d)
-            got = scalar_bundle(kernel, y, y2)
+            got = bundle_at(kernel, y, y2)
             want = fd_kernel_bundle(lambda a, b: kernel(a, b), y, y2)
             for lhs, rhs in zip(got, want):
                 assert np.all(np.abs(np.asarray(lhs) - np.asarray(rhs))
@@ -85,7 +109,7 @@ class TestScalarBundle:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            scalar_bundle(GaussianKernel(1.0), np.zeros(2), np.zeros(3))
+            bundle_at(GaussianKernel(1.0), np.zeros(2), np.zeros(3))
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -97,18 +121,18 @@ class TestGaussianExpectations:
         g = g1([0.7], [1e-14])
         kernel = GaussianKernel(1.3)
         y = np.array([0.2])
-        assert gaussian_kernel_single_expectation(g, y, 1.3) == pytest.approx(
+        assert single_expectation(g, y, 1.3) == pytest.approx(
             kernel(g.mean, y), rel=1e-6)
 
     def test_single_expectation_standard_case(self):
-        got = gaussian_kernel_single_expectation(g1(0.0, 1.0), np.array([0.0]), 1.0)
+        got = single_expectation(g1(0.0, 1.0), np.array([0.0]), 1.0)
         assert got == pytest.approx(np.sqrt(0.5))
         rng = np.random.default_rng(3)
         assert got == pytest.approx(
             mc_gaussian_kernel_single(0.0, 1.0, 0.0, 1.0, 1_000_000, rng), abs=3e-3)
 
     def test_double_expectation_standard_case(self):
-        got = gaussian_kernel_double_expectation(g1(0.0, 1.0), g1(0.0, 1.0), 1.0)
+        got = double_expectation(g1(0.0, 1.0), g1(0.0, 1.0), 1.0)
         assert got == pytest.approx(np.sqrt(1.0 / 3.0))
         rng = np.random.default_rng(4)
         assert got == pytest.approx(
@@ -118,7 +142,7 @@ class TestGaussianExpectations:
         rng = np.random.default_rng(5)
         g = g1([0.5, -0.3], [0.8, 1.7])
         h = g1([-0.2, 0.4], [1.1, 0.6])
-        got = gaussian_kernel_double_expectation(g, h, 0.9)
+        got = double_expectation(g, h, 0.9)
         want = mc_gaussian_kernel_double(g.mean, g.var, h.mean, h.var, 0.9, 1_000_000, rng)
         assert got == pytest.approx(want, abs=3e-3)
 
@@ -127,13 +151,13 @@ class TestGFD:
     def test_identical_scores_give_zero(self):
         g = g1([0.3, 0.1], [1.0, 2.0])
         z = np.random.default_rng(0).normal(size=(10, 2))
-        assert gfd_estimate(g, g, z) == 0.0
+        assert gfd(g, g, z) == 0.0
 
     def test_constant_score_difference_is_exact_for_any_base(self):
         p, q = g1(0.0, 1.0), g1(1.0, 1.0)
         for seed in range(5):
             z = np.random.default_rng(seed).normal(size=(4, 1))
-            assert gfd_estimate(p, q, z) == pytest.approx(1.0)
+            assert gfd(p, q, z) == pytest.approx(1.0)
 
     def test_closed_form_examples(self):
         assert gfd_gaussian_closed(g1(0.0, 1.0), g1(0.0, 1.0)) == 0.0
@@ -152,7 +176,7 @@ class TestGFD:
         z = RandomStream(31).derive("base").generator().standard_normal((m, 2))
         diffs = np.sum(((p.mean - z) / p.var - (q.mean - z) / q.var) ** 2, axis=1)
         tol = 3.0 * diffs.std() / np.sqrt(m)
-        assert abs(gfd_estimate(p, q, z) - 0.5) <= tol
+        assert abs(gfd(p, q, z) - 0.5) <= tol
 
     def test_estimate_tracks_closed_form_across_seeds(self):
         rng = np.random.default_rng(77)
@@ -163,41 +187,36 @@ class TestGFD:
             per_sample = np.sum((np.stack([p.score(x) for x in z])
                                  - np.stack([q.score(x) for x in z])) ** 2, axis=1)
             tol = 3.0 * per_sample.std() / np.sqrt(m)
-            assert abs(gfd_estimate(p, q, z) - gfd_gaussian_closed(p, q)) <= tol
+            assert abs(gfd(p, q, z) - gfd_gaussian_closed(p, q)) <= tol
 
     def test_works_on_generic_scored_densities(self):
         p = ScoredDensity(dim=1, score=lambda y: -y)          # N(0,1) score
         q = ScoredDensity(dim=1, score=lambda y: (1.0 - y))   # N(1,1) score
         z = np.random.default_rng(1).normal(size=(8, 1))
-        assert gfd_estimate(p, q, z) == pytest.approx(1.0)
+        assert gfd(p, q, z) == pytest.approx(1.0)
 
 
 class TestExpGFD:
     def test_diagonal_is_one(self):
         g = g1([0.2], [1.5])
         kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.zeros((3, 1))))
-        assert exp_gfd(kernel, g, g) == 1.0
+        assert pair_value(kernel, g, g) == 1.0
 
     def test_unit_mean_shift(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.random.default_rng(0).normal(size=(7, 1))))
-        got = exp_gfd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
+        got = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
         assert got == pytest.approx(np.exp(-0.5))
 
     def test_variance_mismatch_with_large_base(self):
         z = RandomStream(8).derive("base").generator().standard_normal((20_000, 2))
         kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(z))
-        got = exp_gfd(kernel, g1([0.0, 0.0], [1.0, 1.0]), g1([0.0, 0.0], [2.0, 2.0]))
+        got = pair_value(kernel, g1([0.0, 0.0], [1.0, 1.0]), g1([0.0, 0.0], [2.0, 2.0]))
         assert got == pytest.approx(np.exp(-0.25), abs=5e-3)
 
     def test_requires_frozen_base(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
         with pytest.raises(ValueError):
-            exp_gfd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
-
-    def test_requires_explicit_sigma(self):
-        kernel = ExpGFDKernel(None, BaseMeasure.frozen(np.zeros((2, 1))))
-        with pytest.raises(ValueError):
-            exp_gfd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
+            pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
 
 class _ConstantGround:
@@ -212,13 +231,13 @@ class TestKGFD:
     def test_identical_scores_give_zero(self):
         g = g1([0.1], [1.0])
         z = np.random.default_rng(2).normal(size=(5, 1))
-        assert kgfd_estimate(g, g, z, GaussianKernel(1.0)) == 0.0
+        assert kgfd(g, g, z, GaussianKernel(1.0)) == 0.0
 
     def test_constant_difference_factorizes_to_ground_mean(self):
         p, q = g1(0.0, 1.0), g1(1.0, 1.0)
         z = np.random.default_rng(3).normal(size=(6, 1))
         ground = GaussianKernel(0.8)
-        assert kgfd_estimate(p, q, z, ground) == pytest.approx(float(ground.gram(z).mean()))
+        assert kgfd(p, q, z, ground) == pytest.approx(float(ground.gram(z).mean()))
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(4)
@@ -227,14 +246,14 @@ class TestKGFD:
         ground = IMQKernel(1.3)
         diffs = np.stack([p.score(x) - q.score(x) for x in z])
         want = brute_force_kgfd(diffs, lambda a, b: ground(a, b), z)
-        assert kgfd_estimate(p, q, z, ground) == pytest.approx(want)
+        assert kgfd(p, q, z, ground) == pytest.approx(want)
 
     def test_nonnegative_for_random_inputs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             p, q = random_gaussians(rng, 2, 3)
             z = rng.normal(size=(6, 3))
-            assert kgfd_estimate(p, q, z, GaussianKernel(1.0)) >= 0.0
+            assert kgfd(p, q, z, GaussianKernel(1.0)) >= 0.0
 
     def test_constant_ground_kernel_recovers_mean_score_difference(self):
         rng = np.random.default_rng(6)
@@ -243,7 +262,7 @@ class TestKGFD:
             z = rng.normal(size=(m, 2))
             diffs = np.stack([p.score(x) - q.score(x) for x in z])
             want = float(np.sum(diffs.mean(axis=0) ** 2))
-            got = kgfd_estimate(p, q, z, _ConstantGround())
+            got = kgfd(p, q, z, _ConstantGround())
             assert got == pytest.approx(want)
             assert got >= 0.0
 
@@ -252,18 +271,18 @@ class TestExpKGFD:
     def test_diagonal_is_one(self):
         g = g1([0.4], [2.0])
         kernel = ExpKGFDKernel(1.0, BaseMeasure.frozen(np.zeros((2, 1))), GaussianKernel(1.0))
-        assert exp_kgfd(kernel, g, g) == 1.0
+        assert pair_value(kernel, g, g) == 1.0
 
     def test_symmetry_is_bit_exact(self):
         rng = np.random.default_rng(7)
         base = BaseMeasure.frozen(rng.normal(size=(6, 2)))
         kernel = ExpKGFDKernel(0.7, base, IMQKernel(1.1))
         p, q = random_gaussians(rng, 2, 2)
-        assert exp_kgfd(kernel, p, q) == exp_kgfd(kernel, q, p)
+        assert pair_value(kernel, p, q) == pair_value(kernel, q, p)
 
     def test_single_base_sample_closed_form(self):
         kernel = ExpKGFDKernel(1.0, BaseMeasure.frozen(np.zeros((1, 1))), GaussianKernel(1.0))
-        got = exp_kgfd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
+        got = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
         assert got == pytest.approx(np.exp(-0.5))
 
 
@@ -271,12 +290,12 @@ class TestExpMMD:
     def test_diagonal_is_one(self):
         g = g1([0.3, 0.1], [1.0, 1.0])
         kernel = ExpMMDKernel(1.0, GaussianKernel(1.0))
-        assert exp_mmd(kernel, g, g) == 1.0
+        assert pair_value(kernel, g, g) == 1.0
 
     def test_closed_form_unit_shift(self):
         # T(p,p) = T(q,q) = 3^{-1/2}, T(p,q) = 3^{-1/2} e^{-1/6} (MC-checked below)
         kernel = ExpMMDKernel(1.0, GaussianKernel(1.0))
-        got = exp_mmd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
+        got = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
         want = np.exp(-(2.0 / np.sqrt(3.0)) * (1.0 - np.exp(-1.0 / 6.0)) / 2.0)
         assert got == pytest.approx(want)
 
@@ -289,51 +308,52 @@ class TestExpMMD:
         tqq = mc_gaussian_kernel_double(q.mean, q.var, q.mean, q.var, 1.0, n, rng)
         tpq = mc_gaussian_kernel_double(p.mean, p.var, q.mean, q.var, 1.0, n, rng)
         want = np.exp(-max(tpp + tqq - 2 * tpq, 0.0) / 2.0)
-        assert exp_mmd(kernel, p, q) == pytest.approx(want, abs=5e-3)
+        assert pair_value(kernel, p, q) == pytest.approx(want, abs=5e-3)
 
     def test_sampled_mode_converges_to_closed_form(self):
         m = 400
         p, q = g1(0.0, 1.0), g1(1.5, 2.0)
-        closed = exp_mmd(ExpMMDKernel(1.0, GaussianKernel(1.0)), p, q)
+        closed = pair_value(ExpMMDKernel(1.0, GaussianKernel(1.0)), p, q)
         sampled_kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled", num_samples=m)
-        got = exp_mmd(sampled_kernel, p, q, RandomStream(41).derive("mmd"))
+        got = pair_value(sampled_kernel, p, q, RandomStream(41).derive("mmd"))
         assert abs(got - closed) <= 3.0 / np.sqrt(m)
 
     def test_sampled_mode_requires_sampler(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
         kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled", num_samples=4)
         with pytest.raises(CapabilityError):
-            exp_mmd(kernel, sd, sd, RandomStream(0))
+            pair_value(kernel, sd, sd, RandomStream(0))
 
     def test_closed_form_rejects_imq_ground(self):
         kernel = ExpMMDKernel(1.0, IMQKernel(1.0))
         with pytest.raises(UnsupportedKernelError):
-            exp_mmd(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
+            pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
 
 class TestExpWasserstein:
     def test_identical_models(self):
         g = g1([0.0, 0.0], [1.0, 1.0])
-        assert exp_wasserstein(g, g, 1.0) == 1.0
+        assert pair_value(ExpWassersteinKernel(1.0), g, g) == 1.0
 
     def test_same_mean_same_scale(self):
         p = g1([0.0, 0.0], [1.0, 1.0])
         q = g1([0.0, 0.0], [1.0, 1.0])
-        assert exp_wasserstein(p, q, 2.0) == 1.0
+        assert pair_value(ExpWassersteinKernel(2.0), p, q) == 1.0
 
     def test_unit_mean_shift(self):
-        assert exp_wasserstein(g1(0.0, 1.0), g1(1.0, 1.0), 1.0) == pytest.approx(np.exp(-0.5))
+        got = pair_value(ExpWassersteinKernel(1.0), g1(0.0, 1.0), g1(1.0, 1.0))
+        assert got == pytest.approx(np.exp(-0.5))
 
     def test_scale_term(self):
         p = g1([0.0, 0.0], [1.0, 1.0])
         q = g1([0.0, 0.0], [4.0, 4.0])
         # squared distance = d (sigma - sigma')^2 = 2 * (1 - 2)^2 = 2
-        assert exp_wasserstein(p, q, 1.0) == pytest.approx(np.exp(-1.0))
+        assert pair_value(ExpWassersteinKernel(1.0), p, q) == pytest.approx(np.exp(-1.0))
 
     def test_anisotropic_input_rejected(self):
         aniso = g1([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(UnsupportedKernelError):
-            exp_wasserstein(aniso, aniso, 1.0)
+            pair_value(ExpWassersteinKernel(1.0), aniso, aniso)
 
 
 class TestMedianHeuristic:
@@ -409,17 +429,17 @@ class TestSecondOrderMedianHeuristic:
 class TestGram:
     def test_single_model(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
-        matrix = gram(kernel, [g1(0.0, 1.0)], RandomStream(0).derive("base"))
+        matrix = kernel.gram([g1(0.0, 1.0)], RandomStream(0).derive("base"))
         assert matrix.shape == (1, 1) and matrix[0, 0] == 1.0
 
     def test_single_model_needs_no_bandwidth(self):
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
-        matrix = gram(kernel, [g1(0.0, 1.0)], RandomStream(0).derive("base"))
+        matrix = kernel.gram([g1(0.0, 1.0)], RandomStream(0).derive("base"))
         assert matrix[0, 0] == 1.0
 
     def test_two_identical_models(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
-        matrix = gram(kernel, [g1(0.5, 2.0), g1(0.5, 2.0)], RandomStream(1).derive("base"))
+        matrix = kernel.gram([g1(0.5, 2.0), g1(0.5, 2.0)], RandomStream(1).derive("base"))
         assert matrix == pytest.approx(np.ones((2, 2)))
 
     def test_gram_consistent_with_pairwise_evaluation(self):
@@ -431,7 +451,8 @@ class TestGram:
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert matrix[i, j] == pytest.approx(exp_gfd(kernel, models[i], models[j]))
+                    want = direct_gfd(models[i].score, models[j].score, z)
+                    assert matrix[i, j] == pytest.approx(np.exp(-want / (2.0 * 0.9 ** 2)))
 
     def test_kgfd_gram_consistent_with_pairwise_evaluation(self):
         rng = np.random.default_rng(22)
@@ -439,10 +460,16 @@ class TestGram:
         z = rng.normal(size=(7, 2))
         kernel = ExpKGFDKernel(1.1, BaseMeasure.frozen(z), IMQKernel(0.8))
         matrix = kernel.gram(models)
+
+        def imq(a, b):
+            return 1.0 / (1.0 + np.sum((a - b) ** 2) / 0.8 ** 2)
+
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert matrix[i, j] == pytest.approx(exp_kgfd(kernel, models[i], models[j]))
+                    diffs = np.stack([models[i].score(x) - models[j].score(x) for x in z])
+                    want = brute_force_kgfd(diffs, imq, z)
+                    assert matrix[i, j] == pytest.approx(np.exp(-want / (2.0 * 1.1 ** 2)))
 
     def test_median_sigma_policy_resolves_within_gram(self):
         rng = np.random.default_rng(20)

@@ -9,10 +9,9 @@ from steincal.models import (
     chi_square_quantile,
     coverage_rate,
     dataset_targets,
-    gaussian_score,
     hdr_contains,
+    row_density,
     sample_setup,
-    score_matrix,
     score_tensor,
 )
 from steincal.sampling import RandomStream
@@ -37,13 +36,13 @@ class TestDiagonalGaussian:
             DiagonalGaussian(np.zeros(0), np.ones(0))
 
     def test_score_vanishes_at_the_mode(self):
-        assert gaussian_score(g1(0.0, 1.0), np.array([0.0])) == pytest.approx(0.0)
+        assert g1(0.0, 1.0).score(np.array([0.0])) == pytest.approx(0.0)
 
     def test_score_1d(self):
-        assert gaussian_score(g1(1.0, 4.0), np.array([3.0])) == pytest.approx(-0.5)
+        assert g1(1.0, 4.0).score(np.array([3.0])) == pytest.approx(-0.5)
 
     def test_score_2d(self):
-        s = gaussian_score(g1([0.0, 0.0], [1.0, 2.0]), np.array([1.0, 1.0]))
+        s = g1([0.0, 0.0], [1.0, 2.0]).score(np.array([1.0, 1.0]))
         assert s == pytest.approx([-1.0, -0.5])
 
     def test_score_dimension_mismatch(self):
@@ -214,10 +213,10 @@ class TestHDR:
 
 
 class TestScoreStacking:
-    def test_score_matrix_matches_per_model_scores(self):
+    def test_row_density_scores_match_per_model_scores(self):
         pairs = sample_setup(SyntheticSetup("mgm", 0.2), 6, RandomStream(15).derive("d"))
         targets = dataset_targets(pairs)
-        stacked = score_matrix([g for g, _ in pairs], targets)
+        stacked = row_density([g for g, _ in pairs]).score_batch(targets)
         for i, (g, _) in enumerate(pairs):
             assert stacked[i] == pytest.approx(g.score(targets[i]))
 

@@ -6,7 +6,6 @@ from steincal.sampling import (
     CapabilityError,
     MalaConfig,
     RandomStream,
-    rademacher,
     run_mala,
     sample_gaussian,
 )
@@ -55,14 +54,6 @@ def test_sample_gaussian_rejects_nonpositive_count():
     g = DiagonalGaussian(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         sample_gaussian(g, 0, RandomStream(0))
-
-
-def test_rademacher_values_mean_and_determinism():
-    stream = RandomStream(11).derive("signs")
-    s = rademacher(100_000, stream)
-    assert set(np.unique(s)) == {-1.0, 1.0}
-    assert abs(s.mean()) < 0.01
-    assert np.array_equal(s, rademacher(100_000, stream))
 
 
 def test_mala_config_validation():

@@ -27,21 +27,32 @@ from steincal.statistics import (
     StatMatrix,
     h_matrix,
     h_matrix_between,
-    h_term,
     kccsd_stat_matrix,
     run_calibration_test,
-    skce_g_term,
     skce_stat_matrix,
     u_statistic,
     wild_bootstrap,
 )
 
-from oracles import fd_h_term
+from oracles import fd_h_term, gaussian_kernel_expectation
 
 
 def g1(mean, var):
     return DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
                             np.atleast_1d(np.asarray(var, float)))
+
+
+def h_term(l, p, y, q, y2):
+    """Stein term between (p, y) and (q, y2), read off one-row stacks."""
+    y, y2 = np.atleast_1d(y), np.atleast_1d(y2)
+    return h_matrix_between(l, p.score(y)[None, :], y[None, :], q.score(y2)[None, :],
+                            y2[None, :])[0, 0]
+
+
+def skce_pair(k, l, p, y, q, y2, strategy, stream=None):
+    """Calibration-error term between (p, y) and (q, y2), read off a two-pair matrix."""
+    matrix = skce_stat_matrix(np.full((2, 2), float(k)), l, [(p, y), (q, y2)], strategy, stream)
+    return matrix.entries[0, 1]
 
 
 def random_dataset(rng, count, dim):
@@ -195,14 +206,14 @@ class TestUStatistic:
 class TestSkceGTerm:
     def test_point_mass_bracket_vanishes(self):
         g = g1([0.5], [1e-14])
-        got = skce_g_term(1.0, GaussianKernel(1.0), g, g.mean, g, g.mean,
+        got = skce_pair(1.0, GaussianKernel(1.0), g, g.mean, g, g.mean,
                           ClosedFormGaussian())
         assert got == pytest.approx(0.0, abs=1e-6)
 
     def test_closed_form_standard_value(self):
         # 1 - 2 sqrt(1/2) + sqrt(1/3), from the Gaussian kernel integrals
         g = g1(0.0, 1.0)
-        got = skce_g_term(1.0, GaussianKernel(1.0), g, np.zeros(1), g, np.zeros(1),
+        got = skce_pair(1.0, GaussianKernel(1.0), g, np.zeros(1), g, np.zeros(1),
                           ClosedFormGaussian())
         want = 1.0 - 2.0 * np.sqrt(0.5) + np.sqrt(1.0 / 3.0)
         assert got == pytest.approx(want)
@@ -213,7 +224,7 @@ class TestSkceGTerm:
         p, q = g1(0.4, 1.3), g1(-0.2, 0.6)
         y, y2 = np.array([0.1]), np.array([-0.7])
         l = GaussianKernel(1.0)
-        got = skce_g_term(2.0, l, p, y, q, y2, ClosedFormGaussian())
+        got = skce_pair(2.0, l, p, y, q, y2, ClosedFormGaussian())
         n = 1_000_000
         zp = p.mean + np.sqrt(p.var) * rng.standard_normal((n, 1))
         zq = q.mean + np.sqrt(q.var) * rng.standard_normal((n, 1))
@@ -227,35 +238,35 @@ class TestSkceGTerm:
         p, q = g1(0.2, 1.0), g1(-0.4, 1.5)
         y, y2 = np.array([0.3]), np.array([-0.1])
         l = GaussianKernel(1.0)
-        closed = skce_g_term(1.0, l, p, y, q, y2, ClosedFormGaussian())
+        closed = skce_pair(1.0, l, p, y, q, y2, ClosedFormGaussian())
         m = 2048
-        got = skce_g_term(1.0, l, p, y, q, y2, ExactSampler(m),
+        got = skce_pair(1.0, l, p, y, q, y2, ExactSampler(m),
                           RandomStream(12).derive("sampler"))
         assert abs(got - closed) <= 3.0 / np.sqrt(m)
 
     def test_closed_form_rejects_imq_kernel(self):
         g = g1(0.0, 1.0)
         with pytest.raises(UnsupportedKernelError):
-            skce_g_term(1.0, IMQKernel(1.0), g, np.zeros(1), g, np.zeros(1),
+            skce_pair(1.0, IMQKernel(1.0), g, np.zeros(1), g, np.zeros(1),
                         ClosedFormGaussian())
 
     def test_closed_form_rejects_non_gaussian_models(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
         with pytest.raises(CapabilityError):
-            skce_g_term(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
+            skce_pair(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
                         ClosedFormGaussian())
 
     def test_exact_sampler_requires_sampler(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
         with pytest.raises(CapabilityError):
-            skce_g_term(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
+            skce_pair(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
                         ExactSampler(4), RandomStream(0))
 
     def test_mala_requires_log_density(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
         strategy = MalaSampler(2, MalaConfig(step_size=0.1))
         with pytest.raises(CapabilityError):
-            skce_g_term(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
+            skce_pair(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
                         strategy, RandomStream(0))
 
 
@@ -269,7 +280,13 @@ class TestSkceMatrix:
         for i, (p, y) in enumerate(pairs):
             for j, (q, y2) in enumerate(pairs):
                 if i != j:
-                    want = skce_g_term(k_gram[i, j], l, p, y, q, y2, ClosedFormGaussian())
+                    gamma = l.bandwidth
+                    bracket = (np.exp(-np.sum((y - y2) ** 2) / (2.0 * gamma ** 2))
+                               - gaussian_kernel_expectation(p.mean, p.var, y2, gamma)
+                               - gaussian_kernel_expectation(q.mean, q.var, y, gamma)
+                               + gaussian_kernel_expectation(p.mean, p.var + q.var, q.mean,
+                                                             gamma))
+                    want = k_gram[i, j] * bracket
                     assert matrix.entries[i, j] == pytest.approx(want)
 
     def test_sampled_matrix_is_symmetric_with_zero_diagonal(self):
