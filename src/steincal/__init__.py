@@ -67,7 +67,6 @@ from .harness import (
     DistKernelSpec,
     ExperimentConfig,
     ResultRow,
-    StatisticConfig,
     TargetKernelSpec,
     TestConfig,
     read_csv,

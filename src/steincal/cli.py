@@ -12,6 +12,7 @@ failure (a degenerate bandwidth, non-finite scores or distances).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -19,8 +20,10 @@ from typing import Optional
 from .harness import (
     ConfigError,
     DatasetFormatError,
-    load_experiment_config,
+    TestConfig,
+    load_json_object,
     parse_dist_kernel,
+    parse_experiment_config,
     parse_test_config,
     read_dataset,
     read_models,
@@ -71,87 +74,57 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return obj
+def _override(config: TestConfig, args) -> TestConfig:
+    """Apply --seed and --alpha; ``replace`` re-runs the config's checks."""
+    changes = {key: getattr(args, key) for key in ("seed", "alpha")
+               if getattr(args, key) is not None}
+    return dataclasses.replace(config, **changes)
 
 
-def _open_data(path: Optional[str]):
+def _read_data(reader, path: Optional[str]):
+    """Call ``reader`` on the --data file, or on stdin when there is none."""
     if path is None:
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+        return reader(sys.stdin, where="<stdin>")
+    with open(path, "r", encoding="utf-8") as fh:
+        return reader(fh, where=path)
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_test(args) -> int:
-    import dataclasses
-
-    config = parse_test_config(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ConfigError("alpha: must lie in (0, 1)")
-        config = dataclasses.replace(config, alpha=args.alpha)
-    fh = _open_data(args.data)
-    try:
-        pairs = read_dataset(fh, where=args.data or "<stdin>")
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    config = _override(parse_test_config(load_json_object(args.config)), args)
+    pairs = _read_data(read_dataset, args.data)
     if len(pairs) < 2:
         raise ConfigError("dataset: the test needs at least two pairs")
     result = run_test_on_dataset(pairs, config)
-    text = json.dumps(result.to_json_dict())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(result.to_json_dict()) + "\n", args.out)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    import dataclasses
-
-    cfg = load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ConfigError("alpha: must lie in (0, 1)")
-        cfg = dataclasses.replace(cfg, alpha=args.alpha)
+    cfg = parse_experiment_config(load_json_object(args.config))
+    cfg = dataclasses.replace(cfg, test=_override(cfg.test, args))
     rows = run_experiment(cfg, threads=args.threads)
     write_csv(rows, args.out)
     return 0
 
 
 def _cmd_gram(args) -> int:
-    obj = _load_json(args.config)
+    obj = load_json_object(args.config)
     spec = parse_dist_kernel(obj.get("dist_kernel", obj))
-    fh = _open_data(args.data)
-    try:
-        models = read_models(fh, where=args.data or "<stdin>")
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    models = _read_data(read_models, args.data)
     if not models:
         raise ConfigError("models: the file contains no models")
     stream = RandomStream(args.seed)
     kernel = resolve_dist_kernel(spec, models, models[0].dim, stream.derive("bandwidth"))
     matrix = kernel.gram(models, stream.derive("base"))
-    lines = [",".join(format(v, ".17g") for v in row) for row in matrix]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in matrix), args.out)
     return 0
 
 

@@ -8,6 +8,7 @@ it is the one field that would break byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
+    StatisticSpec,
     TestResult,
     run_calibration_test,
 )
@@ -64,6 +66,13 @@ _STRATEGY_KEYS = {
     "exact_sampler": ("mode", "samples"),
     "mala": ("mode", "samples", "step_size", "steps", "burn_in"),
 }
+_STRATEGY_MODES = {ClosedFormGaussian: "closed_form", ExactSampler: "exact_sampler",
+                   MalaSampler: "mala"}
+_SCALAR_KERNEL_KEYS = ("family", "bandwidth")
+_SETUP_KEYS = ("family", "delta", "mgm_shift")
+_TEST_KEYS = ("statistic", "dist_kernel", "target_kernel", "alpha", "bootstrap", "seed")
+_EXPERIMENT_KEYS = ("statistic", "dist_kernel", "target_kernel", "alpha", "bootstrap",
+                    "master_seed", "setup", "n_grid", "repetitions", "record_timings")
 
 
 class ConfigError(ValueError):
@@ -78,14 +87,17 @@ class DatasetFormatError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _format_bandwidth(value: Union[float, str]) -> str:
+    return value if isinstance(value, str) else format(value, ".17g")
+
+
 @dataclass(frozen=True)
 class TargetKernelSpec:
     family: str = "gaussian"
     bandwidth: Union[float, str] = "median"  # explicit value or "median"
 
     def describe(self) -> str:
-        bw = self.bandwidth if isinstance(self.bandwidth, str) else format(self.bandwidth, ".17g")
-        return f"{self.family}(bandwidth={bw})"
+        return f"{self.family}(bandwidth={_format_bandwidth(self.bandwidth)})"
 
 
 @dataclass(frozen=True)
@@ -99,61 +111,53 @@ class DistKernelSpec:
     mmd_samples: int = 10
 
     def describe(self) -> str:
-        sigma = self.sigma if isinstance(self.sigma, str) else format(self.sigma, ".17g")
+        sigma = _format_bandwidth(self.sigma)
+        ground = f"ground={self.ground_family}({_format_bandwidth(self.ground_bandwidth)})"
         if self.variant == "exp_gfd":
             return f"exp_gfd(sigma={sigma};m={self.base_samples})"
         if self.variant == "exp_kgfd":
-            gbw = (self.ground_bandwidth if isinstance(self.ground_bandwidth, str)
-                   else format(self.ground_bandwidth, ".17g"))
-            return (f"exp_kgfd(sigma={sigma};m={self.base_samples};"
-                    f"ground={self.ground_family}({gbw}))")
+            return f"exp_kgfd(sigma={sigma};m={self.base_samples};{ground})"
         if self.variant == "exp_mmd":
-            gbw = (self.ground_bandwidth if isinstance(self.ground_bandwidth, str)
-                   else format(self.ground_bandwidth, ".17g"))
-            return (f"exp_mmd(sigma={sigma};mode={self.mmd_mode};m={self.mmd_samples};"
-                    f"ground={self.ground_family}({gbw}))")
+            return f"exp_mmd(sigma={sigma};mode={self.mmd_mode};m={self.mmd_samples};{ground})"
         return f"exp_wasserstein(ell={sigma})"
 
 
+def _statistic_name(spec: StatisticSpec) -> str:
+    """The ``statistic_name`` CSV column: ``kccsd`` or ``skce_<strategy mode>``."""
+    if isinstance(spec, KCCSD):
+        return "kccsd"
+    return "skce_" + _STRATEGY_MODES[type(spec.strategy)]
+
+
 @dataclass(frozen=True)
-class StatisticConfig:
-    name: str  # "kccsd" | "skce"
-    strategy_mode: str = "closed_form"  # skce only
-    strategy_samples: int = 10
-    mala_step_size: float = 0.01
-    mala_steps: int = 5
-    mala_burn_in: int = 0
+class TestConfig:
+    """Everything one calibration test needs besides its dataset."""
 
-    def describe(self) -> str:
-        if self.name == "kccsd":
-            return "kccsd"
-        return f"skce_{self.strategy_mode}"
+    __test__ = False  # not a pytest test class
 
-    def build(self):
-        if self.name == "kccsd":
-            return KCCSD()
-        if self.strategy_mode == "closed_form":
-            return SKCE(ClosedFormGaussian())
-        if self.strategy_mode == "exact_sampler":
-            return SKCE(ExactSampler(self.strategy_samples))
-        return SKCE(MalaSampler(
-            self.strategy_samples,
-            MalaConfig(step_size=self.mala_step_size, n_steps=self.mala_steps,
-                       burn_in=self.mala_burn_in),
-        ))
+    statistic: StatisticSpec
+    dist_kernel: DistKernelSpec
+    target_kernel: TargetKernelSpec = TargetKernelSpec()
+    alpha: float = 0.05
+    bootstrap: int = 500
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError("alpha: must lie in (0, 1)")
+        if self.bootstrap < 1:
+            raise ConfigError("bootstrap: must be >= 1")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep: ``repetitions`` tests of ``test`` per n, each on a fresh sample
+    of ``setup``; ``test.seed`` is the master seed."""
+
     setup: SyntheticSetup
     n_grid: tuple[int, ...]
-    statistic: StatisticConfig
-    dist_kernel: DistKernelSpec
-    target_kernel: TargetKernelSpec = TargetKernelSpec()
+    test: TestConfig
     repetitions: int = 100
-    alpha: float = 0.05
-    bootstrap: int = 500
-    master_seed: int = 0
     record_timings: bool = False
 
     def __post_init__(self):
@@ -161,10 +165,6 @@ class ExperimentConfig:
             raise ConfigError("n_grid: must be a nonempty list of counts >= 2")
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha: must lie in (0, 1)")
-        if self.bootstrap < 1:
-            raise ConfigError("bootstrap: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,12 @@ def _field(obj: dict, key: str, kind, default=None, required=False, where=""):
         return default
     value = obj[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large
+            raise ConfigError(f"{label}: must be a finite number")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is dict and isinstance(value, dict):
-        return value
-    if kind is list and isinstance(value, list):
+    if kind in (str, bool, dict, list) and isinstance(value, kind):
         return value
     raise ConfigError(f"{label}: expected {kind.__name__}, got {type(value).__name__}")
 
@@ -222,18 +218,24 @@ def _bandwidth_field(obj: dict, key: str, allowed_token: str, default, where: st
             raise ConfigError(f"{where}{key}: expected a number or {allowed_token!r}")
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large
+            raise ConfigError(f"{where}{key}: must be a finite number")
         if value <= 0:
             raise ConfigError(f"{where}{key}: must be > 0")
         return float(value)
     raise ConfigError(f"{where}{key}: expected a number or {allowed_token!r}")
 
 
-def parse_target_kernel(obj: dict, where: str = "target_kernel.") -> TargetKernelSpec:
+def _scalar_kernel_fields(obj: dict, median_token: str, where: str) -> tuple:
+    _require_known_keys(obj, _SCALAR_KERNEL_KEYS, where)
     family = _field(obj, "family", str, default="gaussian", where=where)
     if family not in ("gaussian", "imq"):
         raise ConfigError(f"{where}family: must be 'gaussian' or 'imq'")
-    bandwidth = _bandwidth_field(obj, "bandwidth", "median", "median", where)
-    return TargetKernelSpec(family=family, bandwidth=bandwidth)
+    return family, _bandwidth_field(obj, "bandwidth", median_token, median_token, where)
+
+
+def parse_target_kernel(obj: dict, where: str = "target_kernel.") -> TargetKernelSpec:
+    return TargetKernelSpec(*_scalar_kernel_fields(obj, "median", where))
 
 
 def parse_dist_kernel(obj: dict, where: str = "dist_kernel.") -> DistKernelSpec:
@@ -246,12 +248,8 @@ def parse_dist_kernel(obj: dict, where: str = "dist_kernel.") -> DistKernelSpec:
     if base_samples < 1:
         raise ConfigError(f"{where}base_samples: must be >= 1")
     ground = _field(obj, "ground", dict, default={}, where=where)
-    _require_known_keys(ground, ("family", "bandwidth"), where + "ground.")
-    ground_family = _field(ground, "family", str, default="gaussian", where=where + "ground.")
-    if ground_family not in ("gaussian", "imq"):
-        raise ConfigError(f"{where}ground.family: must be 'gaussian' or 'imq'")
-    ground_bandwidth = _bandwidth_field(ground, "bandwidth", "second_order_median",
-                                        "second_order_median", where + "ground.")
+    ground_family, ground_bandwidth = _scalar_kernel_fields(ground, "second_order_median",
+                                                            where + "ground.")
     mmd_mode = _field(obj, "mode", str, default="closed_form", where=where)
     if mmd_mode not in ("closed_form", "sampled"):
         raise ConfigError(f"{where}mode: must be 'closed_form' or 'sampled'")
@@ -263,36 +261,40 @@ def parse_dist_kernel(obj: dict, where: str = "dist_kernel.") -> DistKernelSpec:
                           mmd_mode=mmd_mode, mmd_samples=mmd_samples)
 
 
-def parse_statistic(obj: dict, where: str = "statistic.") -> StatisticConfig:
+def parse_statistic(obj: dict, where: str = "statistic.") -> StatisticSpec:
     name = _field(obj, "name", str, required=True, where=where)
     if name not in ("kccsd", "skce"):
         raise ConfigError(f"{where}name: must be 'kccsd' or 'skce'")
     _require_known_keys(obj, _STATISTIC_KEYS[name], where)
     if name == "kccsd":
-        return StatisticConfig(name="kccsd")
+        return KCCSD()
     strategy = _field(obj, "strategy", dict, default={}, where=where)
-    mode = _field(strategy, "mode", str, default="closed_form", where=where + "strategy.")
-    if mode not in ("closed_form", "exact_sampler", "mala"):
-        raise ConfigError(f"{where}strategy.mode: must be 'closed_form', "
-                          "'exact_sampler' or 'mala'")
-    _require_known_keys(strategy, _STRATEGY_KEYS[mode], where + "strategy.")
-    samples = _field(strategy, "samples", int, default=10, where=where + "strategy.")
+    where += "strategy."
+    mode = _field(strategy, "mode", str, default="closed_form", where=where)
+    if mode not in _STRATEGY_KEYS:
+        raise ConfigError(f"{where}mode: must be 'closed_form', 'exact_sampler' or 'mala'")
+    _require_known_keys(strategy, _STRATEGY_KEYS[mode], where)
+    if mode == "closed_form":
+        return SKCE(ClosedFormGaussian())
+    samples = _field(strategy, "samples", int, default=10, where=where)
     if samples < 1:
-        raise ConfigError(f"{where}strategy.samples: must be >= 1")
-    step_size = _field(strategy, "step_size", float, default=0.01, where=where + "strategy.")
+        raise ConfigError(f"{where}samples: must be >= 1")
+    if mode == "exact_sampler":
+        return SKCE(ExactSampler(samples))
+    step_size = _field(strategy, "step_size", float, default=0.01, where=where)
     if step_size <= 0:
-        raise ConfigError(f"{where}strategy.step_size: must be > 0")
-    steps = _field(strategy, "steps", int, default=5, where=where + "strategy.")
+        raise ConfigError(f"{where}step_size: must be > 0")
+    steps = _field(strategy, "steps", int, default=5, where=where)
     if steps < 1:
-        raise ConfigError(f"{where}strategy.steps: must be >= 1")
-    burn_in = _field(strategy, "burn_in", int, default=0, where=where + "strategy.")
+        raise ConfigError(f"{where}steps: must be >= 1")
+    burn_in = _field(strategy, "burn_in", int, default=0, where=where)
     if burn_in < 0:
-        raise ConfigError(f"{where}strategy.burn_in: must be >= 0")
-    return StatisticConfig(name="skce", strategy_mode=mode, strategy_samples=samples,
-                           mala_step_size=step_size, mala_steps=steps, mala_burn_in=burn_in)
+        raise ConfigError(f"{where}burn_in: must be >= 0")
+    return SKCE(MalaSampler(samples, MalaConfig(step_size, n_steps=steps, burn_in=burn_in)))
 
 
 def parse_setup(obj: dict, where: str = "setup.") -> SyntheticSetup:
+    _require_known_keys(obj, _SETUP_KEYS, where)
     family = _field(obj, "family", str, required=True, where=where)
     delta = _field(obj, "delta", float, default=0.0, where=where)
     mgm_shift = _field(obj, "mgm_shift", str, default="all", where=where)
@@ -302,29 +304,39 @@ def parse_setup(obj: dict, where: str = "setup.") -> SyntheticSetup:
         raise ConfigError(f"{where}{exc}") from exc
 
 
+def _parse_test_fields(obj: dict, seed_key: str) -> TestConfig:
+    return TestConfig(
+        statistic=parse_statistic(_field(obj, "statistic", dict, required=True)),
+        dist_kernel=parse_dist_kernel(_field(obj, "dist_kernel", dict, required=True)),
+        target_kernel=parse_target_kernel(_field(obj, "target_kernel", dict, default={})),
+        alpha=_field(obj, "alpha", float, default=0.05),
+        bootstrap=_field(obj, "bootstrap", int, default=500),
+        seed=_field(obj, seed_key, int, default=0),
+    )
+
+
+def parse_test_config(obj: dict) -> TestConfig:
+    _require_known_keys(obj, _TEST_KEYS, "")
+    return _parse_test_fields(obj, "seed")
+
+
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
+    _require_known_keys(obj, _EXPERIMENT_KEYS, "")
     setup = parse_setup(_field(obj, "setup", dict, required=True))
     n_grid = _field(obj, "n_grid", list, required=True)
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in n_grid):
         raise ConfigError("n_grid: entries must be integers")
-    statistic = parse_statistic(_field(obj, "statistic", dict, required=True))
-    dist_kernel = parse_dist_kernel(_field(obj, "dist_kernel", dict, required=True))
-    target_kernel = parse_target_kernel(_field(obj, "target_kernel", dict, default={}))
     return ExperimentConfig(
         setup=setup,
         n_grid=tuple(n_grid),
-        statistic=statistic,
-        dist_kernel=dist_kernel,
-        target_kernel=target_kernel,
+        test=_parse_test_fields(obj, "master_seed"),
         repetitions=_field(obj, "repetitions", int, default=100),
-        alpha=_field(obj, "alpha", float, default=0.05),
-        bootstrap=_field(obj, "bootstrap", int, default=500),
-        master_seed=_field(obj, "master_seed", int, default=0),
         record_timings=_field(obj, "record_timings", bool, default=False),
     )
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
+def load_json_object(path: str) -> dict:
+    """Read a JSON configuration file whose top level must be an object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -332,7 +344,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return parse_experiment_config(obj)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -365,42 +377,18 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: Sequence, target_dim: int,
     return ExpMMDKernel(sigma, ground, mode=spec.mmd_mode, num_samples=spec.mmd_samples)
 
 
-@dataclass(frozen=True)
-class TestConfig:
-    statistic: StatisticConfig
-    dist_kernel: DistKernelSpec
-    target_kernel: TargetKernelSpec = TargetKernelSpec()
-    alpha: float = 0.05
-    bootstrap: int = 500
-    seed: int = 0
-
-
-def parse_test_config(obj: dict) -> TestConfig:
-    statistic = parse_statistic(_field(obj, "statistic", dict, required=True))
-    dist_kernel = parse_dist_kernel(_field(obj, "dist_kernel", dict, required=True))
-    target_kernel = parse_target_kernel(_field(obj, "target_kernel", dict, default={}))
-    alpha = _field(obj, "alpha", float, default=0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha: must lie in (0, 1)")
-    bootstrap = _field(obj, "bootstrap", int, default=500)
-    if bootstrap < 1:
-        raise ConfigError("bootstrap: must be >= 1")
-    seed = _field(obj, "seed", int, default=0)
-    return TestConfig(statistic=statistic, dist_kernel=dist_kernel,
-                      target_kernel=target_kernel, alpha=alpha,
-                      bootstrap=bootstrap, seed=seed)
-
-
-def run_test_on_dataset(pairs, config: TestConfig) -> TestResult:
-    """Run the configured calibration test on an explicit dataset."""
-    stream = RandomStream(config.seed)
+def _run_test(pairs, config: TestConfig, stream: RandomStream) -> TestResult:
     targets = dataset_targets(pairs)
     target_kernel = resolve_target_kernel(config.target_kernel, targets)
     dist_kernel = resolve_dist_kernel(config.dist_kernel, dataset_models(pairs),
                                       targets.shape[1], stream.derive("bandwidth"))
-    return run_calibration_test(pairs, dist_kernel, target_kernel,
-                                config.statistic.build(), config.alpha,
-                                config.bootstrap, stream)
+    return run_calibration_test(pairs, dist_kernel, target_kernel, config.statistic,
+                                config.alpha, config.bootstrap, stream)
+
+
+def run_test_on_dataset(pairs, config: TestConfig) -> TestResult:
+    """Run the configured calibration test on an explicit dataset."""
+    return _run_test(pairs, config, RandomStream(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +396,7 @@ def run_test_on_dataset(pairs, config: TestConfig) -> TestResult:
 # ---------------------------------------------------------------------------
 
 def _cell_stream(cfg: ExperimentConfig, n: int, rep: int) -> RandomStream:
-    return (RandomStream(cfg.master_seed)
+    return (RandomStream(cfg.test.seed)
             .derive(cfg.setup.family)
             .derive("delta:" + format(cfg.setup.delta, ".17g"))
             .derive("n", n)
@@ -419,26 +407,21 @@ def _run_one(cfg: ExperimentConfig, n: int, rep: int) -> ResultRow:
     cell = _cell_stream(cfg, n, rep)
     pairs = sample_setup(cfg.setup, n, cell.derive("dataset"))
     start = time.perf_counter()
-    targets = dataset_targets(pairs)
-    target_kernel = resolve_target_kernel(cfg.target_kernel, targets)
-    dist_kernel = resolve_dist_kernel(cfg.dist_kernel, dataset_models(pairs),
-                                      cfg.setup.target_dim, cell.derive("bandwidth"))
-    result = run_calibration_test(pairs, dist_kernel, target_kernel,
-                                  cfg.statistic.build(), cfg.alpha, cfg.bootstrap, cell)
+    result = _run_test(pairs, cfg.test, cell)
     elapsed_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timings else 0.0
     return ResultRow(
         family=cfg.setup.family,
         delta=cfg.setup.delta,
         n=n,
         rep=rep,
-        statistic_name=cfg.statistic.describe(),
-        dist_kernel=cfg.dist_kernel.describe(),
-        target_kernel=cfg.target_kernel.describe(),
+        statistic_name=_statistic_name(cfg.test.statistic),
+        dist_kernel=cfg.test.dist_kernel.describe(),
+        target_kernel=cfg.test.target_kernel.describe(),
         statistic_value=result.statistic,
         quantile=result.quantile,
         p_value=result.p_value,
         reject=result.reject,
-        seed=cfg.master_seed,
+        seed=cfg.test.seed,
         wall_time_ms=elapsed_ms,
     )
 

@@ -26,6 +26,7 @@ from .models import (
     dataset_models,
     dataset_targets,
     is_gaussian_models,
+    require_finite,
     row_density,
     stack_gaussians,
 )
@@ -45,9 +46,7 @@ class StatMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("statistic matrix contains non-finite entries")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", require_finite(entries, "statistic matrix"))
 
     @property
     def n(self) -> int:
@@ -259,6 +258,8 @@ def wild_bootstrap(matrix: Union[StatMatrix, np.ndarray], n_bootstrap: int, alph
 
 @dataclass(frozen=True)
 class TestResult:
+    __test__ = False  # not a pytest test class
+
     statistic: float
     quantile: float
     p_value: float

@@ -11,8 +11,8 @@ from steincal.cli import cli
 from steincal.harness import (
     DistKernelSpec,
     ExperimentConfig,
-    StatisticConfig,
     TargetKernelSpec,
+    TestConfig,
     rejection_rates,
     run_experiment,
 )
@@ -36,8 +36,12 @@ from steincal.models import (
     dataset_targets,
     sample_setup,
 )
-from steincal.sampling import RandomStream
+from steincal.sampling import MalaConfig, RandomStream
 from steincal.statistics import (
+    KCCSD,
+    SKCE,
+    ClosedFormGaussian,
+    MalaSampler,
     h_matrix_between,
     kccsd_stat_matrix,
     u_statistic,
@@ -65,20 +69,16 @@ def run_cells(family, delta, n_grid, statistic, dist_kernel, seed, *,
     cfg = ExperimentConfig(
         setup=SyntheticSetup(family, delta, mgm_shift=mgm_shift),
         n_grid=tuple(n_grid),
-        statistic=statistic,
-        dist_kernel=dist_kernel,
-        target_kernel=TargetKernelSpec("gaussian", "median"),
+        test=TestConfig(statistic, dist_kernel, TargetKernelSpec("gaussian", "median"),
+                        alpha=ALPHA, bootstrap=BOOTSTRAP, seed=seed),
         repetitions=repetitions,
-        alpha=ALPHA,
-        bootstrap=BOOTSTRAP,
-        master_seed=seed,
     )
     rates = rejection_rates(run_experiment(cfg))
     return {n: rates[(family, delta, n)] for n in n_grid}
 
 
 def test_criterion_01_type_i_control():
-    kccsd = StatisticConfig("kccsd")
+    kccsd = KCCSD()
     cells = {}
     for family, seed in (("lgm", 101), ("mgm", 102)):
         for variant in ("exp_gfd", "exp_kgfd"):
@@ -91,7 +91,7 @@ def test_criterion_01_type_i_control():
 
 
 def test_criterion_02_power_on_heteroscedastic_model():
-    rates = run_cells("hgm", 1.0, (256,), StatisticConfig("kccsd"),
+    rates = run_cells("hgm", 1.0, (256,), KCCSD(),
                       DistKernelSpec("exp_gfd"), 103)
     report("criterion 2 power on hgm delta=1 n=256 >= 0.9", rates[256] >= 0.9,
            f"rate {rates[256]:.2f}")
@@ -107,8 +107,8 @@ def _check_monotone(rates_by_n, label):
 
 def test_criterion_03_power_monotonicity():
     grid = (64, 128, 256, 512)
-    qgm = run_cells("qgm", 1.0, grid, StatisticConfig("kccsd"), DistKernelSpec("exp_gfd"), 104)
-    mgm = run_cells("mgm", 0.1, grid, StatisticConfig("kccsd"), DistKernelSpec("exp_gfd"),
+    qgm = run_cells("qgm", 1.0, grid, KCCSD(), DistKernelSpec("exp_gfd"), 104)
+    mgm = run_cells("mgm", 0.1, grid, KCCSD(), DistKernelSpec("exp_gfd"),
                     105, mgm_shift="all")
     ok_q, detail_q = _check_monotone(qgm, "qgm delta=1")
     ok_m, detail_m = _check_monotone(mgm, "mgm delta=0.1")
@@ -116,9 +116,9 @@ def test_criterion_03_power_monotonicity():
 
 
 def test_criterion_04_skce_parity_on_qgm():
-    kccsd = run_cells("qgm", 1.0, (256,), StatisticConfig("kccsd"),
+    kccsd = run_cells("qgm", 1.0, (256,), KCCSD(),
                       DistKernelSpec("exp_gfd"), 106)[256]
-    skce = run_cells("qgm", 1.0, (256,), StatisticConfig("skce", strategy_mode="closed_form"),
+    skce = run_cells("qgm", 1.0, (256,), SKCE(ClosedFormGaussian()),
                      DistKernelSpec("exp_mmd", mmd_mode="closed_form"), 106)[256]
     report("criterion 4 skce parity |diff| <= 0.15", abs(kccsd - skce) <= 0.15,
            f"kccsd {kccsd:.2f} vs skce {skce:.2f}")
@@ -126,11 +126,10 @@ def test_criterion_04_skce_parity_on_qgm():
 
 def test_criterion_05_biased_mcmc_failure_mode():
     seed = 107
-    mala = StatisticConfig("skce", strategy_mode="mala", strategy_samples=2,
-                           mala_step_size=0.01, mala_steps=5, mala_burn_in=0)
+    mala = SKCE(MalaSampler(2, MalaConfig(0.01, n_steps=5, burn_in=0)))
     skce_rate = run_cells("lgm", 0.0, (200,), mala,
                           DistKernelSpec("exp_mmd", mmd_mode="closed_form"), seed)[200]
-    kccsd_rate = run_cells("lgm", 0.0, (200,), StatisticConfig("kccsd"),
+    kccsd_rate = run_cells("lgm", 0.0, (200,), KCCSD(),
                            DistKernelSpec("exp_gfd"), seed)[200]
     ok = skce_rate >= 0.15 and kccsd_rate <= TYPE_I_BOUND
     report("criterion 5 short untuned MCMC breaks skce but not kccsd", ok,

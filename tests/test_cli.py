@@ -146,14 +146,29 @@ def test_degenerate_bandwidth_exits_two(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
-def test_tiny_variance_overflowing_the_scores_exits_two(test_config, tmp_path, capsys):
+_KCCSD_WASSERSTEIN = {"statistic": {"name": "kccsd"},
+                      "dist_kernel": {"variant": "exp_wasserstein", "sigma": 1.0}}
+
+
+@pytest.mark.parametrize("count, var, config, message", [
+    pytest.param(4, "1e-320", None, "score is not finite", id="score"),
+    # finite scores near 1e200 whose products overflow in the Stein terms
+    pytest.param(6, "1e-200", _KCCSD_WASSERSTEIN, "statistic matrix is not finite",
+                 id="statistic_matrix"),
+])
+def test_tiny_variance_overflowing_the_scores_exits_two(count, var, config, message,
+                                                        test_config, tmp_path, capsys):
+    if config is not None:
+        test_config.write_text(json.dumps(config))
     data = tmp_path / "tiny.jsonl"
-    data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [1e-320]}}, "y": [{i}.5]}}\n'
-                            for i in range(4)))
-    with np.errstate(over="ignore"):
+    data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [{var}]}}, "y": [{i}.5]}}\n'
+                            for i in range(count)))
+    with np.errstate(over="ignore", invalid="ignore"):
         code = cli(["test", "--config", str(test_config), "--data", str(data)])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "numerical failure: score is not finite" in capsys.readouterr().err
+    assert f"numerical failure: {message}" in err
+    assert "Traceback" not in err
 
 
 _NON_FINITE_MODELS = [
@@ -190,18 +205,55 @@ def test_mixed_dimensions_exit_one_naming_the_line(command, test_config, tmp_pat
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["test", "gram"])
-def test_unknown_config_key_exits_one_naming_the_key(command, dataset_file, tmp_path, capsys):
-    config = tmp_path / "typo.json"
-    config.write_text(json.dumps({
-        "statistic": {"name": "kccsd"},
-        "dist_kernel": {"variant": "exp_gfd", "sigam": 3, "mode": "sampled", "samples": 50},
-    }))
-    code = cli([command, "--config", str(config), "--data", str(dataset_file)])
+_SIGAM = {"statistic": {"name": "kccsd"},
+          "dist_kernel": {"variant": "exp_gfd", "sigam": 3, "mode": "sampled", "samples": 50}}
+_GOOD_TEST = {"statistic": {"name": "kccsd"}, "dist_kernel": {"variant": "exp_gfd"}}
+_GOOD_EXPERIMENT = dict(_GOOD_TEST, setup={"family": "lgm"}, n_grid=[8], repetitions=1)
+
+
+@pytest.mark.parametrize("command, config, key", [
+    pytest.param("test", _SIGAM, "dist_kernel.sigam", id="test"),
+    pytest.param("gram", _SIGAM, "dist_kernel.sigam", id="gram"),
+    pytest.param("test", dict(_GOOD_TEST, bootstap=7, target_kernel={"bandwith": 0.5}),
+                 "bootstap", id="test-top-level"),
+    pytest.param("test", dict(_GOOD_TEST, target_kernel={"bandwith": 0.5}),
+                 "target_kernel.bandwith", id="test-target_kernel"),
+    pytest.param("test", dict(_GOOD_TEST, master_seed=1), "master_seed", id="test-master_seed"),
+    pytest.param("experiment", dict(_GOOD_EXPERIMENT, seed=1), "seed", id="experiment-seed"),
+    pytest.param("experiment", dict(_GOOD_EXPERIMENT, setup={"family": "lgm", "detla": 0.5}),
+                 "setup.detla", id="experiment-setup"),
+])
+def test_unknown_config_key_exits_one_naming_the_key(command, config, key, dataset_file,
+                                                     tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    if command == "experiment":
+        io_flags = ["--out", str(tmp_path / "x.csv")]
+    else:
+        io_flags = ["--data", str(dataset_file)]
+    code = cli([command, "--config", str(path)] + io_flags)
     err = capsys.readouterr().err
     assert code == 1
-    assert "dist_kernel.sigam: unknown key" in err
+    assert f"error: {key}: unknown key" in err
     assert "Traceback" not in err
+
+
+def test_alpha_and_seed_overrides_reach_the_test_result(test_config, dataset_file, capsys):
+    assert cli(["test", "--config", str(test_config), "--data", str(dataset_file),
+                "--alpha", "0.2", "--seed", "11"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha"] == 0.2 and payload["seed"] == 11
+
+
+@pytest.mark.parametrize("command", ["test", "experiment"])
+def test_out_of_range_alpha_override_exits_one(command, test_config, experiment_config,
+                                               dataset_file, tmp_path, capsys):
+    if command == "test":
+        argv = ["test", "--config", str(test_config), "--data", str(dataset_file)]
+    else:
+        argv = ["experiment", "--config", str(experiment_config), "--out", str(tmp_path / "x.csv")]
+    assert cli(argv + ["--alpha", "1.5"]) == 1
+    assert "error: alpha: must lie in (0, 1)" in capsys.readouterr().err
 
 
 def _user_density_dataset(score):

@@ -6,7 +6,9 @@ import pytest
 from steincal.harness import (
     ConfigError,
     DatasetFormatError,
+    DistKernelSpec,
     TargetKernelSpec,
+    TestConfig,
     parse_experiment_config,
     parse_test_config,
     read_csv,
@@ -20,6 +22,7 @@ from steincal.harness import (
 )
 from steincal.models import SyntheticSetup, sample_setup
 from steincal.sampling import RandomStream
+from steincal.statistics import KCCSD
 
 
 def minimal_config(**overrides):
@@ -44,11 +47,11 @@ class TestConfigParsing:
             "statistic": {"name": "kccsd"},
             "dist_kernel": {"variant": "exp_gfd"},
         })
-        assert cfg.alpha == 0.05
-        assert cfg.bootstrap == 500
+        assert cfg.test.alpha == 0.05
+        assert cfg.test.bootstrap == 500
         assert cfg.repetitions == 100
-        assert cfg.dist_kernel.base_samples == 10
-        assert cfg.target_kernel == TargetKernelSpec("gaussian", "median")
+        assert cfg.test.dist_kernel.base_samples == 10
+        assert cfg.test.target_kernel == TargetKernelSpec("gaussian", "median")
         assert cfg.record_timings is False
 
     @pytest.mark.parametrize("patch,fragment", [
@@ -65,6 +68,16 @@ class TestConfigParsing:
         ({"target_kernel": {"family": "laplace"}}, "target_kernel.family"),
         ({"statistic": {"name": "skce", "strategy": {"mode": "mala", "step_size": -1}}},
          "statistic.strategy.step_size"),
+        ({"setup": {"family": "lgm", "delta": float("nan")}},
+         "setup.delta: must be a finite number"),
+        ({"dist_kernel": {"variant": "exp_gfd", "sigma": float("inf")}},
+         "dist_kernel.sigma: must be a finite number"),
+        ({"target_kernel": {"bandwidth": float("inf")}},
+         "target_kernel.bandwidth: must be a finite number"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "mala", "step_size": float("nan")}}},
+         "statistic.strategy.step_size: must be a finite number"),
+        ({"dist_kernel": {"variant": "exp_gfd", "sigma": 10 ** 400}},
+         "dist_kernel.sigma: must be a finite number"),
     ])
     def test_validation_errors_name_the_field(self, patch, fragment):
         with pytest.raises(ConfigError) as err:
@@ -88,6 +101,10 @@ class TestConfigParsing:
          "statistic.strategy.steps"),
         ({"statistic": {"name": "skce", "strategy": {"mode": "mala", "step": 0.1}}},
          "statistic.strategy.step"),
+        ({"bootstap": 7}, "bootstap"),
+        ({"seed": 7}, "seed"),
+        ({"setup": {"family": "lgm", "detla": 0.5}}, "setup.detla"),
+        ({"target_kernel": {"bandwith": 0.5}}, "target_kernel.bandwith"),
     ])
     def test_unknown_keys_are_named(self, patch, fragment):
         with pytest.raises(ConfigError) as err:
@@ -112,6 +129,12 @@ class TestConfigParsing:
             parse_experiment_config(obj)
         assert "statistic" in str(err.value)
 
+    @pytest.mark.parametrize("field,value", [("alpha", 1.5), ("alpha", 0.0), ("bootstrap", 0)])
+    def test_test_config_checks_alpha_and_bootstrap(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            TestConfig(KCCSD(), DistKernelSpec("exp_gfd"), **{field: value})
+        assert str(err.value).startswith(f"{field}: ")
+
     def test_statistic_strategies_build(self):
         skce = parse_test_config({
             "statistic": {"name": "skce",
@@ -119,7 +142,7 @@ class TestConfigParsing:
                                        "step_size": 0.02, "steps": 4, "burn_in": 1}},
             "dist_kernel": {"variant": "exp_mmd"},
         })
-        built = skce.statistic.build()
+        built = skce.statistic
         assert built.strategy.num_samples == 2
         assert built.strategy.config.step_size == 0.02
         assert built.strategy.config.n_steps == 4

@@ -12,6 +12,7 @@ from steincal.kernels import (
 )
 from steincal.models import (
     DiagonalGaussian,
+    NumericalError,
     ScoredDensity,
     SyntheticSetup,
     dataset_targets,
@@ -137,7 +138,7 @@ class TestStatMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
             StatMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             StatMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
     def test_kccsd_matrix_zeroes_the_diagonal(self):
