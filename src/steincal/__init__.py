@@ -26,16 +26,20 @@ from .kernels import (
     second_order_median_heuristic,
 )
 from .models import (
+    Dataset,
     DiagonalGaussian,
+    GaussianBatch,
+    ModelBatch,
     NumericalError,
     ScoredDensity,
     ScoreShapeError,
     SyntheticSetup,
+    as_batch,
+    as_dataset,
     as_scored,
     chi_square_quantile,
     coverage_rate,
     hdr_contains,
-    row_density,
     sample_setup,
 )
 from .sampling import (
@@ -44,7 +48,6 @@ from .sampling import (
     MalaRun,
     RandomStream,
     run_mala,
-    sample_gaussian,
 )
 from .statistics import (
     KCCSD,

@@ -99,10 +99,10 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 def _cmd_test(args) -> int:
     config = _override(parse_test_config(load_json_object(args.config)), args)
-    pairs = _read_data(read_dataset, args.data)
-    if len(pairs) < 2:
+    data = _read_data(read_dataset, args.data)
+    if len(data) < 2:
         raise ConfigError("dataset: the test needs at least two pairs")
-    result = run_test_on_dataset(pairs, config)
+    result = run_test_on_dataset(data, config)
     _emit(json.dumps(result.to_json_dict()) + "\n", args.out)
     return 0
 
@@ -119,10 +119,8 @@ def _cmd_gram(args) -> int:
     obj = load_json_object(args.config)
     spec = parse_dist_kernel(obj.get("dist_kernel", obj))
     models = _read_data(read_models, args.data)
-    if not models:
-        raise ConfigError("models: the file contains no models")
     stream = RandomStream(args.seed)
-    kernel = resolve_dist_kernel(spec, models, models[0].dim, stream.derive("bandwidth"))
+    kernel = resolve_dist_kernel(spec, models, stream.derive("bandwidth"))
     matrix = kernel.gram(models, stream.derive("base"))
     _emit("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in matrix), args.out)
     return 0

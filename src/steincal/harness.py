@@ -28,13 +28,7 @@ from .kernels import (
     scalar_kernel,
     second_order_median_heuristic,
 )
-from .models import (
-    DiagonalGaussian,
-    SyntheticSetup,
-    dataset_models,
-    dataset_targets,
-    sample_setup,
-)
+from .models import Dataset, GaussianBatch, ModelBatch, SyntheticSetup, as_dataset, sample_setup
 from .sampling import MalaConfig, RandomStream
 from .statistics import (
     KCCSD,
@@ -359,12 +353,12 @@ def resolve_target_kernel(spec: TargetKernelSpec, targets: np.ndarray) -> Scalar
     return scalar_kernel(spec.family, bandwidth)
 
 
-def resolve_dist_kernel(spec: DistKernelSpec, models: Sequence, target_dim: int,
+def resolve_dist_kernel(spec: DistKernelSpec, models: ModelBatch,
                         bandwidth_stream: RandomStream) -> DistributionKernel:
     sigma = None if isinstance(spec.sigma, str) else spec.sigma
     if spec.variant == "exp_wasserstein":
         return ExpWassersteinKernel(sigma)
-    base = BaseMeasure.standard_gaussian(target_dim)
+    base = BaseMeasure.standard_gaussian(models.dim)
     if spec.variant == "exp_gfd":
         return ExpGFDKernel(sigma, base, spec.base_samples)
     if isinstance(spec.ground_bandwidth, str):
@@ -377,18 +371,16 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: Sequence, target_dim: int,
     return ExpMMDKernel(sigma, ground, mode=spec.mmd_mode, num_samples=spec.mmd_samples)
 
 
-def _run_test(pairs, config: TestConfig, stream: RandomStream) -> TestResult:
-    targets = dataset_targets(pairs)
-    target_kernel = resolve_target_kernel(config.target_kernel, targets)
-    dist_kernel = resolve_dist_kernel(config.dist_kernel, dataset_models(pairs),
-                                      targets.shape[1], stream.derive("bandwidth"))
-    return run_calibration_test(pairs, dist_kernel, target_kernel, config.statistic,
+def _run_test(data: Dataset, config: TestConfig, stream: RandomStream) -> TestResult:
+    target_kernel = resolve_target_kernel(config.target_kernel, data.targets)
+    dist_kernel = resolve_dist_kernel(config.dist_kernel, data.models, stream.derive("bandwidth"))
+    return run_calibration_test(data, dist_kernel, target_kernel, config.statistic,
                                 config.alpha, config.bootstrap, stream)
 
 
-def run_test_on_dataset(pairs, config: TestConfig) -> TestResult:
-    """Run the configured calibration test on an explicit dataset."""
-    return _run_test(pairs, config, RandomStream(config.seed))
+def run_test_on_dataset(data, config: TestConfig) -> TestResult:
+    """Run the configured calibration test on a dataset or a list of (model, target) pairs."""
+    return _run_test(as_dataset(data), config, RandomStream(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +397,9 @@ def _cell_stream(cfg: ExperimentConfig, n: int, rep: int) -> RandomStream:
 
 def _run_one(cfg: ExperimentConfig, n: int, rep: int) -> ResultRow:
     cell = _cell_stream(cfg, n, rep)
-    pairs = sample_setup(cfg.setup, n, cell.derive("dataset"))
+    data = sample_setup(cfg.setup, n, cell.derive("dataset"))
     start = time.perf_counter()
-    result = _run_test(pairs, cfg.test, cell)
+    result = _run_test(data, cfg.test, cell)
     elapsed_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timings else 0.0
     return ResultRow(
         family=cfg.setup.family,
@@ -502,79 +494,68 @@ def read_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def write_dataset(pairs, fh: IO[str]) -> None:
-    """JSON-lines dataset: one {"model": {...}, "y": [...]} object per line."""
-    for model, y in pairs:
-        obj = {"model": model.to_json_dict(), "y": np.atleast_1d(np.asarray(y, float)).tolist()}
+def write_dataset(data, fh: IO[str]) -> None:
+    """JSON-lines dataset of diagonal Gaussian models: one
+    {"model": {"mean": [...], "var": [...]}, "y": [...]} object per line."""
+    data = as_dataset(data)
+    for mean, var, y in zip(data.models.means, data.models.variances, data.targets):
+        obj = {"model": {"mean": mean.tolist(), "var": var.tolist()}, "y": y.tolist()}
         fh.write(json.dumps(obj) + "\n")
 
 
-def read_dataset(fh: IO[str], where: str = "<dataset>") -> list[tuple[DiagonalGaussian, np.ndarray]]:
+def read_dataset(fh: IO[str], where: str = "<dataset>") -> Dataset:
     """Parse a JSON-lines dataset; failures name the offending line."""
-    pairs = []
-    linenos = []
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        obj = _parse_line(line, where, lineno)
-        if not isinstance(obj, dict) or "model" not in obj or "y" not in obj:
-            raise DatasetFormatError(f"{where}: line {lineno}: expected an object "
-                                     "with 'model' and 'y'")
-        model = _parse_model(obj["model"], where, lineno)
-        try:
-            y = np.atleast_1d(np.asarray(obj["y"], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{where}: line {lineno}: bad target ({exc})") from exc
-        if y.ndim != 1 or y.size != model.dim:
-            raise DatasetFormatError(f"{where}: line {lineno}: target dimension "
-                                     f"{y.size} does not match model dimension {model.dim}")
-        pairs.append((model, y))
-        linenos.append(lineno)
-    _require_consistent_lines([(m.mean, m.var, y) for m, y in pairs], linenos, where)
-    return pairs
+    means, variances, targets = _read_lines(fh, where, with_targets=True)
+    return Dataset(GaussianBatch(means, variances), targets)
 
 
-def read_models(fh: IO[str], where: str = "<models>") -> list[DiagonalGaussian]:
+def read_models(fh: IO[str], where: str = "<models>") -> GaussianBatch:
     """Parse models from JSON lines; accepts bare models or dataset rows."""
-    models = []
+    return GaussianBatch(*_read_lines(fh, where, with_targets=False))
+
+
+def _read_lines(fh: IO[str], where: str, with_targets: bool) -> list[np.ndarray]:
+    """Means, variances and (with targets) targets of the nonblank lines,
+    each stacked into an (n, d) array. Shapes are checked line by line; the
+    values once on the stacked arrays, which name the first line holding NaN
+    or +-Infinity (JSON parsing accepts them), then the first with a var <= 0.
+    """
+    rows = []
     linenos = []
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        obj = _parse_line(line, where, lineno)
-        if isinstance(obj, dict) and "model" in obj:
-            obj = obj["model"]
-        models.append(_parse_model(obj, where, lineno))
+        at = f"{where}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{at}: not valid JSON ({exc.msg})") from exc
+        is_row = isinstance(obj, dict) and "model" in obj
+        if with_targets and not (is_row and "y" in obj):
+            raise DatasetFormatError(f"{at}: expected an object with 'model' and 'y'")
+        model = obj["model"] if is_row else obj
+        try:
+            row = [np.atleast_1d(np.asarray(model[key], dtype=float)) for key in ("mean", "var")]
+            if with_targets:
+                row.append(np.atleast_1d(np.asarray(obj["y"], dtype=float)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{at}: bad model or target ({exc})") from exc
+        if row[0].size < 1 or any(a.ndim != 1 or a.size != row[0].size for a in row):
+            shapes = ", ".join(str(a.shape) for a in row)
+            raise DatasetFormatError(f"{at}: expected nonempty 1-d mean, var (and y) of "
+                                     f"one length, got shapes {shapes}")
+        if rows and row[0].size != rows[0][0].size:
+            raise DatasetFormatError(f"{at}: dimension {row[0].size} differs from dimension "
+                                     f"{rows[0][0].size} on line {linenos[0]}")
+        rows.append(row)
         linenos.append(lineno)
-    _require_consistent_lines([(m.mean, m.var) for m in models], linenos, where)
-    return models
-
-
-def _parse_line(line: str, where: str, lineno: int):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{where}: line {lineno}: not valid JSON ({exc.msg})") from exc
-
-
-def _parse_model(obj, where: str, lineno: int) -> DiagonalGaussian:
-    try:
-        return DiagonalGaussian.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{where}: line {lineno}: bad model ({exc})") from exc
-
-
-def _require_consistent_lines(rows: list[tuple], linenos: list[int], where: str) -> None:
-    """Reject the first line whose dimension differs from the first line's, or
-    that holds NaN or +-Infinity (which JSON parsing accepts). A healthy file
-    costs one size comparison per line and one array check."""
     if not rows:
-        return
-    dim = rows[0][0].size
-    finite = np.isfinite(np.concatenate([a for row in rows for a in row])).all()
-    for lineno, row in zip(linenos, rows):
-        if row[0].size != dim:
-            raise DatasetFormatError(f"{where}: line {lineno}: dimension {row[0].size} "
-                                     f"differs from dimension {dim} on line {linenos[0]}")
-        if not finite and not all(np.isfinite(a).all() for a in row):
-            raise DatasetFormatError(f"{where}: line {lineno}: NaN or Infinity in the values")
+        raise DatasetFormatError(f"{where}: the file holds no models")
+    stacked = [np.stack(column) for column in zip(*rows)]
+    non_finite = ~np.isfinite(np.concatenate(stacked, axis=1)).all(axis=1)
+    non_positive = ~(stacked[1] > 0).all(axis=1)
+    for bad, problem in ((non_finite, "NaN or Infinity in the values"),
+                         (non_positive, "bad model (var must be strictly positive)")):
+        if bad.any():
+            raise DatasetFormatError(f"{where}: line {linenos[int(np.argmax(bad))]}: {problem}")
+    return stacked

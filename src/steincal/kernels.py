@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .models import (
-    DiagonalGaussian,
-    as_scored,
-    is_gaussian_models,
-    require_finite,
-    score_tensor,
-    stack_gaussians,
-)
+from .models import DiagonalGaussian, GaussianBatch, ModelBatch, as_batch, require_finite
 from .sampling import CapabilityError, RandomStream
 
 _PAIR_CHUNK = 8192
@@ -236,11 +229,16 @@ class DistributionKernel(ABC):
             raise ValueError(f"sigma must be > 0, got {sigma}")
         self.sigma = sigma
 
-    @abstractmethod
-    def squared_distances(self, models: Sequence, stream: Optional[RandomStream]) -> np.ndarray:
+    def squared_distances(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         """Symmetric matrix of estimated squared Hilbertian distances."""
+        return self._squared_distances(as_batch(models), stream)
 
-    def gram(self, models: Sequence, stream: Optional[RandomStream] = None) -> np.ndarray:
+    @abstractmethod
+    def _squared_distances(self, models: ModelBatch, stream: Optional[RandomStream]) -> np.ndarray:
+        """:meth:`squared_distances` on a model batch."""
+
+    def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
+        models = as_batch(models)
         if len(models) == 1:
             return np.ones((1, 1))
         sq = require_finite(self.squared_distances(models, stream), "squared distance")
@@ -265,9 +263,9 @@ class ExpGFDKernel(DistributionKernel):
         self.base = base
         self.num_base_samples = num_base_samples
 
-    def squared_distances(self, models, stream=None):
+    def _squared_distances(self, models, stream):
         z = self.base.draw(self.num_base_samples, _require_stream(self.base, stream))
-        scores = score_tensor(models, z)
+        scores = models.score_tensor(z)
         n, m, d = scores.shape
         flat = scores.reshape(n, m * d)
         inner = flat @ flat.T
@@ -289,10 +287,10 @@ class ExpKGFDKernel(DistributionKernel):
         self.ground = ground
         self.num_base_samples = num_base_samples
 
-    def squared_distances(self, models, stream=None):
+    def _squared_distances(self, models, stream):
         z = self.base.draw(self.num_base_samples, _require_stream(self.base, stream))
         m = z.shape[0]
-        scores = score_tensor(models, z)
+        scores = models.score_tensor(z)
         w = self.ground.gram(z)
         smoothed = np.einsum("ikd,kl->ild", scores, w)
         inner = np.einsum("ild,jld->ij", smoothed, scores)
@@ -305,8 +303,9 @@ class ExpMMDKernel(DistributionKernel):
     """exp(-MMD^2/(2 sigma^2)) with a Gaussian ground kernel.
 
     ``mode="closed_form"`` needs diagonal-Gaussian inputs; ``mode="sampled"``
-    draws ``num_samples`` points per density once per Gram matrix and uses the
-    V-statistic between the empirical measures, which keeps the matrix PSD.
+    draws ``num_samples`` points per density once per Gram matrix, as one
+    (n, num_samples, d) block from ``stream.derive("mmd-samples")``, and uses
+    the V-statistic between the empirical measures, which keeps the matrix PSD.
     """
 
     name = "exp_mmd"
@@ -322,7 +321,7 @@ class ExpMMDKernel(DistributionKernel):
         self.mode = mode
         self.num_samples = num_samples
 
-    def squared_distances(self, models, stream=None):
+    def _squared_distances(self, models, stream):
         if self.mode == "closed_form":
             return self._closed_form(models)
         return self._sampled(models, stream)
@@ -330,26 +329,18 @@ class ExpMMDKernel(DistributionKernel):
     def _closed_form(self, models):
         if not isinstance(self.ground, GaussianKernel):
             raise UnsupportedKernelError("closed-form MMD needs a Gaussian ground kernel")
-        if not is_gaussian_models(models):
+        if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
-        means, variances = stack_gaussians(models)
-        cross = double_expectation_gram(means, variances, self.ground.bandwidth)
+        cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
         diag = np.diag(cross)
         return np.maximum(diag[:, None] + diag[None, :] - 2.0 * cross, 0.0)
 
     def _sampled(self, models, stream):
         if stream is None:
             raise ValueError("sampled MMD needs a random stream")
-        m = self.num_samples
-        draws = []
-        for i, model in enumerate(models):
-            sampler = as_scored(model).sampler
-            if sampler is None:
-                raise CapabilityError("sampled MMD needs a sampler on every model")
-            draws.append(np.asarray(sampler(m, stream.derive("mmd-samples", i)), dtype=float))
-        stacked = np.concatenate(draws, axis=0)
-        big = self.ground.gram(stacked)
-        n = len(models)
+        n, m = len(models), self.num_samples
+        draws = models.sample(m, stream.derive("mmd-samples"))
+        big = self.ground.gram(draws.reshape(n * m, models.dim))
         blocks = big.reshape(n, m, n, m).mean(axis=(1, 3))
         diag = np.diag(blocks)
         return np.maximum(diag[:, None] + diag[None, :] - 2.0 * blocks, 0.0)
@@ -364,13 +355,12 @@ class ExpWassersteinKernel(DistributionKernel):
 
     name = "exp_wasserstein"
 
-    def squared_distances(self, models, stream=None):
-        if not is_gaussian_models(models):
+    def _squared_distances(self, models, stream):
+        if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("the Wasserstein kernel needs diagonal Gaussian models")
-        for g in models:
-            if not g.is_isotropic:
-                raise UnsupportedKernelError("the Wasserstein kernel needs isotropic models")
-        means, variances = stack_gaussians(models)
+        means, variances = models.means, models.variances
+        if not np.all(variances == variances[:, :1]):
+            raise UnsupportedKernelError("the Wasserstein kernel needs isotropic models")
         d = means.shape[1]
         sd = np.sqrt(variances[:, 0])
         mean_sq = np.sum((means[:, None, :] - means[None, :, :]) ** 2, axis=-1)
@@ -420,22 +410,25 @@ def median_heuristic(points: np.ndarray) -> float:
     return _median_of_distances(dist)
 
 
-def second_order_median_heuristic(models: Sequence[DiagonalGaussian],
-                                  samples_per_pair: int = 10,
+def second_order_median_heuristic(models, samples_per_pair: int = 10,
                                   stream: Optional[RandomStream] = None) -> float:
     """Median over model pairs of the median sample distance in their mixture.
 
     For every unordered model pair, draws ``samples_per_pair`` points from the
     equal-weight two-component mixture, takes the lower median of their
-    pairwise distances, and returns the lower median over all pairs.
+    pairwise distances, and returns the lower median over all pairs. The
+    models must be diagonal Gaussians, as a batch or a list.
     """
+    models = as_batch(models)
     if len(models) < 2:
         raise ValueError("second-order heuristic needs at least two models")
     if samples_per_pair < 2:
         raise ValueError("samples_per_pair must be >= 2")
     if stream is None:
         raise ValueError("second-order heuristic needs a random stream")
-    means, variances = stack_gaussians(models)
+    if not isinstance(models, GaussianBatch):
+        raise CapabilityError("the second-order heuristic needs diagonal Gaussian models")
+    means, variances = models.means, models.variances
     n, d = means.shape
     idx_i, idx_j = np.triu_indices(n, k=1)
     rng = stream.generator()

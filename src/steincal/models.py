@@ -1,13 +1,14 @@
-"""Predictive densities with scores, synthetic generative setups, and HDR coverage."""
+"""Predictive densities with scores, model batches and datasets, synthetic
+generative setups, and HDR coverage."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
 
-from .sampling import RandomStream, sample_gaussian
+from .sampling import CapabilityError, RandomStream
 
 MGM_SHIFT_ALL = "all"
 MGM_SHIFT_FIRST = "first"
@@ -35,60 +36,42 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGaussian:
-    """Gaussian with diagonal covariance, the predictive density of every setup."""
+    """Gaussian with diagonal covariance: a one-row view of :class:`GaussianBatch`."""
 
     mean: np.ndarray
     var: np.ndarray
+    batch: "GaussianBatch" = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         var = np.atleast_1d(np.asarray(self.var, dtype=float))
-        if mean.ndim != 1 or var.ndim != 1 or mean.shape != var.shape:
-            raise ValueError("mean and var must be 1-d arrays of equal length")
-        if mean.size < 1:
-            raise ValueError("dimension must be >= 1")
-        if not np.all(var > 0):
-            raise ValueError("var must be strictly positive elementwise")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
+        batch = GaussianBatch(mean[None, :], var[None, :])
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "mean", batch.means[0])
+        object.__setattr__(self, "var", batch.variances[0])
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
-    @property
-    def is_isotropic(self) -> bool:
-        return bool(np.all(self.var == self.var[0]))
-
     def score(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the log density, (mean - y) / var, at a point (d,) or
-        row-wise on a batch (m, d)."""
-        y = self._check_point(y)
-        return (self.mean - y) / self.var
+        """Gradient of the log density at a point (d,) or row-wise on a batch (m, d)."""
+        return self._at(self.batch.score, y)
 
     def log_density(self, y: np.ndarray):
         """Log density at a point (a float) or row-wise on a batch (an (m,) array)."""
-        y = self._check_point(y)
-        quad = np.sum((y - self.mean) ** 2 / self.var, axis=-1)
-        norm = np.sum(np.log(2.0 * np.pi * self.var))
-        out = -0.5 * (quad + norm)
-        return float(out) if y.ndim == 1 else out
+        return self._at(self.batch.log_density, y)
 
     def sample(self, n: int, stream: RandomStream) -> np.ndarray:
-        return sample_gaussian(self, n, stream)
+        return self.batch.sample(n, stream)[0]
 
-    def _check_point(self, y) -> np.ndarray:
+    def _at(self, row_wise, y):
+        # the one-row batch broadcasts against every row of an (m, d) batch
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.ndim > 2 or y.shape[-1] != self.dim:
             raise ValueError(f"points have shape {y.shape}, model has dimension {self.dim}")
-        return y
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "var": self.var.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DiagonalGaussian":
-        return cls(np.asarray(obj["mean"], dtype=float), np.asarray(obj["var"], dtype=float))
+        out = row_wise(np.atleast_2d(y))
+        return out[0] if y.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,24 +100,25 @@ class ScoredDensity:
     def score_batch(self, points: np.ndarray) -> np.ndarray:
         """Scores at an (m, dim) batch. Raises :class:`ScoreShapeError` for a
         result of the wrong shape and :class:`NumericalError` for a non-finite one."""
-        points = self._check_batch(points)
+        points = _check_points(points, self.dim)
         out = _batch_of_shape(self.score(points), points.shape, "score")
         return require_finite(out, "score")
 
     def log_unnorm_batch(self, points: np.ndarray) -> np.ndarray:
         """Unnormalised log densities at an (m, dim) batch; -inf is allowed,
         NaN and +inf raise :class:`NumericalError`."""
-        points = self._check_batch(points)
+        points = _check_points(points, self.dim)
         out = _batch_of_shape(self.log_unnorm(points), points.shape[:1], "log_unnorm")
         if np.any(np.isnan(out) | (out == np.inf)):
             raise NumericalError("log density is NaN or +inf")
         return out
 
-    def _check_batch(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ValueError(f"points must be an (m, {self.dim}) array, got shape {points.shape}")
-        return points
+
+def _check_points(points, dim: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points must be an (m, {dim}) array, got shape {points.shape}")
+    return points
 
 
 def _batch_of_shape(values, shape: tuple, what: str) -> np.ndarray:
@@ -156,6 +140,149 @@ def as_scored(model) -> ScoredDensity:
             sampler=model.sample,
         )
     raise TypeError(f"cannot interpret {type(model).__name__} as a scored density")
+
+
+class ModelBatch:
+    """n predictive densities on R^dim as whole arrays; row i of every (n, ...)
+    array belongs to model i. Besides ``len``, ``dim`` and :meth:`score_tensor`
+    a batch offers ``rows()``, itself as one :class:`ScoredDensity` on (n, dim)
+    arrays whose row i is scored under model i; ``sample(m, stream)``, an
+    (n, m, dim) array or :class:`CapabilityError`; and ``centers()``, the
+    (n, dim) points MALA chains start around."""
+
+    def score_tensor(self, points: np.ndarray) -> np.ndarray:
+        """Scores of every model at every point of one shared (m, dim) set. Shape (n, m, dim)."""
+        return require_finite(self._score_tensor(_check_points(points, self.dim)), "score")
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianBatch(ModelBatch):
+    """n diagonal Gaussians N(means[i], diag(variances[i])), given as (n, d)
+    arrays of finite means and finite, strictly positive variances."""
+
+    means: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
+        variances = np.asarray(self.variances, dtype=float)
+        if means.ndim != 2 or means.shape != variances.shape or means.shape[1] < 1:
+            raise ValueError("means and variances must be (n, d) arrays of one shape, d >= 1")
+        if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < np.inf))):
+            raise ValueError("means must be finite, variances finite and strictly positive")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
+    def score(self, points: np.ndarray) -> np.ndarray:
+        """Row-wise scores (means - points) / variances."""
+        return (self.means - points) / self.variances
+
+    def log_density(self, points: np.ndarray) -> np.ndarray:
+        """Row-wise log densities: entry i is model i's log density at points[i]."""
+        norms = np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
+        return -0.5 * (np.sum((points - self.means) ** 2 / self.variances, axis=1) + norms)
+
+    def rows(self) -> ScoredDensity:
+        return ScoredDensity(dim=self.dim, score=self.score, log_unnorm=self.log_density)
+
+    def _score_tensor(self, points):
+        return (self.means[:, None, :] - points[None, :, :]) / self.variances[:, None, :]
+
+    def sample(self, m: int, stream: RandomStream) -> np.ndarray:
+        """means + sqrt(variances) * xi with one (n, m, d) normal draw from the stream."""
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        xi = stream.generator().standard_normal((len(self), m, self.dim))
+        return self.means[:, None, :] + np.sqrt(self.variances)[:, None, :] * xi
+
+    def centers(self) -> np.ndarray:
+        return self.means
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredBatch(ModelBatch):
+    """:class:`ScoredDensity` objects of one dimension as a batch: the one place
+    that calls models one at a time, each result checked by its density.
+    Model i samples from ``stream.derive("model", i)``."""
+
+    densities: tuple
+
+    def __len__(self) -> int:
+        return len(self.densities)
+
+    @property
+    def dim(self) -> int:
+        return self.densities[0].dim
+
+    def rows(self) -> ScoredDensity:
+        def score(points):
+            return np.concatenate([s.score_batch(p[None]) for s, p in zip(self.densities, points)])
+
+        def log_unnorm(points):
+            return np.concatenate([s.log_unnorm_batch(p[None])
+                                   for s, p in zip(self.densities, points)])
+
+        has_log_unnorm = all(s.log_unnorm is not None for s in self.densities)
+        return ScoredDensity(dim=self.dim, score=score,
+                             log_unnorm=log_unnorm if has_log_unnorm else None)
+
+    def _score_tensor(self, points):
+        return np.stack([s.score_batch(points) for s in self.densities])
+
+    def sample(self, m: int, stream: RandomStream) -> np.ndarray:
+        if any(s.sampler is None for s in self.densities):
+            raise CapabilityError("drawing samples needs a sampler on every model")
+        return np.stack([np.asarray(s.sampler(m, stream.derive("model", i)), dtype=float)
+                         for i, s in enumerate(self.densities)])
+
+    def centers(self) -> np.ndarray:
+        return np.zeros((len(self), self.dim))
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A validation set: model i of the batch predicted the law of targets[i]."""
+
+    models: ModelBatch
+    targets: np.ndarray
+
+    def __post_init__(self):
+        targets = np.asarray(self.targets, dtype=float)
+        if targets.shape != (len(self.models), self.models.dim):
+            raise ValueError(f"targets have shape {targets.shape}, not (n, dim) of the models")
+        object.__setattr__(self, "targets", targets)
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+
+def as_batch(models) -> ModelBatch:
+    """A model batch as it is, or a list of models as one: diagonal Gaussians
+    stack into a :class:`GaussianBatch`, any other list into a :class:`ScoredBatch`."""
+    if isinstance(models, ModelBatch):
+        return models
+    models = list(models)
+    if not models:
+        raise ValueError("a model batch needs at least one model")
+    if all(isinstance(g, DiagonalGaussian) for g in models):
+        return GaussianBatch(np.stack([g.mean for g in models]), np.stack([g.var for g in models]))
+    return ScoredBatch(tuple(as_scored(m) for m in models))
+
+
+def as_dataset(data) -> Dataset:
+    """A dataset as it is, or a list of (model, target) pairs as one."""
+    if isinstance(data, Dataset):
+        return data
+    pairs = list(data)
+    models = as_batch([model for model, _ in pairs])
+    return Dataset(models, np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs]))
 
 
 @dataclass(frozen=True)
@@ -188,7 +315,7 @@ class SyntheticSetup:
         return {"mgm": 5, "lgm": 1, "hgm": 1, "qgm": 1}[self.family]
 
 
-def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> list[tuple[DiagonalGaussian, np.ndarray]]:
+def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> Dataset:
     """Draw n i.i.d. (predictive model, target) pairs from a synthetic setup."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -220,7 +347,7 @@ def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> list[tu
         means = (0.1 * (1.0 - delta) * x ** 2 + x + 1.0)[:, None]
         variances = np.ones((n, 1))
 
-    return [(DiagonalGaussian(means[i], variances[i]), y[i]) for i in range(n)]
+    return Dataset(GaussianBatch(means, variances), y)
 
 
 def chi_square_quantile(dof: int, prob: float) -> float:
@@ -233,7 +360,13 @@ def chi_square_quantile(dof: int, prob: float) -> float:
 
 
 def hdr_contains(g: DiagonalGaussian, y: np.ndarray, alpha: float) -> bool:
-    """Whether y lies in the (1 - alpha) highest-density region of g.
+    """Whether y lies in the (1 - alpha) highest-density region of g: a
+    one-pair view of :func:`coverage_rate`."""
+    return coverage_rate([(g, y)], alpha) == 1.0
+
+
+def coverage_rate(data, alpha: float) -> float:
+    """Fraction of (model, target) pairs whose target falls in the model HDR.
 
     For a Gaussian the HDR is the ellipsoid where the squared Mahalanobis
     distance is below the (1 - alpha) chi-square quantile with dim degrees
@@ -241,83 +374,9 @@ def hdr_contains(g: DiagonalGaussian, y: np.ndarray, alpha: float) -> bool:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    y = g._check_point(y)
-    mahal = float(np.sum((y - g.mean) ** 2 / g.var))
-    return mahal <= chi_square_quantile(g.dim, 1.0 - alpha)
-
-
-def coverage_rate(pairs: Sequence[tuple[DiagonalGaussian, np.ndarray]], alpha: float) -> float:
-    """Fraction of (model, target) pairs whose target falls in the model HDR."""
-    if len(pairs) == 0:
-        raise ValueError("coverage_rate needs a nonempty list of pairs")
-    hits = sum(1 for g, y in pairs if hdr_contains(g, y, alpha))
-    return hits / len(pairs)
-
-
-def dataset_targets(pairs) -> np.ndarray:
-    """Stack the targets of a dataset into an (n, d) array."""
-    return np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs])
-
-
-def dataset_models(pairs) -> list:
-    return [g for g, _ in pairs]
-
-
-def is_gaussian_models(models) -> bool:
-    return all(isinstance(g, DiagonalGaussian) for g in models)
-
-
-def stack_gaussians(models) -> tuple[np.ndarray, np.ndarray]:
-    """Means and variances of a list of same-dimension diagonal Gaussians."""
-    if not is_gaussian_models(models):
-        raise TypeError("expected a list of DiagonalGaussian models")
-    means = np.stack([g.mean for g in models])
-    variances = np.stack([g.var for g in models])
-    return means, variances
-
-
-def gaussian_rows(means: np.ndarray, variances: np.ndarray) -> ScoredDensity:
-    """Stacked diagonal Gaussians as one density on (n, d) arrays whose row i
-    is scored under the Gaussian (means[i], variances[i])."""
-    norms = np.sum(np.log(2.0 * np.pi * variances), axis=1)
-
-    def log_unnorm(points):
-        return -0.5 * (np.sum((points - means) ** 2 / variances, axis=1) + norms)
-
-    return ScoredDensity(dim=means.shape[1], score=lambda points: (means - points) / variances,
-                         log_unnorm=log_unnorm)
-
-
-def row_density(models) -> ScoredDensity:
-    """The models as one density on (n, d) arrays: row i is scored under models[i].
-
-    Diagonal Gaussians are stacked once and evaluated as whole arrays; any
-    other model list calls each model on its own row.
-    """
-    if is_gaussian_models(models):
-        return gaussian_rows(*stack_gaussians(models))
-    scored = [as_scored(m) for m in models]
-
-    def score(points):
-        return np.concatenate([s.score_batch(points[i:i + 1]) for i, s in enumerate(scored)])
-
-    def log_unnorm(points):
-        return np.concatenate([s.log_unnorm_batch(points[i:i + 1]) for i, s in enumerate(scored)])
-
-    has_log_unnorm = all(s.log_unnorm is not None for s in scored)
-    return ScoredDensity(dim=scored[0].dim, score=score,
-                         log_unnorm=log_unnorm if has_log_unnorm else None)
-
-
-def score_tensor(models, points: np.ndarray) -> np.ndarray:
-    """Scores of every model at every shared point. Shape (n, m, d)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be an (m, d) array")
-    if is_gaussian_models(models):
-        means, variances = stack_gaussians(models)
-        if means.shape[1] != points.shape[1]:
-            raise ValueError("base-sample dimension does not match the models")
-        scores = (means[:, None, :] - points[None, :, :]) / variances[:, None, :]
-        return require_finite(scores, "score")
-    return np.stack([as_scored(m).score_batch(points) for m in models])
+    data = as_dataset(data)
+    models = data.models
+    if not isinstance(models, GaussianBatch):
+        raise CapabilityError("HDR coverage needs diagonal Gaussian models")
+    mahal = np.sum((data.targets - models.means) ** 2 / models.variances, axis=1)
+    return float(np.mean(mahal <= chi_square_quantile(models.dim, 1.0 - alpha)))

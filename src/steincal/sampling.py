@@ -49,18 +49,6 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_gaussian(g, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw ``n`` i.i.d. vectors mean + sqrt(var) * xi from a diagonal Gaussian.
-
-    Returns an (n, d) array.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = stream.generator()
-    xi = rng.standard_normal((n, g.dim))
-    return g.mean[None, :] + np.sqrt(g.var)[None, :] * xi
-
-
 @dataclass(frozen=True)
 class MalaConfig:
     """MALA tuning knobs.
@@ -94,7 +82,7 @@ def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
 
     ``init`` is one start point (d,) or a (c, d) stack of them; row i of the
     (c, d) state is chain i, and ``target`` is called on the whole state, so a
-    :func:`~steincal.models.row_density` target runs chain i against model i.
+    model batch's ``rows()`` view runs chain i against model i.
     Each step draws one (c, d) normal and one (c,) uniform array from the
     stream's generator. Proposal: y* = y + tau * score(y) + sqrt(2 tau) * xi,
     Metropolis-corrected with the unnormalised log density, which the target

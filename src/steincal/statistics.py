@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,19 +20,8 @@ from .kernels import (
     double_expectation_gram,
     single_expectation_gram,
 )
-from .models import (
-    DiagonalGaussian,
-    as_scored,
-    dataset_models,
-    dataset_targets,
-    is_gaussian_models,
-    require_finite,
-    row_density,
-    stack_gaussians,
-)
+from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
-
-Dataset = Sequence[tuple]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,20 +60,21 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     return value * inner + trace + cross1 + cross2
 
 
-def h_matrix(l: ScalarKernel, pairs: Dataset) -> np.ndarray:
+def h_matrix(l: ScalarKernel, data) -> np.ndarray:
     """Full symmetric matrix of Stein terms for a dataset (diagonal included)."""
-    targets = dataset_targets(pairs)
-    scores = row_density(dataset_models(pairs)).score_batch(targets)
-    return h_matrix_between(l, scores, targets, scores, targets)
+    data = as_dataset(data)
+    scores = data.models.rows().score_batch(data.targets)
+    return h_matrix_between(l, scores, data.targets, scores, data.targets)
 
 
-def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, pairs: Dataset) -> StatMatrix:
+def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> StatMatrix:
     """Distribution-kernel-weighted Stein terms: entries k(p_i, p_j) h_ij."""
+    data = as_dataset(data)
     k_gram = np.asarray(k_gram, dtype=float)
-    n = len(pairs)
+    n = len(data)
     if k_gram.shape != (n, n):
         raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
-    entries = k_gram * h_matrix(l, pairs)
+    entries = k_gram * h_matrix(l, data)
     np.fill_diagonal(entries, 0.0)
     return StatMatrix(entries)
 
@@ -110,7 +100,8 @@ class ClosedFormGaussian:
 
 @dataclass(frozen=True)
 class ExactSampler:
-    """Plug-in sample means with a fresh batch per expectation term."""
+    """Plug-in sample means with a fresh batch per expectation term: one
+    (n, num_samples, d) draw per batch label from ``stream.derive(label)``."""
 
     num_samples: int
 
@@ -142,18 +133,14 @@ ExpectationStrategy = Union[ClosedFormGaussian, ExactSampler, MalaSampler]
 _BATCH_LABELS = ("batch-a", "batch-b", "batch-c", "batch-d")
 
 
-def _draw_exact(model, m: int, stream: RandomStream) -> np.ndarray:
-    scored = as_scored(model)
-    if scored.sampler is None:
-        raise CapabilityError("the exact-sampler strategy needs a sampler on every model")
-    return np.asarray(scored.sampler(m, stream), dtype=float)
-
-
-def _mala_batches(models, strategy: MalaSampler, stream: RandomStream) -> list[np.ndarray]:
-    """One lock-step run per batch label; chain i targets models[i]."""
-    target = row_density(models)
-    centers = np.stack([m.mean if isinstance(m, DiagonalGaussian) else np.zeros(target.dim)
-                        for m in models])
+def _strategy_batches(models: ModelBatch, strategy, stream: RandomStream) -> list[np.ndarray]:
+    """Four independent (n, m, d) sample batches, one per term. MALA makes one
+    lock-step run per batch label, and chain i targets model i."""
+    if not isinstance(strategy, MalaSampler):
+        return [models.sample(strategy.num_samples, stream.derive(label))
+                for label in _BATCH_LABELS]
+    target = models.rows()
+    centers = models.centers()
     batches = []
     for label in _BATCH_LABELS:
         child = stream.derive(label)
@@ -163,33 +150,21 @@ def _mala_batches(models, strategy: MalaSampler, stream: RandomStream) -> list[n
     return batches
 
 
-def _strategy_batches(models, strategy, stream: RandomStream) -> list[np.ndarray]:
-    """Four independent (n, m, d) sample batches per model, one per term."""
-    if isinstance(strategy, MalaSampler):
-        return _mala_batches(models, strategy, stream)
-    return [np.stack([_draw_exact(model, strategy.num_samples, stream.derive(label, i))
-                      for i, model in enumerate(models)])
-            for label in _BATCH_LABELS]
-
-
-def _closed_form_bracket(l: ScalarKernel, pairs: Dataset) -> np.ndarray:
+def _closed_form_bracket(l: ScalarKernel, data: Dataset) -> np.ndarray:
     if not isinstance(l, GaussianKernel):
         raise UnsupportedKernelError("closed-form expectations need a Gaussian target kernel")
-    models = dataset_models(pairs)
-    if not is_gaussian_models(models):
+    models, targets = data.models, data.targets
+    if not isinstance(models, GaussianBatch):
         raise CapabilityError("closed-form expectations need diagonal Gaussian models")
-    targets = dataset_targets(pairs)
-    means, variances = stack_gaussians(models)
     value = l.gram(targets)
-    single = single_expectation_gram(means, variances, targets, l.bandwidth)
-    double = double_expectation_gram(means, variances, l.bandwidth)
+    single = single_expectation_gram(models.means, models.variances, targets, l.bandwidth)
+    double = double_expectation_gram(models.means, models.variances, l.bandwidth)
     return value - single - single.T + double
 
 
-def _sampled_bracket(l: ScalarKernel, pairs: Dataset, strategy, stream: RandomStream) -> np.ndarray:
-    models = dataset_models(pairs)
-    targets = dataset_targets(pairs)
-    batch_a, batch_b, batch_c, batch_d = _strategy_batches(models, strategy, stream)
+def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStream) -> np.ndarray:
+    targets = data.targets
+    batch_a, batch_b, batch_c, batch_d = _strategy_batches(data.models, strategy, stream)
     n, m, d = batch_a.shape
     value = l.gram(targets)
     # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k)
@@ -200,7 +175,7 @@ def _sampled_bracket(l: ScalarKernel, pairs: Dataset, strategy, stream: RandomSt
     return value - term2 - term3 + term4
 
 
-def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, pairs: Dataset,
+def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
                      strategy: ExpectationStrategy,
                      stream: Optional[RandomStream] = None) -> StatMatrix:
     """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair.
@@ -208,16 +183,17 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, pairs: Dataset,
     Sampled strategies evaluate each unordered pair once (the upper triangle)
     and mirror it, so the matrix stays symmetric and each term unbiased.
     """
+    data = as_dataset(data)
     k_gram = np.asarray(k_gram, dtype=float)
-    n = len(pairs)
+    n = len(data)
     if k_gram.shape != (n, n):
         raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
     if isinstance(strategy, ClosedFormGaussian):
-        bracket = _closed_form_bracket(l, pairs)
+        bracket = _closed_form_bracket(l, data)
     else:
         if stream is None:
             raise ValueError("sampled expectation strategies need a random stream")
-        bracket = _sampled_bracket(l, pairs, strategy, stream)
+        bracket = _sampled_bracket(l, data, strategy, stream)
     entries = k_gram * bracket
     upper = np.triu(entries, k=1)
     return StatMatrix(upper + upper.T)
@@ -299,7 +275,7 @@ class SKCE:
 StatisticSpec = Union[KCCSD, SKCE]
 
 
-def run_calibration_test(pairs: Dataset, dist_kernel: DistributionKernel,
+def run_calibration_test(data, dist_kernel: DistributionKernel,
                          target_kernel: ScalarKernel, statistic: StatisticSpec,
                          alpha: float, n_bootstrap: int,
                          stream: RandomStream) -> TestResult:
@@ -308,17 +284,17 @@ def run_calibration_test(pairs: Dataset, dist_kernel: DistributionKernel,
     Base samples for the distribution kernel are drawn once and shared by all
     Gram entries. Rejects when the statistic reaches the bootstrap quantile.
     """
-    if len(pairs) < 2:
+    data = as_dataset(data)
+    if len(data) < 2:
         raise ValueError("the calibration test needs at least two pairs")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    models = dataset_models(pairs)
-    k_gram = dist_kernel.gram(models, stream.derive("base"))
+    k_gram = dist_kernel.gram(data.models, stream.derive("base"))
     if isinstance(statistic, KCCSD):
-        matrix = kccsd_stat_matrix(k_gram, target_kernel, pairs)
+        matrix = kccsd_stat_matrix(k_gram, target_kernel, data)
     elif isinstance(statistic, SKCE):
         label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
-        matrix = skce_stat_matrix(k_gram, target_kernel, pairs, statistic.strategy,
+        matrix = skce_stat_matrix(k_gram, target_kernel, data, statistic.strategy,
                                   stream.derive(label))
     else:
         raise TypeError(f"unknown statistic spec {statistic!r}")

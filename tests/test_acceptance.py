@@ -33,7 +33,6 @@ from steincal.models import (
     DiagonalGaussian,
     SyntheticSetup,
     coverage_rate,
-    dataset_targets,
     sample_setup,
 )
 from steincal.sampling import MalaConfig, RandomStream
@@ -140,12 +139,11 @@ def test_criterion_06_statistic_is_unbiased_under_the_null():
     values = []
     for rep in range(200):
         stream = RandomStream(108).derive("dataset", rep)
-        pairs = sample_setup(SyntheticSetup("lgm", 0.0), 64, stream)
-        targets = dataset_targets(pairs)
-        l = GaussianKernel(median_heuristic(targets))
+        data = sample_setup(SyntheticSetup("lgm", 0.0), 64, stream)
+        l = GaussianKernel(median_heuristic(data.targets))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
-        k_gram = kernel.gram([g for g, _ in pairs], stream.derive("base"))
-        values.append(u_statistic(kccsd_stat_matrix(k_gram, l, pairs)))
+        k_gram = kernel.gram(data.models, stream.derive("base"))
+        values.append(u_statistic(kccsd_stat_matrix(k_gram, l, data)))
     values = np.asarray(values)
     bound = 4.0 * values.std() / np.sqrt(values.size)
     report("criterion 6 null statistic mean within 4 SE of 0", abs(values.mean()) <= bound,
@@ -259,11 +257,11 @@ def test_criterion_09_gram_matrices_are_psd():
 
 def test_criterion_10_calibrated_models_are_conservative():
     n = 2000
-    pairs = sample_setup(SyntheticSetup("lgm", 0.0), n, RandomStream(116).derive("d"))
+    data = sample_setup(SyntheticSetup("lgm", 0.0), n, RandomStream(116).derive("d"))
     details = []
     ok = True
     for alpha in (0.05, 0.1, 0.5):
-        rate = coverage_rate(pairs, alpha)
+        rate = coverage_rate(data, alpha)
         band = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
         passed = abs(rate - (1.0 - alpha)) <= band
         ok = ok and passed

@@ -278,6 +278,42 @@ def test_non_finite_user_score_exits_two(test_config, dataset_file, monkeypatch,
     assert "score is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist_kernel", [{"variant": "exp_kgfd"}, {"variant": "exp_mmd"}],
+                         ids=["exp_kgfd", "exp_mmd"])
+def test_second_order_heuristic_on_score_only_models_exits_one(dist_kernel, test_config,
+                                                               dataset_file, monkeypatch, capsys):
+    import steincal.cli
+    monkeypatch.setattr(steincal.cli, "read_dataset", _user_density_dataset(lambda y: -y))
+    test_config.write_text(json.dumps({"statistic": {"name": "kccsd"},
+                                       "dist_kernel": dist_kernel}))
+    code = cli(["test", "--config", str(test_config), "--data", str(dataset_file)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "second-order heuristic needs diagonal Gaussian models" in err
+
+
+_BAD_MODEL_LINES = {
+    "zero-var": '{"model": {"mean": [0.5], "var": [0]}, "y": [0.5]}',
+    "negative-var": '{"model": {"mean": [0.5], "var": [-1]}, "y": [0.5]}',
+    "length-mismatch": '{"model": {"mean": [0.5], "var": [1.0, 1.0]}, "y": [0.5]}',
+    "missing-var": '{"model": {"mean": [0.5]}, "y": [0.5]}',
+}
+
+
+@pytest.mark.parametrize("command", ["test", "gram"])
+@pytest.mark.parametrize("bad_line", _BAD_MODEL_LINES.values(), ids=_BAD_MODEL_LINES.keys())
+def test_bad_model_line_exits_one_naming_the_line(command, bad_line, test_config, tmp_path,
+                                                  capsys):
+    good = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
+    data = tmp_path / "bad_model.jsonl"
+    data.write_text(good + bad_line + "\n" + good)
+    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "line 2" in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "steincal.cli"],
                           capture_output=True, text=True)

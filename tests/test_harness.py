@@ -235,15 +235,14 @@ class TestCsv:
 
 class TestDatasetIO:
     def test_round_trip(self):
-        pairs = sample_setup(SyntheticSetup("mgm", 0.2), 5, RandomStream(1).derive("d"))
+        data = sample_setup(SyntheticSetup("mgm", 0.2), 5, RandomStream(1).derive("d"))
         buffer = io.StringIO()
-        write_dataset(pairs, buffer)
+        write_dataset(data, buffer)
         buffer.seek(0)
         back = read_dataset(buffer)
-        for (g, y), (g2, y2) in zip(pairs, back):
-            assert np.array_equal(g.mean, g2.mean)
-            assert np.array_equal(g.var, g2.var)
-            assert np.array_equal(y, y2)
+        assert np.array_equal(data.models.means, back.models.means)
+        assert np.array_equal(data.models.variances, back.models.variances)
+        assert np.array_equal(data.targets, back.targets)
 
     def test_malformed_json_names_the_line(self):
         buffer = io.StringIO('{"model": {"mean": [0], "var": [1]}, "y": [0]}\nnot json\n')
@@ -263,7 +262,7 @@ class TestDatasetIO:
             '{"model": {"mean": [1.0], "var": [2.0]}, "y": [0.5]}\n'
         )
         models = read_models(buffer)
-        assert len(models) == 2 and models[1].var[0] == 2.0
+        assert len(models) == 2 and models.variances[1, 0] == 2.0
 
 
 class TestRunTestOnDataset:

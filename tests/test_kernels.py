@@ -425,6 +425,11 @@ class TestSecondOrderMedianHeuristic:
         with pytest.raises(ValueError):
             second_order_median_heuristic([g1(0.0, 1.0)], 10, RandomStream(0))
 
+    def test_score_only_models_raise_capability_error(self):
+        models = [ScoredDensity(dim=1, score=lambda y: -y)] * 3
+        with pytest.raises(CapabilityError):
+            second_order_median_heuristic(models, 10, RandomStream(0))
+
 
 class TestGram:
     def test_single_model(self):

@@ -1,20 +1,24 @@
+import io
+
 import numpy as np
 import pytest
 
+from steincal.harness import read_models, write_dataset
+from steincal.kernels import BaseMeasure, ExpGFDKernel, ExpKGFDKernel, GaussianKernel
 from steincal.models import (
     DiagonalGaussian,
+    GaussianBatch,
     ScoredDensity,
     SyntheticSetup,
+    as_batch,
     as_scored,
     chi_square_quantile,
     coverage_rate,
-    dataset_targets,
     hdr_contains,
-    row_density,
     sample_setup,
-    score_tensor,
 )
-from steincal.sampling import RandomStream
+from steincal.sampling import CapabilityError, RandomStream
+from steincal.statistics import kccsd_stat_matrix, u_statistic
 
 from oracles import chi_square_quantile_bisect, fd_gradient
 
@@ -34,6 +38,15 @@ class TestDiagonalGaussian:
             DiagonalGaussian(np.zeros(2), np.ones(3))
         with pytest.raises(ValueError):
             DiagonalGaussian(np.zeros(0), np.ones(0))
+
+    @pytest.mark.parametrize("mean, var", [([np.nan], [1.0]), ([0.0], [np.inf]),
+                                           ([0.0], [0.0]), ([0.0], [-1.0])],
+                             ids=["nan-mean", "inf-var", "zero-var", "negative-var"])
+    def test_non_finite_or_non_positive_parameters_are_rejected(self, mean, var):
+        with pytest.raises(ValueError):
+            DiagonalGaussian(np.array(mean), np.array(var))
+        with pytest.raises(ValueError):
+            GaussianBatch(np.array([[1.0], mean]), np.array([[1.0], var]))
 
     def test_score_vanishes_at_the_mode(self):
         assert g1(0.0, 1.0).score(np.array([0.0])) == pytest.approx(0.0)
@@ -61,8 +74,11 @@ class TestDiagonalGaussian:
 
     def test_json_round_trip(self):
         g = g1([1.0, -2.0], [0.5, 3.0])
-        back = DiagonalGaussian.from_json_dict(g.to_json_dict())
-        assert np.array_equal(back.mean, g.mean) and np.array_equal(back.var, g.var)
+        buffer = io.StringIO()
+        write_dataset([(g, np.zeros(2))], buffer)
+        buffer.seek(0)
+        back = read_models(buffer)
+        assert np.array_equal(back.means, [g.mean]) and np.array_equal(back.variances, [g.var])
 
 
 class TestScoredDensity:
@@ -91,8 +107,8 @@ class TestSyntheticSetups:
         for family, (dx, dy) in dims.items():
             setup = SyntheticSetup(family)
             assert (setup.input_dim, setup.target_dim) == (dx, dy)
-            pairs = sample_setup(setup, 3, RandomStream(0).derive("d"))
-            assert pairs[0][0].dim == dy and pairs[0][1].shape == (dy,)
+            data = sample_setup(setup, 3, RandomStream(0).derive("d"))
+            assert data.models.dim == dy and data.targets.shape == (3, dy)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,23 +123,21 @@ class TestSyntheticSetups:
         stream = RandomStream(4).derive("d")
         a = sample_setup(setup, 10, stream)
         b = sample_setup(setup, 10, stream)
-        for (ga, ya), (gb, yb) in zip(a, b):
-            assert np.array_equal(ga.mean, gb.mean)
-            assert np.array_equal(ga.var, gb.var)
-            assert np.array_equal(ya, yb)
+        assert np.array_equal(a.models.means, b.models.means)
+        assert np.array_equal(a.models.variances, b.models.variances)
+        assert np.array_equal(a.targets, b.targets)
 
     def test_delta_shifts_lgm_means_by_delta(self):
         stream = RandomStream(1).derive("d")
         base = sample_setup(SyntheticSetup("lgm", 0.0), 50, stream)
         shifted = sample_setup(SyntheticSetup("lgm", 2.0), 50, stream)
-        for (g0, y0), (g2, y2) in zip(base, shifted):
-            assert g2.mean - g0.mean == pytest.approx([2.0])
-            assert np.array_equal(y0, y2)
+        assert shifted.models.means - base.models.means == pytest.approx(np.full((50, 1), 2.0))
+        assert np.array_equal(base.targets, shifted.targets)
 
     def test_lgm_mean_spread_matches_weighted_inputs(self):
         # mean = sum_i i * x_i with x standard normal, so Var(mean) = 55
-        pairs = sample_setup(SyntheticSetup("lgm", 0.0), 20_000, RandomStream(2).derive("d"))
-        means = np.array([g.mean[0] for g, _ in pairs])
+        data = sample_setup(SyntheticSetup("lgm", 0.0), 20_000, RandomStream(2).derive("d"))
+        means = data.models.means[:, 0]
         assert np.var(means) == pytest.approx(55.0, rel=0.05)
 
     def test_mgm_shift_direction(self):
@@ -131,14 +145,14 @@ class TestSyntheticSetups:
         base = sample_setup(SyntheticSetup("mgm", 0.0), 20, stream)
         all_dims = sample_setup(SyntheticSetup("mgm", 0.5, mgm_shift="all"), 20, stream)
         first_only = sample_setup(SyntheticSetup("mgm", 0.5, mgm_shift="first"), 20, stream)
-        for (g0, _), (ga, _), (gf, _) in zip(base, all_dims, first_only):
-            assert ga.mean - g0.mean == pytest.approx(0.5 * np.ones(5))
-            assert gf.mean - g0.mean == pytest.approx([0.5, 0.0, 0.0, 0.0, 0.0])
+        for g0, ga, gf in zip(base.models.means, all_dims.models.means, first_only.models.means):
+            assert ga - g0 == pytest.approx(0.5 * np.ones(5))
+            assert gf - g0 == pytest.approx([0.5, 0.0, 0.0, 0.0, 0.0])
 
     def test_mgm_miscalibration_shifts_targets_by_minus_delta_c(self):
         delta = 0.5
-        pairs = sample_setup(SyntheticSetup("mgm", delta), 4000, RandomStream(6).derive("d"))
-        resid = np.array([y - g.mean for g, y in pairs])
+        data = sample_setup(SyntheticSetup("mgm", delta), 4000, RandomStream(6).derive("d"))
+        resid = data.targets - data.models.means
         tol = 4.0 / np.sqrt(4000)
         assert np.all(np.abs(resid.mean(axis=0) + delta) < tol)
 
@@ -146,7 +160,7 @@ class TestSyntheticSetups:
         stream = RandomStream(9).derive("d")
         base = sample_setup(SyntheticSetup("qgm", 0.0), 5000, stream)
         flat = sample_setup(SyntheticSetup("qgm", 1.0), 5000, stream)
-        diff = np.array([g0.mean[0] - g1_.mean[0] for (g0, _), (g1_, _) in zip(base, flat)])
+        diff = base.models.means[:, 0] - flat.models.means[:, 0]
         # difference is 0.1 x^2 with x ~ U(-2, 2)
         assert np.all(diff >= -1e-12) and np.all(diff <= 0.4 + 1e-12)
         assert diff.mean() == pytest.approx(0.1 * 4.0 / 3.0, abs=0.01)
@@ -155,17 +169,16 @@ class TestSyntheticSetups:
         stream = RandomStream(10).derive("d")
         base = sample_setup(SyntheticSetup("hgm", 0.0), 200, stream)
         bumpy = sample_setup(SyntheticSetup("hgm", 1.0), 200, stream)
-        for (gb, _), (gv, _) in zip(base, bumpy):
-            assert np.array_equal(gb.mean, gv.mean)
-            assert gb.var[0] == 1.0
-            assert 1.0 < gv.var[0] <= 11.0
+        assert np.array_equal(base.models.means, bumpy.models.means)
+        assert np.all(base.models.variances == 1.0)
+        assert np.all((1.0 < bumpy.models.variances) & (bumpy.models.variances <= 11.0))
 
     @pytest.mark.parametrize("family", ["mgm", "lgm", "hgm", "qgm"])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
     def test_calibrated_setups_have_nominal_coverage(self, family, alpha):
         n = 2000
-        pairs = sample_setup(SyntheticSetup(family, 0.0), n, RandomStream(13).derive(family))
-        rate = coverage_rate(pairs, alpha)
+        data = sample_setup(SyntheticSetup(family, 0.0), n, RandomStream(13).derive(family))
+        rate = coverage_rate(data, alpha)
         band = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
         assert abs(rate - (1.0 - alpha)) <= band
 
@@ -206,23 +219,43 @@ class TestHDR:
         assert coverage_rate(far, 0.05) == 0.0
         with pytest.raises(ValueError):
             coverage_rate([], 0.05)
+        with pytest.raises(CapabilityError):
+            coverage_rate([(as_scored(g), np.zeros(2))] * 2, 0.05)
 
     def test_calibrated_lgm_coverage_near_nominal(self):
-        pairs = sample_setup(SyntheticSetup("lgm", 0.0), 2000, RandomStream(14).derive("d"))
-        assert coverage_rate(pairs, 0.1) == pytest.approx(0.9, abs=0.02)
+        data = sample_setup(SyntheticSetup("lgm", 0.0), 2000, RandomStream(14).derive("d"))
+        assert coverage_rate(data, 0.1) == pytest.approx(0.9, abs=0.02)
 
 
 class TestScoreStacking:
-    def test_row_density_scores_match_per_model_scores(self):
-        pairs = sample_setup(SyntheticSetup("mgm", 0.2), 6, RandomStream(15).derive("d"))
-        targets = dataset_targets(pairs)
-        stacked = row_density([g for g, _ in pairs]).score_batch(targets)
-        for i, (g, _) in enumerate(pairs):
-            assert stacked[i] == pytest.approx(g.score(targets[i]))
+    def test_row_view_scores_match_per_model_scores(self):
+        data = sample_setup(SyntheticSetup("mgm", 0.2), 6, RandomStream(15).derive("d"))
+        models, targets = data.models, data.targets
+        stacked = models.rows().score_batch(targets)
+        for i in range(len(data)):
+            want = DiagonalGaussian(models.means[i], models.variances[i]).score(targets[i])
+            assert stacked[i] == pytest.approx(want)
 
     def test_score_tensor_generic_models_agree_with_gaussian_path(self):
         models = [g1([0.3, -1.0], [1.0, 2.0]), g1([0.0, 0.5], [0.5, 0.5])]
         points = np.random.default_rng(16).normal(size=(7, 2))
-        fast = score_tensor(models, points)
-        generic = score_tensor([as_scored(m) for m in models], points)
+        fast = as_batch(models).score_tensor(points)
+        generic = as_batch([as_scored(m) for m in models]).score_tensor(points)
         assert fast == pytest.approx(generic)
+
+    def test_score_only_list_matches_the_gaussian_batch(self):
+        # user densities equal to the Gaussians go through the one-by-one adapter
+        data = sample_setup(SyntheticSetup("mgm", 0.3), 12, RandomStream(17).derive("d"))
+        gaussian = data.models
+        user = [ScoredDensity(dim=5, score=lambda y, m=m, v=v: (m - y) / v)
+                for m, v in zip(gaussian.means, gaussian.variances)]
+        np.testing.assert_allclose(as_batch(user).rows().score_batch(data.targets),
+                                   gaussian.rows().score_batch(data.targets), rtol=1e-12)
+        base = BaseMeasure.frozen(RandomStream(18).generator().standard_normal((10, 5)))
+        for kernel in (ExpGFDKernel(None, base), ExpKGFDKernel(None, base, GaussianKernel(1.5))):
+            np.testing.assert_allclose(kernel.gram(user), kernel.gram(gaussian), rtol=1e-12)
+        k_gram = ExpGFDKernel(None, base).gram(gaussian)
+        l = GaussianKernel(2.0)
+        got = u_statistic(kccsd_stat_matrix(k_gram, l, list(zip(user, data.targets))))
+        want = u_statistic(kccsd_stat_matrix(k_gram, l, data))
+        assert got == pytest.approx(want, rel=1e-12)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from steincal.models import DiagonalGaussian, ScoredDensity, as_scored, row_density
-from steincal.sampling import (
-    CapabilityError,
-    MalaConfig,
-    RandomStream,
-    run_mala,
-    sample_gaussian,
-)
+from steincal.models import DiagonalGaussian, ScoredDensity, as_batch, as_scored
+from steincal.sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 
 
 def test_stream_is_a_pure_function_of_seed_and_path():
@@ -44,16 +38,16 @@ def test_sibling_streams_pass_independence_smoke_test():
 def test_sample_gaussian_moments_and_determinism():
     g = DiagonalGaussian(np.array([3.0]), np.array([1.0]))
     stream = RandomStream(7).derive("draws")
-    x = sample_gaussian(g, 100_000, stream)
+    x = g.sample(100_000, stream)
     assert x.shape == (100_000, 1)
     assert abs(x.mean() - 3.0) < 0.01
-    assert np.array_equal(x, sample_gaussian(g, 100_000, stream))
+    assert np.array_equal(x, g.sample(100_000, stream))
 
 
 def test_sample_gaussian_rejects_nonpositive_count():
     g = DiagonalGaussian(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        sample_gaussian(g, 0, RandomStream(0))
+        g.sample(0, RandomStream(0))
 
 
 def test_mala_config_validation():
@@ -127,7 +121,7 @@ def _heterogeneous_gaussians():
 def test_lock_step_rows_match_their_own_moments():
     models, means, variances = _heterogeneous_gaussians()
     cfg = MalaConfig(step_size=0.3, n_steps=1, burn_in=200)
-    run = run_mala(row_density(models), cfg, means, 20_000, RandomStream(31).derive("mala"))
+    run = run_mala(as_batch(models).rows(), cfg, means, 20_000, RandomStream(31).derive("mala"))
     assert run.samples.shape == (4, 20_000, 2)
     # about 1500 effective samples per row: ~4 standard errors of each moment
     assert np.all(np.abs(run.samples.mean(axis=1) - means) < 0.1 * np.sqrt(variances))
@@ -141,8 +135,8 @@ def test_stacked_gaussian_and_generic_row_paths_agree():
     cfg = MalaConfig(step_size=0.3, n_steps=3, burn_in=10)
     init = means + 0.5
     stream = RandomStream(32).derive("mala")
-    fast = run_mala(row_density(models), cfg, init, 50, stream)
-    slow = run_mala(row_density(generic), cfg, init, 50, stream)
+    fast = run_mala(as_batch(models).rows(), cfg, init, 50, stream)
+    slow = run_mala(as_batch(generic).rows(), cfg, init, 50, stream)
     assert np.allclose(fast.samples, slow.samples, rtol=1e-12, atol=1e-12)
     assert fast.acceptance_rate == slow.acceptance_rate
     assert 0.0 < fast.acceptance_rate < 1.0

@@ -15,7 +15,6 @@ from steincal.models import (
     NumericalError,
     ScoredDensity,
     SyntheticSetup,
-    dataset_targets,
     sample_setup,
 )
 from steincal.sampling import CapabilityError, MalaConfig, RandomStream
@@ -366,23 +365,22 @@ class TestRunCalibrationTest:
     def _dataset(self, n, seed=0, delta=0.0):
         return sample_setup(SyntheticSetup("lgm", delta), n, RandomStream(seed).derive("d"))
 
-    def _kernels(self, pairs):
-        targets = dataset_targets(pairs)
-        l = GaussianKernel(median_heuristic(targets))
+    def _kernels(self, data):
+        l = GaussianKernel(median_heuristic(data.targets))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
         return kernel, l
 
     def test_deterministic_given_stream(self):
-        pairs = self._dataset(32)
-        kernel, l = self._kernels(pairs)
-        a = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 200, RandomStream(26))
-        b = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 200, RandomStream(26))
+        data = self._dataset(32)
+        kernel, l = self._kernels(data)
+        a = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, RandomStream(26))
+        b = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, RandomStream(26))
         assert a == b
 
     def test_result_invariants(self):
-        pairs = self._dataset(32)
-        kernel, l = self._kernels(pairs)
-        result = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 200, RandomStream(27))
+        data = self._dataset(32)
+        kernel, l = self._kernels(data)
+        result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, RandomStream(27))
         assert result.reject == (result.statistic >= result.quantile)
         assert 0.0 < result.p_value <= 1.0
         assert result.alpha == 0.05
@@ -390,38 +388,37 @@ class TestRunCalibrationTest:
         assert result.seed == 27
 
     def test_matches_manual_pipeline(self):
-        pairs = self._dataset(24, seed=5)
-        kernel, l = self._kernels(pairs)
+        data = self._dataset(24, seed=5)
+        kernel, l = self._kernels(data)
         stream = RandomStream(28)
-        result = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 150, stream)
-        k_gram = kernel.gram([g for g, _ in pairs], stream.derive("base"))
-        matrix = kccsd_stat_matrix(k_gram, l, pairs)
+        result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 150, stream)
+        k_gram = kernel.gram(data.models, stream.derive("base"))
+        matrix = kccsd_stat_matrix(k_gram, l, data)
         quantile, p_value = wild_bootstrap(matrix, 150, 0.05, stream.derive("bootstrap"))
         assert result.statistic == pytest.approx(u_statistic(matrix))
         assert result.quantile == quantile and result.p_value == p_value
 
     def test_skce_path_runs(self):
-        pairs = self._dataset(24, seed=6)
-        targets = dataset_targets(pairs)
-        l = GaussianKernel(median_heuristic(targets))
+        data = self._dataset(24, seed=6)
+        l = GaussianKernel(median_heuristic(data.targets))
         kernel = ExpMMDKernel(None, GaussianKernel(1.0))
-        result = run_calibration_test(pairs, kernel, l, SKCE(ClosedFormGaussian()),
+        result = run_calibration_test(data, kernel, l, SKCE(ClosedFormGaussian()),
                                       0.05, 200, RandomStream(29))
         assert np.isfinite(result.statistic)
 
     def test_statistic_is_unbiased_under_the_null(self):
         values = []
         for seed in range(200):
-            pairs = self._dataset(16, seed=seed)
-            kernel, l = self._kernels(pairs)
+            data = self._dataset(16, seed=seed)
+            kernel, l = self._kernels(data)
             stream = RandomStream(1000 + seed)
-            k_gram = kernel.gram([g for g, _ in pairs], stream.derive("base"))
-            values.append(u_statistic(kccsd_stat_matrix(k_gram, l, pairs)))
+            k_gram = kernel.gram(data.models, stream.derive("base"))
+            values.append(u_statistic(kccsd_stat_matrix(k_gram, l, data)))
         values = np.asarray(values)
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(values.size)
 
     def test_needs_two_pairs(self):
-        pairs = self._dataset(2)[:1]
+        pairs = [(g1(0.0, 1.0), np.zeros(1))]
         kernel, l = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1)), GaussianKernel(1.0)
         with pytest.raises(ValueError):
             run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 100, RandomStream(0))
@@ -429,16 +426,17 @@ class TestRunCalibrationTest:
     def test_runs_on_score_only_densities(self):
         # models exposed through their score functions alone: no sampler, no
         # log density, as for unnormalised predictive models
-        def score_only(g):
-            return ScoredDensity(dim=g.dim, score=g.score)
+        def score_only(mean, var):
+            return ScoredDensity(dim=1, score=DiagonalGaussian(mean, var).score)
 
-        gaussian_pairs = self._dataset(32, seed=9)
-        pairs = [(score_only(g), y) for g, y in gaussian_pairs]
-        targets = dataset_targets(pairs)
-        l = GaussianKernel(median_heuristic(targets))
+        gaussian = self._dataset(32, seed=9)
+        models = gaussian.models
+        pairs = [(score_only(mean, var), y)
+                 for mean, var, y in zip(models.means, models.variances, gaussian.targets)]
+        l = GaussianKernel(median_heuristic(gaussian.targets))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
         result = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 200, RandomStream(30))
-        reference = run_calibration_test(gaussian_pairs, kernel, l, KCCSD(), 0.05, 200,
+        reference = run_calibration_test(gaussian, kernel, l, KCCSD(), 0.05, 200,
                                          RandomStream(30))
         assert result.statistic == pytest.approx(reference.statistic)
         assert result.reject == reference.reject
