@@ -29,7 +29,7 @@ from .kernels import (
     second_order_median_heuristic,
 )
 from .models import Dataset, GaussianBatch, ModelBatch, SyntheticSetup, as_dataset, sample_setup
-from .sampling import MalaConfig, RandomStream
+from .sampling import CapabilityError, MalaConfig, RandomStream
 from .statistics import (
     KCCSD,
     SKCE,
@@ -496,8 +496,12 @@ def read_csv(path: str) -> list[ResultRow]:
 
 def write_dataset(data, fh: IO[str]) -> None:
     """JSON-lines dataset of diagonal Gaussian models: one
-    {"model": {"mean": [...], "var": [...]}, "y": [...]} object per line."""
+    {"model": {"mean": [...], "var": [...]}, "y": [...]} object per line.
+    Other models raise :class:`CapabilityError`: the format holds only diagonal Gaussians."""
     data = as_dataset(data)
+    if not isinstance(data.models, GaussianBatch):
+        raise CapabilityError("the JSON-lines dataset format holds only diagonal Gaussian "
+                              "models; score-only models cannot be written")
     for mean, var, y in zip(data.models.means, data.models.variances, data.targets):
         obj = {"model": {"mean": mean.tolist(), "var": var.tolist()}, "y": y.tolist()}
         fh.write(json.dumps(obj) + "\n")

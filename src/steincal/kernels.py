@@ -8,6 +8,7 @@ one matrix is estimated against a single shared set of base samples.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -18,6 +19,7 @@ from .models import DiagonalGaussian, GaussianBatch, ModelBatch, as_batch, requi
 from .sampling import CapabilityError, RandomStream
 
 _PAIR_CHUNK = 8192
+_BLOCK_ELEMENTS = 1 << 16  # floats in one (rows, n, d) block of the median heuristic
 
 
 class DegenerateBandwidthError(ValueError):
@@ -33,7 +35,11 @@ class UnsupportedKernelError(ValueError):
 # ---------------------------------------------------------------------------
 
 class ScalarKernel(ABC):
-    """Radial kernel l(y, y') = f(||y - y'||^2) with analytic derivatives."""
+    """Radial kernel l(y, y') = f(||y - y'||^2) with analytic derivatives.
+
+    Subclasses give the profile f and its first two derivatives; the Stein
+    terms of :func:`steincal.statistics.h_matrix_between` are assembled from them.
+    """
 
     name: str
 
@@ -47,21 +53,19 @@ class ScalarKernel(ABC):
         """Kernel profile as a function of the squared distance."""
 
     @abstractmethod
-    def _f1(self, sq: np.ndarray) -> np.ndarray:
-        """First derivative of the profile."""
+    def _f1(self, value: np.ndarray) -> np.ndarray:
+        """First derivative of the profile, given the profile value ``_f(sq)``."""
 
     @abstractmethod
-    def _f2(self, sq: np.ndarray) -> np.ndarray:
-        """Second derivative of the profile."""
+    def _f2(self, value: np.ndarray) -> np.ndarray:
+        """Second derivative of the profile, given the profile value ``_f(sq)``."""
 
     def __call__(self, y: np.ndarray, y2: np.ndarray) -> float:
         """Kernel value at one pair of points: a one-row view of :meth:`gram`."""
         return float(self.gram(y, y2)[0, 0])
 
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
-        points, points2 = _point_stacks(points, points if points2 is None else points2)
-        diff = points[:, None, :] - points2[None, :, :]
-        return self._f(np.sum(diff ** 2, axis=-1))
+        return self._f(squared_distance_matrix(points, points2))
 
     def bundle_matrices(self, points: np.ndarray, points2: np.ndarray):
         """Pairwise bundle between two stacks of points.
@@ -75,8 +79,8 @@ class ScalarKernel(ABC):
         diff = points[:, None, :] - points2[None, :, :]
         sq = np.sum(diff ** 2, axis=-1)
         value = self._f(sq)
-        f1 = self._f1(sq)
-        f2 = self._f2(sq)
+        f1 = self._f1(value)
+        f2 = self._f2(value)
         # l = f(||y - y'||^2): grad_y = 2 f' diff, grad_y' = -grad_y,
         # sum_a d^2 l / dy_a dy'_a = -2 d f' - 4 ||y - y'||^2 f''
         grad_y = 2.0 * f1[..., None] * diff
@@ -91,13 +95,14 @@ class GaussianKernel(ScalarKernel):
     name = "gaussian"
 
     def _f(self, sq):
-        return np.exp(-sq / (2.0 * self.bandwidth ** 2))
+        out = np.divide(sq, -2.0 * self.bandwidth ** 2)
+        return np.exp(out, out=out)
 
-    def _f1(self, sq):
-        return -self._f(sq) / (2.0 * self.bandwidth ** 2)
+    def _f1(self, value):
+        return -value / (2.0 * self.bandwidth ** 2)
 
-    def _f2(self, sq):
-        return self._f(sq) / (4.0 * self.bandwidth ** 4)
+    def _f2(self, value):
+        return value / (4.0 * self.bandwidth ** 4)
 
 
 class IMQKernel(ScalarKernel):
@@ -108,11 +113,11 @@ class IMQKernel(ScalarKernel):
     def _f(self, sq):
         return 1.0 / (1.0 + sq / self.bandwidth ** 2)
 
-    def _f1(self, sq):
-        return -self._f(sq) ** 2 / self.bandwidth ** 2
+    def _f1(self, value):
+        return -value ** 2 / self.bandwidth ** 2
 
-    def _f2(self, sq):
-        return 2.0 * self._f(sq) ** 3 / self.bandwidth ** 4
+    def _f2(self, value):
+        return 2.0 * value ** 3 / self.bandwidth ** 4
 
 
 def scalar_kernel(family: str, bandwidth: float) -> ScalarKernel:
@@ -129,6 +134,36 @@ def _point_stacks(points, points2) -> tuple[np.ndarray, np.ndarray]:
     if points.shape[1] != points2.shape[1]:
         raise ValueError("point stacks have mismatched dimensions")
     return points, points2
+
+
+def squared_distance_matrix(points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix [i, j] = ||points[i] - points2[j]||^2, formed from (n1, n2) products only.
+
+    In one dimension it is the squared outer difference, which is exact.
+    Otherwise it is ||a||^2 + ||b||^2 - 2 <a, b> with both stacks centred at
+    the mean of ``points``, which keeps the cancellation small, and clamped at
+    0. Without ``points2`` (or with ``points2 is points``) the diagonal is
+    exactly 0.
+    """
+    same = points2 is None or points2 is points
+    points, points2 = _point_stacks(points, points if same else points2)
+    if points.shape[1] == 1:
+        out = np.subtract.outer(points[:, 0], points2[:, 0])
+        return np.square(out, out=out)
+    center = points.mean(axis=0)
+    a = points - center
+    b = a if same else points2 - center
+    # the -2 goes into the smaller operand, and the norms are added in place
+    if a.shape[0] <= b.shape[0]:
+        out = (-2.0 * a) @ b.T
+    else:
+        out = a @ (-2.0 * b).T
+    out += np.einsum("ia,ia->i", a, a)[:, None]
+    out += np.einsum("ja,ja->j", b, b)[None, :]
+    np.maximum(out, 0.0, out=out)
+    if same:
+        np.fill_diagonal(out, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +265,14 @@ class DistributionKernel(ABC):
         self.sigma = sigma
 
     def squared_distances(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
-        """Symmetric matrix of estimated squared Hilbertian distances."""
+        """Estimated squared Hilbertian distances: an exactly symmetric,
+        nonnegative matrix with a zero diagonal."""
         return self._squared_distances(as_batch(models), stream)
 
     @abstractmethod
     def _squared_distances(self, models: ModelBatch, stream: Optional[RandomStream]) -> np.ndarray:
-        """:meth:`squared_distances` on a model batch."""
+        """:meth:`squared_distances` on a model batch. Exact symmetry is part of
+        the contract: :meth:`gram` neither symmetrises nor reads below the diagonal."""
 
     def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         models = as_batch(models)
@@ -244,9 +281,11 @@ class DistributionKernel(ABC):
         sq = require_finite(self.squared_distances(models, stream), "squared distance")
         sigma = self.sigma
         if sigma is None:
-            sigma = _median_of_distances(np.sqrt(sq))
-        out = np.exp(-sq / (2.0 * sigma ** 2))
-        out = 0.5 * (out + out.T)
+            # sqrt is monotone: this is the lower median of the distances themselves
+            upper = np.concatenate([sq[i, i + 1:] for i in range(len(sq) - 1)])
+            sigma = math.sqrt(_positive_median(upper))
+        out = np.divide(sq, -2.0 * sigma ** 2)
+        np.exp(out, out=out)
         np.fill_diagonal(out, 1.0)
         return out
 
@@ -268,9 +307,11 @@ class ExpGFDKernel(DistributionKernel):
         scores = models.score_tensor(z)
         n, m, d = scores.shape
         flat = scores.reshape(n, m * d)
+        # numpy runs a @ a.T as one symmetric rank-k update, so inner is exactly symmetric
         inner = flat @ flat.T
-        diag = np.diag(inner)
-        return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0) / m
+        sq = _distances_from_inner(inner)
+        sq /= m
+        return sq
 
 
 class ExpKGFDKernel(DistributionKernel):
@@ -295,8 +336,9 @@ class ExpKGFDKernel(DistributionKernel):
         smoothed = np.einsum("ikd,kl->ild", scores, w)
         inner = np.einsum("ild,jld->ij", smoothed, scores)
         inner = 0.5 * (inner + inner.T)
-        diag = np.diag(inner)
-        return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0) / m ** 2
+        sq = _distances_from_inner(inner)
+        sq /= m ** 2
+        return sq
 
 
 class ExpMMDKernel(DistributionKernel):
@@ -332,8 +374,7 @@ class ExpMMDKernel(DistributionKernel):
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
         cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
-        diag = np.diag(cross)
-        return np.maximum(diag[:, None] + diag[None, :] - 2.0 * cross, 0.0)
+        return _distances_from_inner(0.5 * (cross + cross.T))
 
     def _sampled(self, models, stream):
         if stream is None:
@@ -342,8 +383,7 @@ class ExpMMDKernel(DistributionKernel):
         draws = models.sample(m, stream.derive("mmd-samples"))
         big = self.ground.gram(draws.reshape(n * m, models.dim))
         blocks = big.reshape(n, m, n, m).mean(axis=(1, 3))
-        diag = np.diag(blocks)
-        return np.maximum(diag[:, None] + diag[None, :] - 2.0 * blocks, 0.0)
+        return _distances_from_inner(0.5 * (blocks + blocks.T))
 
 
 class ExpWassersteinKernel(DistributionKernel):
@@ -367,6 +407,16 @@ class ExpWassersteinKernel(DistributionKernel):
         return mean_sq + d * (sd[:, None] - sd[None, :]) ** 2
 
 
+def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
+    """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from a symmetric inner-product
+    matrix, which it overwrites. The result is exactly symmetric with a zero diagonal."""
+    diag = np.diag(inner).copy()
+    out = diag[:, None] + diag[None, :]
+    inner *= 2.0
+    out -= inner
+    return np.maximum(out, 0.0, out=out)
+
+
 def _require_stream(base: BaseMeasure, stream: Optional[RandomStream]) -> Optional[RandomStream]:
     if base.samples is None and stream is None:
         raise ValueError("drawing base samples needs a random stream")
@@ -378,18 +428,17 @@ def _require_stream(base: BaseMeasure, stream: Optional[RandomStream]) -> Option
 # ---------------------------------------------------------------------------
 
 def _lower_median(values: np.ndarray) -> float:
-    values = np.sort(np.asarray(values, dtype=float).ravel())
+    """Element (N - 1) // 2 of the sorted values, found by selection."""
+    values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("cannot take the median of an empty set")
-    return float(values[(values.size - 1) // 2])
+    k = (values.size - 1) // 2
+    return float(np.partition(values, k)[k])
 
 
-def _median_of_distances(dist: np.ndarray) -> float:
-    n = dist.shape[0]
-    if n < 2:
-        raise ValueError("need at least two items for the median heuristic")
-    iu = np.triu_indices(n, k=1)
-    value = _lower_median(dist[iu])
+def _positive_median(sq: np.ndarray) -> float:
+    """Lower median of pairwise squared distances; zero is a degenerate bandwidth."""
+    value = _lower_median(sq)
     if value <= 0.0:
         raise DegenerateBandwidthError("median pairwise distance is zero")
     return value
@@ -399,15 +448,29 @@ def median_heuristic(points: np.ndarray) -> float:
     """Lower median of the pairwise Euclidean distances of a point set.
 
     Accepts an (n, d) stack of vectors or a flat length-n array of scalars.
+    The squared distances of the pairs i < j are formed in blocks of rows,
+    and the square root is taken of their lower median, which is the lower
+    median of the distances themselves.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("median heuristic needs at least two points")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-    return _median_of_distances(dist)
+    n, d = points.shape
+    rows = max(1, _BLOCK_ELEMENTS // (n * d))
+    upper = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        diff = points[start:stop, None, :] - points[None, start + 1:, :]
+        sq = np.square(diff, out=diff).sum(axis=-1)
+        # row i of the block keeps the columns j > i
+        keep = np.arange(n - start - 1)[None, :] >= np.arange(stop - start)[:, None]
+        block = sq[keep]
+        upper[filled:filled + block.size] = block
+        filled += block.size
+    return math.sqrt(_positive_median(upper))
 
 
 def second_order_median_heuristic(models, samples_per_pair: int = 10,

@@ -158,18 +158,22 @@ class ModelBatch:
 @dataclass(frozen=True, eq=False)
 class GaussianBatch(ModelBatch):
     """n diagonal Gaussians N(means[i], diag(variances[i])), given as (n, d)
-    arrays of finite means and finite, strictly positive variances."""
+    arrays of finite means and finite, strictly positive variances. The batch
+    keeps read-only copies, so a later write to the caller's arrays does not
+    reach it."""
 
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
+        means = np.array(self.means, dtype=float)
+        variances = np.array(self.variances, dtype=float)
         if means.ndim != 2 or means.shape != variances.shape or means.shape[1] < 1:
             raise ValueError("means and variances must be (n, d) arrays of one shape, d >= 1")
         if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < np.inf))):
             raise ValueError("means must be finite, variances finite and strictly positive")
+        means.flags.writeable = False
+        variances.flags.writeable = False
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 

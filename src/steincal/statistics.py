@@ -19,6 +19,7 @@ from .kernels import (
     UnsupportedKernelError,
     double_expectation_gram,
     single_expectation_gram,
+    squared_distance_matrix,
 )
 from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -51,13 +52,36 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     """Pairwise Stein terms between two stacks of (score, target) rows.
 
     Entry [i, j] is
-    ``l(y_i, y'_j) <s_i, s'_j> + trace + <s_i, grad_y' l> + <s'_j, grad_y l>``.
+    ``l(y_i, y'_j) <s_i, s'_j> + trace + <s_i, grad_y' l> + <s'_j, grad_y l>``,
+    the terms of :meth:`ScalarKernel.bundle_matrices`. For l = f(||y - y'||^2)
+    that is ``f <s_i, s'_j> - 4 ||y_i - y'_j||^2 f''
+    + 2 f' (<s'_j, y_i> - <s'_j, y'_j> - <s_i, y_i> + <s_i, y'_j> - d)``,
+    so every term is an (n1, n2) product and no (n1, n2, d) tensor is formed.
+    The bracket is invariant to a shift of the targets; they are centred first.
     """
-    value, grad_y, grad_y2, trace = l.bundle_matrices(targets1, targets2)
-    inner = scores1 @ scores2.T
-    cross1 = np.einsum("ia,ija->ij", scores1, grad_y2)
-    cross2 = np.einsum("ja,ija->ij", scores2, grad_y)
-    return value * inner + trace + cross1 + cross2
+    scores1, scores2 = np.asarray(scores1, dtype=float), np.asarray(scores2, dtype=float)
+    targets1, targets2 = np.asarray(targets1, dtype=float), np.asarray(targets2, dtype=float)
+    n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
+    sq = squared_distance_matrix(targets1, targets2)
+    value = l._f(sq)
+    h = scores1 @ scores2.T
+    h *= value
+    f2 = l._f2(value)
+    f2 *= sq
+    f2 *= 4.0
+    h -= f2
+    del sq, f2  # two fewer (n1, n2) arrays alive during the bracket product
+    center = targets1.mean(axis=0)
+    y1, y2 = targets1 - center, targets2 - center
+    # 2 (<s_i, y'_j> + <y_i, s'_j> - <s_i, y_i> - d - <s'_j, y'_j>) as one product
+    left = np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
+                      np.ones((n1, 1))])
+    right = np.hstack([y2, scores2, np.ones((n2, 1)),
+                       -np.einsum("ja,ja->j", scores2, y2)[:, None]])
+    bracket = (2.0 * left) @ right.T
+    bracket *= l._f1(value)
+    h += bracket
+    return h
 
 
 def h_matrix(l: ScalarKernel, data) -> np.ndarray:
@@ -74,19 +98,19 @@ def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> StatMatrix:
     n = len(data)
     if k_gram.shape != (n, n):
         raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
-    entries = k_gram * h_matrix(l, data)
+    entries = h_matrix(l, data)
+    entries *= k_gram
     np.fill_diagonal(entries, 0.0)
     return StatMatrix(entries)
 
 
 def u_statistic(matrix: Union[StatMatrix, np.ndarray]) -> float:
-    """Unbiased off-diagonal average 2/(n(n-1)) sum_{i<j} M_ij."""
+    """Unbiased off-diagonal average 1/(n(n-1)) sum_{i != j} M_ij."""
     entries = matrix.entries if isinstance(matrix, StatMatrix) else np.asarray(matrix, dtype=float)
     n = entries.shape[0]
     if n < 2:
         raise ValueError("the U-statistic needs at least two samples")
-    iu = np.triu_indices(n, k=1)
-    return float(2.0 * np.sum(entries[iu]) / (n * (n - 1)))
+    return float((np.sum(entries) - np.trace(entries)) / (n * (n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +228,38 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
 # ---------------------------------------------------------------------------
 
 def wild_bootstrap(matrix: Union[StatMatrix, np.ndarray], n_bootstrap: int, alpha: float,
-                   stream: RandomStream) -> tuple[float, float]:
+                   stream: RandomStream) -> tuple[float, float, float]:
     """Rademacher wild bootstrap of the degenerate U-statistic.
 
-    Returns the empirical (1 - alpha) quantile (order statistic at the
-    1-based index ceil((1 - alpha) B)) and the p-value
-    (1 + #{b : B_b >= statistic}) / (B + 1).
+    Returns the statistic (the off-diagonal average), the empirical
+    (1 - alpha) quantile (order statistic at the 1-based index
+    ceil((1 - alpha) B)) and the p-value (1 + #{b : B_b >= statistic}) / (B + 1).
+    The statistic is the replicate of the all-ones sign vector, computed in
+    the same product as the B replicates, so a replicate whose signs are all
+    equal ties with it exactly and counts towards the p-value.
     """
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     entries = matrix.entries if isinstance(matrix, StatMatrix) else np.asarray(matrix, dtype=float)
-    entries = entries.copy()
-    np.fill_diagonal(entries, 0.0)
     n = entries.shape[0]
-    statistic = u_statistic(entries)
+    if n < 2:
+        raise ValueError("the U-statistic needs at least two samples")
+    if np.any(np.diagonal(entries)):
+        entries = entries.copy()
+        np.fill_diagonal(entries, 0.0)
 
     rng = stream.generator()
-    signs = np.where(rng.random((n_bootstrap, n)) < 0.5, -1.0, 1.0)
-    replicates = np.einsum("bi,bi->b", signs @ entries, signs) / (n * (n - 1))
+    signs = np.ones((n_bootstrap + 1, n))
+    signs[1:][rng.random((n_bootstrap, n)) < 0.5] = -1.0
+    values = np.einsum("bi,bi->b", signs @ entries, signs) / (n * (n - 1))
+    statistic, replicates = float(values[0]), values[1:]
 
-    order = np.sort(replicates)
     rank = min(n_bootstrap, max(1, math.ceil((1.0 - alpha) * n_bootstrap)))
-    quantile = float(order[rank - 1])
+    quantile = float(np.partition(replicates, rank - 1)[rank - 1])
     p_value = float((1 + np.count_nonzero(replicates >= statistic)) / (n_bootstrap + 1))
-    return quantile, p_value
+    return statistic, quantile, p_value
 
 
 @dataclass(frozen=True)
@@ -298,8 +328,8 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
                                   stream.derive(label))
     else:
         raise TypeError(f"unknown statistic spec {statistic!r}")
-    value = u_statistic(matrix)
-    quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha, stream.derive("bootstrap"))
+    value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
+                                              stream.derive("bootstrap"))
     return TestResult(
         statistic=value,
         quantile=quantile,

@@ -44,6 +44,14 @@ def fd_h_term(kernel_fn, score_p, score_q, y, y2, step=1e-5):
     return value * float(s1 @ s2) + trace + float(s1 @ grad_y2) + float(s2 @ grad_y)
 
 
+def squared_distances_by_differences(points, points2):
+    """Matrix [i, j] = ||points[i] - points2[j]||^2 from the explicit (n1, n2, d) differences."""
+    points = np.asarray(points, dtype=float)
+    points2 = np.asarray(points2, dtype=float)
+    diff = points[:, None, :] - points2[None, :, :]
+    return np.sum(diff ** 2, axis=-1)
+
+
 def mc_gaussian_kernel_single(mean, var, y, gamma, n, rng):
     """Monte-Carlo estimate of E_{z ~ N(mean, diag var)} exp(-||z-y||^2/(2 g^2))."""
     mean = np.atleast_1d(np.asarray(mean, float))

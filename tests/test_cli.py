@@ -146,6 +146,22 @@ def test_degenerate_bandwidth_exits_two(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_degenerate_bandwidth_in_five_dimensions_exits_two(tmp_path, capsys):
+    # the row-blocked median heuristic still sees every pair of the duplicates
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({
+        "statistic": {"name": "kccsd"},
+        "dist_kernel": {"variant": "exp_gfd", "sigma": 1.0},
+    }))
+    data = tmp_path / "flat5.jsonl"
+    line = json.dumps({"model": {"mean": [0.0] * 5, "var": [1.0] * 5},
+                       "y": [0.5, -1.0, 2.0, 0.0, 3.0]}) + "\n"
+    data.write_text(line * 4)
+    code = cli(["test", "--config", str(config), "--data", str(data)])
+    assert code == 2
+    assert "numerical failure: median pairwise distance is zero" in capsys.readouterr().err
+
+
 _KCCSD_WASSERSTEIN = {"statistic": {"name": "kccsd"},
                       "dist_kernel": {"variant": "exp_wasserstein", "sigma": 1.0}}
 

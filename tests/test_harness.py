@@ -20,8 +20,8 @@ from steincal.harness import (
     write_csv,
     write_dataset,
 )
-from steincal.models import SyntheticSetup, sample_setup
-from steincal.sampling import RandomStream
+from steincal.models import ScoredDensity, SyntheticSetup, sample_setup
+from steincal.sampling import CapabilityError, RandomStream
 from steincal.statistics import KCCSD
 
 
@@ -243,6 +243,11 @@ class TestDatasetIO:
         assert np.array_equal(data.models.means, back.models.means)
         assert np.array_equal(data.models.variances, back.models.variances)
         assert np.array_equal(data.targets, back.targets)
+
+    def test_score_only_models_cannot_be_written(self):
+        user = ScoredDensity(dim=1, score=lambda y: -y)
+        with pytest.raises(CapabilityError, match="only diagonal Gaussian"):
+            write_dataset([(user, np.zeros(1)), (user, np.ones(1))], io.StringIO())
 
     def test_malformed_json_names_the_line(self):
         buffer = io.StringIO('{"model": {"mean": [0], "var": [1]}, "y": [0]}\nnot json\n')

@@ -16,8 +16,9 @@ from steincal.kernels import (
     median_heuristic,
     second_order_median_heuristic,
     single_expectation_gram,
+    squared_distance_matrix,
 )
-from steincal.models import DiagonalGaussian, ScoredDensity
+from steincal.models import DiagonalGaussian, GaussianBatch, ScoredDensity
 from steincal.sampling import CapabilityError, RandomStream
 
 from oracles import (
@@ -27,6 +28,7 @@ from oracles import (
     mc_gaussian_kernel_double,
     mc_gaussian_kernel_single,
     mixture_distance_median,
+    squared_distances_by_differences,
 )
 
 
@@ -114,6 +116,45 @@ class TestScalarBundle:
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             GaussianKernel(0.0)
+
+
+class TestScalarGram:
+    """The Gram is formed from (n1, n2) products; the oracle from (n1, n2, d) differences."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    def test_matches_the_difference_oracle(self, d, kernel_cls, offset):
+        rng = np.random.default_rng(d)
+        points = offset + rng.normal(size=(40, d))
+        points2 = offset + rng.normal(size=(25, d))
+        kernel = kernel_cls(0.8 * np.sqrt(d))
+        for a, b in ((points, points2), (points2, points), (points, points)):
+            want = kernel._f(squared_distances_by_differences(a, b))
+            np.testing.assert_allclose(kernel.gram(a, b), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kernel.gram(points),
+                                   kernel._f(squared_distances_by_differences(points, points)),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    def test_near_duplicate_targets_stay_in_range(self, d, kernel_cls):
+        # y and y + 1e-9 far from the origin: the product form cancels to within
+        # rounding of zero, and the clamp keeps every squared distance >= 0
+        y = 1e3 + 10.0 * np.random.default_rng(3).normal(size=(50, d))
+        points = np.vstack([y, y + 1e-9])
+        kernel = kernel_cls(0.5)
+        for sq in (squared_distance_matrix(points), squared_distance_matrix(points, points.copy())):
+            assert np.all(sq >= 0.0)
+        gram = kernel.gram(points)
+        assert np.all(gram <= 1.0)
+        assert np.all(np.diag(gram) == 1.0)
+        assert np.all(kernel.gram(points, points.copy()) <= 1.0)
+
+    def test_one_dimension_is_the_exact_difference(self):
+        points = np.random.default_rng(4).normal(size=(30, 1))
+        assert np.array_equal(squared_distance_matrix(points),
+                              squared_distances_by_differences(points, points))
 
 
 class TestGaussianExpectations:
@@ -371,6 +412,18 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError):
             median_heuristic(np.array([[0.0]]))
 
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_equals_the_lower_median_of_all_pair_distances(self, d):
+        # more points than one row block holds, so several blocks are stitched
+        points = np.random.default_rng(d).normal(size=(301, d))
+        dist = np.sqrt(squared_distances_by_differences(points, points))
+        want = np.sort(dist[np.triu_indices(301, k=1)])[(301 * 300 // 2 - 1) // 2]
+        assert median_heuristic(points) == want
+
+    def test_duplicate_points_in_five_dimensions_degenerate(self):
+        with pytest.raises(DegenerateBandwidthError):
+            median_heuristic(np.tile([0.5, 1.0, -2.0, 0.0, 3.0], (5, 1)))
+
     def test_even_count_uses_lower_median(self):
         # distances of {0,1,2,4}: 1,2,4,1,3,2 -> sorted 1,1,2,2,3,4 -> lower median 2
         assert median_heuristic(np.array([[0.0], [1.0], [2.0], [4.0]])) == 2.0
@@ -504,6 +557,31 @@ class TestGram:
         self._psd_check(ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled", num_samples=10),
                         iso, stream.derive("d"))
         self._psd_check(ExpWassersteinKernel(None), iso)
+
+    def test_squared_distances_are_exactly_symmetric_with_zero_diagonal(self):
+        # the Gram relies on this contract instead of symmetrising
+        rng = np.random.default_rng(23)
+        iso = [g1(rng.normal(scale=2.0, size=3), np.full(3, rng.uniform(0.5, 2.0)))
+               for _ in range(30)]
+        stream = RandomStream(4)
+        for kernel in (ExpGFDKernel(None, BaseMeasure.standard_gaussian(3)),
+                       ExpKGFDKernel(None, BaseMeasure.standard_gaussian(3), GaussianKernel(1.0)),
+                       ExpMMDKernel(None, GaussianKernel(1.0)),
+                       ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled"),
+                       ExpWassersteinKernel(None)):
+            sq = kernel.squared_distances(iso, stream.derive(kernel.name))
+            assert np.array_equal(sq, sq.T), kernel.name
+            assert np.all(np.diag(sq) == 0.0) and np.all(sq >= 0.0), kernel.name
+
+    def test_median_sigma_is_the_square_root_of_the_median_squared_distance(self):
+        rng = np.random.default_rng(24)
+        models = GaussianBatch(rng.normal(size=(41, 2)), rng.uniform(0.5, 2.0, size=(41, 2)))
+        base = BaseMeasure.frozen(rng.normal(size=(10, 2)))
+        sq = ExpGFDKernel(None, base).squared_distances(models)
+        dist = np.sort(np.sqrt(sq[np.triu_indices(41, k=1)]))
+        sigma = dist[(dist.size - 1) // 2]
+        assert np.array_equal(ExpGFDKernel(None, base).gram(models),
+                              ExpGFDKernel(sigma, base).gram(models))
 
     def test_wasserstein_needs_isotropic_models(self):
         kernel = ExpWassersteinKernel(1.0)

@@ -81,6 +81,22 @@ class TestDiagonalGaussian:
         assert np.array_equal(back.means, [g.mean]) and np.array_equal(back.variances, [g.var])
 
 
+class TestGaussianBatch:
+    def test_later_writes_to_the_source_arrays_do_not_reach_the_batch(self):
+        means, variances = np.zeros((3, 2)), np.ones((3, 2))
+        batch = GaussianBatch(means, variances)
+        means[0, 0] = 7.0
+        variances[0, 0] = -5.0
+        assert batch.means[0, 0] == 0.0 and batch.variances[0, 0] == 1.0
+
+    def test_the_batch_arrays_are_read_only(self):
+        batch = GaussianBatch(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            batch.variances[0, 0] = -5.0
+        with pytest.raises(ValueError):
+            batch.means[1] = 1.0
+
+
 class TestScoredDensity:
     def test_gaussian_view_has_all_capabilities(self):
         sd = as_scored(g1([1.0], [2.0]))

@@ -105,6 +105,21 @@ class TestHTerm:
             for j, (q, y2) in enumerate(pairs):
                 assert matrix[i, j] == pytest.approx(h_term(l, p, y, q, y2))
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    def test_matrix_equals_terms_assembled_from_the_bundle(self, d, kernel_cls):
+        # the (n1, n2) product form against the (n1, n2, d) derivative bundle
+        rng = np.random.default_rng(d)
+        y1, y2 = 3.0 + rng.normal(size=(30, d)), 3.0 + rng.normal(size=(20, d))
+        s1, s2 = rng.normal(size=(30, d)), rng.normal(size=(20, d))
+        l = kernel_cls(0.9 * np.sqrt(d))
+        for a, sa, b, sb in ((y1, s1, y2, s2), (y1, s1, y1, s1)):
+            value, grad_y, grad_y2, trace = l.bundle_matrices(a, b)
+            want = (value * (sa @ sb.T) + trace + np.einsum("ia,ija->ij", sa, grad_y2)
+                    + np.einsum("ja,ija->ij", sb, grad_y))
+            got = h_matrix_between(l, sa, a, sb, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_stein_identity_mean_zero(self):
         # expectation of the pairwise term over y ~ p vanishes for fixed (p', y')
         draws = 100_000
@@ -201,6 +216,10 @@ class TestUStatistic:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             u_statistic(np.zeros((1, 1)))
+
+    def test_ignores_the_diagonal(self):
+        m = np.array([[5.0, 1.0, 2.0], [1.0, -7.0, 3.0], [2.0, 3.0, 9.0]])
+        assert u_statistic(m) == pytest.approx(2.0)
 
 
 class TestSkceGTerm:
@@ -323,14 +342,15 @@ class TestSkceMatrix:
 
 class TestWildBootstrap:
     def test_zero_matrix(self):
-        quantile, p_value = wild_bootstrap(np.zeros((4, 4)), 200, 0.05,
-                                           RandomStream(21).derive("b"))
-        assert quantile == 0.0
+        statistic, quantile, p_value = wild_bootstrap(np.zeros((4, 4)), 200, 0.05,
+                                                      RandomStream(21).derive("b"))
+        assert statistic == 0.0 and quantile == 0.0
         assert p_value == 1.0
 
     def test_two_sample_two_point_law(self):
         m = np.array([[0.0, 2.5], [2.5, 0.0]])
-        quantile, p_value = wild_bootstrap(m, 500, 0.05, RandomStream(22).derive("b"))
+        statistic, quantile, p_value = wild_bootstrap(m, 500, 0.05, RandomStream(22).derive("b"))
+        assert statistic == pytest.approx(2.5)
         # replicates are +-2.5 with equal probability, so the 0.95 quantile is +2.5
         assert quantile == pytest.approx(2.5)
         assert p_value == pytest.approx(0.5, abs=0.1)
@@ -345,6 +365,25 @@ class TestWildBootstrap:
         assert result.quantile == pytest.approx(abs(result.statistic))
         if statistic_sign > 0:
             assert result.reject
+
+    def test_constant_sign_replicates_tie_with_the_statistic(self):
+        # With positive entries the statistic is the largest replicate, reached
+        # exactly by the replicates whose signs are all equal; every other
+        # replicate is smaller by far more than rounding. So the p-value counts
+        # exactly those ties, the same as for small integer entries, whose
+        # sums are exact in floating point.
+        rng = np.random.default_rng(30)
+        n, b = 10, 200
+        for seed in range(200):
+            positive = rng.uniform(0.1, 1.0, size=(n, n))
+            exact = rng.integers(1, 10, size=(n, n)).astype(float)
+            for m in (positive, exact):
+                m += m.T
+                np.fill_diagonal(m, 0.0)
+            stream = RandomStream(seed).derive("b")
+            statistic, _, p_value = wild_bootstrap(positive, b, 0.05, stream)
+            assert statistic == pytest.approx(u_statistic(positive), rel=1e-14)
+            assert p_value == wild_bootstrap(exact, b, 0.05, stream)[-1], seed
 
     def test_determinism(self):
         rng = np.random.default_rng(24)
@@ -394,8 +433,10 @@ class TestRunCalibrationTest:
         result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 150, stream)
         k_gram = kernel.gram(data.models, stream.derive("base"))
         matrix = kccsd_stat_matrix(k_gram, l, data)
-        quantile, p_value = wild_bootstrap(matrix, 150, 0.05, stream.derive("bootstrap"))
+        statistic, quantile, p_value = wild_bootstrap(matrix, 150, 0.05,
+                                                      stream.derive("bootstrap"))
         assert result.statistic == pytest.approx(u_statistic(matrix))
+        assert result.statistic == statistic
         assert result.quantile == quantile and result.p_value == p_value
 
     def test_skce_path_runs(self):
