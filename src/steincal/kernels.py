@@ -18,6 +18,8 @@ import numpy as np
 from .models import DiagonalGaussian, GaussianBatch, ModelBatch, as_batch, require_finite
 from .sampling import CapabilityError, RandomStream
 
+# Model pairs per chunk of the second-order heuristic. The chunk size and the order of
+# the draws within a chunk fix its stream layout: changing either changes its output.
 _PAIR_CHUNK = 8192
 _BLOCK_ELEMENTS = 1 << 16  # floats in one (rows, n, d) block of the median heuristic
 
@@ -491,30 +493,38 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
         raise ValueError("second-order heuristic needs a random stream")
     if not isinstance(models, GaussianBatch):
         raise CapabilityError("the second-order heuristic needs diagonal Gaussian models")
-    means, variances = models.means, models.variances
+    means, sd = models.means, np.sqrt(models.variances)
     n, d = means.shape
-    idx_i, idx_j = np.triu_indices(n, k=1)
+    total = n * (n - 1) // 2
+    row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # flat offset of pair (i, i + 1)
     rng = stream.generator()
     s = samples_per_pair
-    a_idx, b_idx = np.triu_indices(s, k=1)
-    med_col = (a_idx.size - 1) // 2
+    med_col = (s * (s - 1) // 2 - 1) // 2
 
-    per_pair = np.empty(idx_i.size)
-    for start in range(0, idx_i.size, _PAIR_CHUNK):
-        ii = idx_i[start:start + _PAIR_CHUNK]
-        jj = idx_j[start:start + _PAIR_CHUNK]
-        count = ii.size
+    per_pair = np.empty(total)
+    for start in range(0, total, _PAIR_CHUNK):
+        count = min(_PAIR_CHUNK, total - start)
+        flat = np.arange(start, start + count)
+        ii = np.searchsorted(row_start, flat, side="right") - 1
+        jj = flat - row_start[ii] + ii + 1
         pick_first = rng.random((count, s)) < 0.5
         xi = rng.standard_normal((count, s, d))
-        mean_sel = np.where(pick_first[..., None], means[ii][:, None, :], means[jj][:, None, :])
-        var_sel = np.where(pick_first[..., None], variances[ii][:, None, :], variances[jj][:, None, :])
-        pts = mean_sel + np.sqrt(var_sel) * xi
-        diff = pts[:, a_idx, :] - pts[:, b_idx, :]
-        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-        dist.sort(axis=1)
-        per_pair[start:start + count] = dist[:, med_col]
+        # sample-major points: comp[a, r] is the component of sample a of pair r
+        comp = pick_first.T.astype(np.intp) * (ii - jj) + jj
+        pts = (sd[comp] * xi.transpose(1, 0, 2) + means[comp]).reshape(s, count * d)
+        # samples a and a + k differ by one slice per lag k; the median ignores pair order
+        diff = np.empty((s * (s - 1) // 2, count * d))
+        for k in range(1, s):
+            row = (k - 1) * (2 * s - k) // 2
+            np.subtract(pts[k:], pts[:-k], out=diff[row:row + s - k])
+        np.square(diff, out=diff)
+        sq = diff if d == 1 else diff.reshape(-1, count, d).sum(axis=-1)
+        sq = sq.T.copy()
+        sq.sort(axis=1)
+        per_pair[start:start + count] = sq[:, med_col]
 
-    value = _lower_median(per_pair)
+    # sqrt is monotone, so the median of squared distances is the squared median
+    value = math.sqrt(_lower_median(per_pair))
     if value <= 0.0:
         raise DegenerateBandwidthError("second-order median distance is zero")
     return value

@@ -162,6 +162,25 @@ def test_degenerate_bandwidth_in_five_dimensions_exits_two(tmp_path, capsys):
     assert "numerical failure: median pairwise distance is zero" in capsys.readouterr().err
 
 
+def test_degenerate_second_order_ground_bandwidth_exits_two(tmp_path, capsys):
+    # every mixture draw of these near point masses rounds to 1.0; the targets differ,
+    # so the target bandwidth is fine and the ground bandwidth is the one that collapses
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({
+        "statistic": {"name": "kccsd"},
+        "dist_kernel": {"variant": "exp_kgfd",
+                        "ground": {"family": "gaussian", "bandwidth": "second_order_median"}},
+    }))
+    data = tmp_path / "point_masses.jsonl"
+    data.write_text("".join(f'{{"model": {{"mean": [1.0], "var": [1e-300]}}, "y": [{i}.5]}}\n'
+                            for i in range(4)))
+    code = cli(["test", "--config", str(config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical failure: second-order median distance is zero" in err
+    assert "Traceback" not in err
+
+
 _KCCSD_WASSERSTEIN = {"statistic": {"name": "kccsd"},
                       "dist_kernel": {"variant": "exp_wasserstein", "sigma": 1.0}}
 

@@ -463,6 +463,27 @@ class TestSecondOrderMedianHeuristic:
         want = sorted(per_pair)[(len(per_pair) - 1) // 2]
         assert got == pytest.approx(want, rel=1e-12)
 
+    # Recorded at the implementation that gathered every sample pair through
+    # np.triu_indices and sorted the square-rooted distances of each model pair.
+    # 130 models make 8385 pairs (two chunks), 300 make 44850 (six chunks).
+    RECORDED = {
+        (130, 1): (1.5646385007367711, 1.8717505541824, 1.605555820701199),
+        (130, 3): (3.4518833305202947, 3.908402869431374, 3.6033430965253097),
+        (130, 9): (6.764982824464356, 7.99630614846405, 7.073968018839986),
+        (300, 1): (1.4927148161747297, 1.853580657540082, 1.5757633675137823),
+        (300, 3): (3.5247905166396403, 3.9924847044917655, 3.6771286715026683),
+        (300, 9): (6.726294668058376, 7.95941154628059, 7.070213610549733),
+    }
+
+    @pytest.mark.parametrize("n, d", sorted(RECORDED))
+    def test_recorded_values_across_chunk_boundaries(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        models = GaussianBatch(rng.normal(scale=2.0, size=(n, d)),
+                               rng.uniform(0.5, 2.5, size=(n, d)))
+        got = tuple(second_order_median_heuristic(models, s, RandomStream(13).derive("bw", n))
+                    for s in (2, 3, 10))
+        assert got == self.RECORDED[(n, d)]
+
     def test_single_pair_converges_to_true_mixture_median(self):
         models = [g1(0.0, 1.0), g1(2.0, 1.0)]
         got = second_order_median_heuristic(models, 2001, RandomStream(7).derive("bw"))
@@ -473,6 +494,12 @@ class TestSecondOrderMedianHeuristic:
         models = [g1(0.0, 1e-300), g1(0.0, 1e-300)]
         got = second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
         assert got < 1e-100
+
+    def test_draws_that_all_round_to_the_mean_are_degenerate(self):
+        # 1.0 + 1e-150 * xi rounds to 1.0 for every draw, so every distance is zero
+        models = [g1(1.0, 1e-300)] * 3
+        with pytest.raises(DegenerateBandwidthError, match="second-order median distance is zero"):
+            second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
 
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
