@@ -55,7 +55,6 @@ from .statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
-    StatMatrix,
     TestResult,
     h_matrix,
     kccsd_stat_matrix,

@@ -243,10 +243,12 @@ class BaseMeasure:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         return cls(dim=samples.shape[1], samples=samples)
 
-    def draw(self, m: int, stream: RandomStream) -> np.ndarray:
+    def draw(self, m: int, stream: Optional[RandomStream]) -> np.ndarray:
         """Frozen samples if present, otherwise m fresh standard-normal points."""
         if self.samples is not None:
             return self.samples
+        if stream is None:
+            raise ValueError("drawing base samples needs a random stream")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         return stream.generator().standard_normal((m, self.dim))
@@ -305,15 +307,23 @@ class ExpGFDKernel(DistributionKernel):
         self.num_base_samples = num_base_samples
 
     def _squared_distances(self, models, stream):
-        z = self.base.draw(self.num_base_samples, _require_stream(self.base, stream))
+        z = self.base.draw(self.num_base_samples, stream)
         scores = models.score_tensor(z)
         n, m, d = scores.shape
         flat = scores.reshape(n, m * d)
+        # the rank-k update below rounds diagonal and off-diagonal entries differently, so
+        # byte-equal rows (+0.0 makes -0.0 and 0.0 equal) are merged to stay exactly 0 apart
+        rows, lead = flat, np.sort(flat[:, 0])
+        if np.any(lead[1:] == lead[:-1]):  # equal rows need equal first entries
+            keyed = np.ascontiguousarray(flat + 0.0)
+            keys = keyed.view(np.dtype((np.void, keyed.itemsize * m * d))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            rows = flat if len(first) == n else keyed[first]
         # numpy runs a @ a.T as one symmetric rank-k update, so inner is exactly symmetric
-        inner = flat @ flat.T
+        inner = rows @ rows.T
         sq = _distances_from_inner(inner)
         sq /= m
-        return sq
+        return sq if rows is flat else sq[np.ix_(inverse, inverse)]
 
 
 class ExpKGFDKernel(DistributionKernel):
@@ -331,7 +341,7 @@ class ExpKGFDKernel(DistributionKernel):
         self.num_base_samples = num_base_samples
 
     def _squared_distances(self, models, stream):
-        z = self.base.draw(self.num_base_samples, _require_stream(self.base, stream))
+        z = self.base.draw(self.num_base_samples, stream)
         m = z.shape[0]
         scores = models.score_tensor(z)
         w = self.ground.gram(z)
@@ -417,12 +427,6 @@ def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
     inner *= 2.0
     out -= inner
     return np.maximum(out, 0.0, out=out)
-
-
-def _require_stream(base: BaseMeasure, stream: Optional[RandomStream]) -> Optional[RandomStream]:
-    if base.samples is None and stream is None:
-        raise ValueError("drawing base samples needs a random stream")
-    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Rademacher wild bootstrap of the same matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,24 +23,6 @@ from .kernels import (
 )
 from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
-
-
-@dataclass(frozen=True, eq=False)
-class StatMatrix:
-    """Symmetric matrix of pairwise statistic terms; the diagonal is unused
-    by the U-statistic and stored as zero."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        object.__setattr__(self, "entries", require_finite(entries, "statistic matrix"))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +73,41 @@ def h_matrix(l: ScalarKernel, data) -> np.ndarray:
     return h_matrix_between(l, scores, data.targets, scores, data.targets)
 
 
-def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> StatMatrix:
-    """Distribution-kernel-weighted Stein terms: entries k(p_i, p_j) h_ij."""
+def _gram_and_dataset(k_gram: np.ndarray, data) -> tuple[np.ndarray, Dataset]:
+    """The shared prologue of the statistic-matrix producers."""
     data = as_dataset(data)
     k_gram = np.asarray(k_gram, dtype=float)
     n = len(data)
     if k_gram.shape != (n, n):
         raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
+    return k_gram, data
+
+
+def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
+    """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
+    k(p_i, p_j) h_ij, with a zero diagonal."""
+    k_gram, data = _gram_and_dataset(k_gram, data)
     entries = h_matrix(l, data)
     entries *= k_gram
     np.fill_diagonal(entries, 0.0)
-    return StatMatrix(entries)
+    return entries
 
 
-def u_statistic(matrix: Union[StatMatrix, np.ndarray]) -> float:
-    """Unbiased off-diagonal average 1/(n(n-1)) sum_{i != j} M_ij."""
-    entries = matrix.entries if isinstance(matrix, StatMatrix) else np.asarray(matrix, dtype=float)
-    n = entries.shape[0]
-    if n < 2:
+def _statistic_entries(matrix) -> np.ndarray:
+    """A statistic matrix as a float array, checked where it is read: square,
+    at least 2 x 2 and finite."""
+    entries = np.asarray(matrix, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("the statistic matrix must be square")
+    if entries.shape[0] < 2:
         raise ValueError("the U-statistic needs at least two samples")
+    return require_finite(entries, "statistic matrix")
+
+
+def u_statistic(matrix: np.ndarray) -> float:
+    """Unbiased off-diagonal average 1/(n(n-1)) sum_{i != j} M_ij."""
+    entries = _statistic_entries(matrix)
+    n = entries.shape[0]
     return float((np.sum(entries) - np.trace(entries)) / (n * (n - 1)))
 
 
@@ -201,17 +199,14 @@ def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStr
 
 def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
                      strategy: ExpectationStrategy,
-                     stream: Optional[RandomStream] = None) -> StatMatrix:
+                     stream: Optional[RandomStream] = None) -> np.ndarray:
     """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair.
 
     Sampled strategies evaluate each unordered pair once (the upper triangle)
-    and mirror it, so the matrix stays symmetric and each term unbiased.
+    and mirror it, so the (n, n) matrix stays symmetric, with a zero diagonal,
+    and each term unbiased.
     """
-    data = as_dataset(data)
-    k_gram = np.asarray(k_gram, dtype=float)
-    n = len(data)
-    if k_gram.shape != (n, n):
-        raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
+    k_gram, data = _gram_and_dataset(k_gram, data)
     if isinstance(strategy, ClosedFormGaussian):
         bracket = _closed_form_bracket(l, data)
     else:
@@ -220,14 +215,14 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
         bracket = _sampled_bracket(l, data, strategy, stream)
     entries = k_gram * bracket
     upper = np.triu(entries, k=1)
-    return StatMatrix(upper + upper.T)
+    return upper + upper.T
 
 
 # ---------------------------------------------------------------------------
 # Wild bootstrap and the full test
 # ---------------------------------------------------------------------------
 
-def wild_bootstrap(matrix: Union[StatMatrix, np.ndarray], n_bootstrap: int, alpha: float,
+def wild_bootstrap(matrix: np.ndarray, n_bootstrap: int, alpha: float,
                    stream: RandomStream) -> tuple[float, float, float]:
     """Rademacher wild bootstrap of the degenerate U-statistic.
 
@@ -242,10 +237,8 @@ def wild_bootstrap(matrix: Union[StatMatrix, np.ndarray], n_bootstrap: int, alph
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    entries = matrix.entries if isinstance(matrix, StatMatrix) else np.asarray(matrix, dtype=float)
+    entries = _statistic_entries(matrix)
     n = entries.shape[0]
-    if n < 2:
-        raise ValueError("the U-statistic needs at least two samples")
     if np.any(np.diagonal(entries)):
         entries = entries.copy()
         np.fill_diagonal(entries, 0.0)
@@ -275,15 +268,7 @@ class TestResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "quantile": self.quantile,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "bootstrap_count": self.bootstrap_count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

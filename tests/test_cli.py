@@ -8,7 +8,7 @@ import pytest
 
 from steincal.cli import cli
 from steincal.harness import read_csv, write_dataset
-from steincal.models import ScoredDensity, SyntheticSetup, sample_setup
+from steincal.models import Dataset, GaussianBatch, ScoredDensity, SyntheticSetup, sample_setup
 from steincal.sampling import RandomStream
 
 
@@ -178,6 +178,27 @@ def test_degenerate_second_order_ground_bandwidth_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "numerical failure: second-order median distance is zero" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["exp_gfd", "exp_kgfd"])
+def test_mostly_identical_models_exit_two(variant, tmp_path, capsys):
+    # 325 of the 435 model pairs are identical, so the median distance and with it
+    # sigma are zero for both score kernels, whatever their rounding
+    rng = np.random.default_rng(3)
+    mu, v = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+    means = np.vstack([mu + rng.normal(size=(4, 2)), np.tile(mu, (26, 1))])
+    data = Dataset(GaussianBatch(means, np.tile(v, (30, 1))), rng.normal(size=(30, 2)))
+    path = tmp_path / "duplicates.jsonl"
+    with open(path, "w") as fh:
+        write_dataset(data, fh)
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({"statistic": {"name": "kccsd"},
+                                  "dist_kernel": {"variant": variant}, "seed": 4}))
+    code = cli(["test", "--config", str(config), "--data", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical failure: median pairwise distance is zero" in err
     assert "Traceback" not in err
 
 

@@ -259,6 +259,21 @@ class TestExpGFD:
         with pytest.raises(ValueError):
             pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 11), (5, 6), (8, 4)])
+    def test_mostly_identical_models_give_a_degenerate_sigma(self, d, seed):
+        # 325 of the 435 pairs are identical, so the median distance is zero; a
+        # plain rank-k update left these duplicates about 1e-14 apart, and sigma 1e-7
+        rng = np.random.default_rng(seed)
+        mu, v = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        models = GaussianBatch(np.vstack([mu + rng.normal(size=(4, d)), np.tile(mu, (26, 1))]),
+                               np.tile(v, (30, 1)))
+        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(d))
+        sq = kernel.squared_distances(models, RandomStream(0).derive("base"))
+        assert np.all(sq[4:, 4:] == 0.0)
+        assert np.array_equal(sq, sq.T) and np.all(sq[:4, :4][~np.eye(4, dtype=bool)] > 0.0)
+        with pytest.raises(DegenerateBandwidthError):
+            kernel.gram(models, RandomStream(0).derive("base"))
+
 
 class _ConstantGround:
     """Ground-kernel test double that is identically one."""
@@ -273,6 +288,11 @@ class TestKGFD:
         g = g1([0.1], [1.0])
         z = np.random.default_rng(2).normal(size=(5, 1))
         assert kgfd(g, g, z, GaussianKernel(1.0)) == 0.0
+
+    def test_requires_stream_without_frozen_base(self):
+        kernel = ExpKGFDKernel(1.0, BaseMeasure.standard_gaussian(1), GaussianKernel(1.0))
+        with pytest.raises(ValueError, match="needs a random stream"):
+            pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
     def test_constant_difference_factorizes_to_ground_mean(self):
         p, q = g1(0.0, 1.0), g1(1.0, 1.0)
@@ -423,6 +443,17 @@ class TestMedianHeuristic:
     def test_duplicate_points_in_five_dimensions_degenerate(self):
         with pytest.raises(DegenerateBandwidthError):
             median_heuristic(np.tile([0.5, 1.0, -2.0, 0.0, 3.0], (5, 1)))
+
+    @pytest.mark.parametrize("seed", [2, 4, 8])
+    def test_non_dyadic_duplicates_degenerate(self, seed):
+        # 136 of the 190 pairs are copies of one row, so the median distance is
+        # zero. The differences of equal rows are exact zeros; the product form
+        # ||a||^2 + ||b||^2 - 2 <a, b> of squared_distance_matrix leaves a median of
+        # 7e-9 to 1e-8 at these seeds, which is why the heuristic does not use it
+        rng = np.random.default_rng(seed)
+        points = np.vstack([np.tile(rng.normal(size=5), (17, 1)), rng.normal(size=(3, 5))])
+        with pytest.raises(DegenerateBandwidthError):
+            median_heuristic(points)
 
     def test_even_count_uses_lower_median(self):
         # distances of {0,1,2,4}: 1,2,4,1,3,2 -> sorted 1,1,2,2,3,4 -> lower median 2

@@ -24,7 +24,6 @@ from steincal.statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
-    StatMatrix,
     h_matrix,
     h_matrix_between,
     kccsd_stat_matrix,
@@ -52,7 +51,7 @@ def h_term(l, p, y, q, y2):
 def skce_pair(k, l, p, y, q, y2, strategy, stream=None):
     """Calibration-error term between (p, y) and (q, y2), read off a two-pair matrix."""
     matrix = skce_stat_matrix(np.full((2, 2), float(k)), l, [(p, y), (q, y2)], strategy, stream)
-    return matrix.entries[0, 1]
+    return matrix[0, 1]
 
 
 def random_dataset(rng, count, dim):
@@ -148,18 +147,45 @@ class TestHTerm:
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(draws)
 
 
+def _bootstrap(matrix):
+    return wild_bootstrap(matrix, 10, 0.05, RandomStream(0))
+
+
+_READERS = [pytest.param(u_statistic, id="u_statistic"),
+            pytest.param(_bootstrap, id="wild_bootstrap")]
+
+
 class TestStatMatrix:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StatMatrix(np.zeros((2, 3)))
-        with pytest.raises(NumericalError):
-            StatMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        # the readers check the plain (n, n) arrays the producers return
+        for read in (u_statistic, _bootstrap):
+            for shape in [(2, 3), (4,), (2, 2, 2)]:
+                with pytest.raises(ValueError, match="must be square"):
+                    read(np.zeros(shape))
+            for n in (0, 1):
+                with pytest.raises(ValueError, match="at least two samples"):
+                    read(np.zeros((n, n)))
+
+    @pytest.mark.parametrize("read", _READERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_readers_reject_a_non_finite_matrix(self, read, bad):
+        matrix = np.zeros((3, 3))
+        matrix[0, 2] = matrix[2, 0] = bad
+        with pytest.raises(NumericalError, match="statistic matrix is not finite"):
+            read(matrix)
+
+    def test_producers_return_plain_arrays(self):
+        pairs = random_dataset(np.random.default_rng(9), 3, 1)
+        l = GaussianKernel(1.0)
+        for matrix in (kccsd_stat_matrix(np.ones((3, 3)), l, pairs),
+                       skce_stat_matrix(np.ones((3, 3)), l, pairs, ClosedFormGaussian())):
+            assert type(matrix) is np.ndarray and matrix.shape == (3, 3)
 
     def test_kccsd_matrix_zeroes_the_diagonal(self):
         rng = np.random.default_rng(5)
         pairs = random_dataset(rng, 4, 1)
         matrix = kccsd_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), pairs)
-        assert np.all(np.diag(matrix.entries) == 0.0)
+        assert np.all(np.diag(matrix) == 0.0)
 
     def test_constant_distribution_kernel_recovers_plain_stein_matrix(self):
         rng = np.random.default_rng(6)
@@ -168,7 +194,7 @@ class TestStatMatrix:
         matrix = kccsd_stat_matrix(np.ones((5, 5)), l, pairs)
         want = h_matrix(l, pairs)
         np.fill_diagonal(want, 0.0)
-        assert matrix.entries == pytest.approx(want)
+        assert matrix == pytest.approx(want)
 
     def test_entries_are_gram_times_stein_terms(self):
         rng = np.random.default_rng(7)
@@ -180,7 +206,7 @@ class TestStatMatrix:
         for i, (p, y) in enumerate(pairs):
             for j, (q, y2) in enumerate(pairs):
                 if i != j:
-                    assert matrix.entries[i, j] == pytest.approx(
+                    assert matrix[i, j] == pytest.approx(
                         k_gram[i, j] * h_term(l, p, y, q, y2))
 
     def test_gram_shape_mismatch(self):
@@ -306,15 +332,15 @@ class TestSkceMatrix:
                                + gaussian_kernel_expectation(p.mean, p.var + q.var, q.mean,
                                                              gamma))
                     want = k_gram[i, j] * bracket
-                    assert matrix.entries[i, j] == pytest.approx(want)
+                    assert matrix[i, j] == pytest.approx(want)
 
     def test_sampled_matrix_is_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(14)
         pairs = random_dataset(rng, 5, 1)
         matrix = skce_stat_matrix(np.ones((5, 5)), GaussianKernel(1.0), pairs,
                                   ExactSampler(3), RandomStream(15).derive("s"))
-        assert np.array_equal(matrix.entries, matrix.entries.T)
-        assert np.all(np.diag(matrix.entries) == 0.0)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 0.0)
 
     def test_exact_sampler_matrix_converges_to_closed_form(self):
         rng = np.random.default_rng(16)
@@ -324,7 +350,7 @@ class TestSkceMatrix:
         m = 1024
         sampled = skce_stat_matrix(np.ones((4, 4)), l, pairs, ExactSampler(m),
                                    RandomStream(17).derive("s"))
-        assert np.max(np.abs(sampled.entries - closed.entries)) <= 3.0 / np.sqrt(m)
+        assert np.max(np.abs(sampled - closed)) <= 3.0 / np.sqrt(m)
 
     def test_mala_strategy_runs_on_gaussian_models(self):
         rng = np.random.default_rng(18)
@@ -332,7 +358,7 @@ class TestSkceMatrix:
         strategy = MalaSampler(2, MalaConfig(step_size=0.01, n_steps=5))
         matrix = skce_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), pairs,
                                   strategy, RandomStream(19).derive("m"))
-        assert np.array_equal(matrix.entries, matrix.entries.T)
+        assert np.array_equal(matrix, matrix.T)
 
     def test_sampled_strategy_needs_stream(self):
         pairs = random_dataset(np.random.default_rng(20), 3, 1)
