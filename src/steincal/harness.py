@@ -7,12 +7,13 @@ it is the one field that would break byte-identical output.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Callable, Sequence, Union
 
 import numpy as np
 
@@ -41,32 +42,10 @@ from .statistics import (
     run_calibration_test,
 )
 
-CSV_HEADER = ("family", "delta", "n", "rep", "statistic_name", "dist_kernel",
-              "target_kernel", "statistic_value", "quantile", "p_value",
-              "reject", "seed", "wall_time_ms")
-
 DIST_KERNEL_VARIANTS = ("exp_gfd", "exp_kgfd", "exp_mmd", "exp_wasserstein")
 
-# The keys each variant, statistic and strategy mode reads; any other key is an error.
-_DIST_KERNEL_KEYS = {
-    "exp_gfd": ("variant", "sigma", "base_samples"),
-    "exp_kgfd": ("variant", "sigma", "base_samples", "ground"),
-    "exp_mmd": ("variant", "sigma", "ground", "mode", "samples"),
-    "exp_wasserstein": ("variant", "sigma"),
-}
-_STATISTIC_KEYS = {"kccsd": ("name",), "skce": ("name", "strategy")}
-_STRATEGY_KEYS = {
-    "closed_form": ("mode",),
-    "exact_sampler": ("mode", "samples"),
-    "mala": ("mode", "samples", "step_size", "steps", "burn_in"),
-}
 _STRATEGY_MODES = {ClosedFormGaussian: "closed_form", ExactSampler: "exact_sampler",
                    MalaSampler: "mala"}
-_SCALAR_KERNEL_KEYS = ("family", "bandwidth")
-_SETUP_KEYS = ("family", "delta", "mgm_shift")
-_TEST_KEYS = ("statistic", "dist_kernel", "target_kernel", "alpha", "bootstrap", "seed")
-_EXPERIMENT_KEYS = ("statistic", "dist_kernel", "target_kernel", "alpha", "bootstrap",
-                    "master_seed", "setup", "n_grid", "repetitions", "record_timings")
 
 
 class ConfigError(ValueError):
@@ -85,10 +64,27 @@ def _format_bandwidth(value: Union[float, str]) -> str:
     return value if isinstance(value, str) else format(value, ".17g")
 
 
+def _check_bandwidth(value: Union[float, str], token: str, label: str) -> None:
+    if (value != token) if isinstance(value, str) else not value > 0:
+        raise ConfigError(f"{label}: must be a number > 0 or {token!r}")
+
+
+def _check_scalar_kernel(family: str, bandwidth: Union[float, str], token: str,
+                         where: str) -> None:
+    if family not in ("gaussian", "imq"):
+        raise ConfigError(f"{where}family: must be 'gaussian' or 'imq'")
+    _check_bandwidth(bandwidth, token, where + "bandwidth")
+
+
 @dataclass(frozen=True)
 class TargetKernelSpec:
+    """Checked when built; errors name the ``target_kernel`` config field."""
+
     family: str = "gaussian"
     bandwidth: Union[float, str] = "median"  # explicit value or "median"
+
+    def __post_init__(self):
+        _check_scalar_kernel(self.family, self.bandwidth, "median", "target_kernel.")
 
     def describe(self) -> str:
         return f"{self.family}(bandwidth={_format_bandwidth(self.bandwidth)})"
@@ -96,6 +92,8 @@ class TargetKernelSpec:
 
 @dataclass(frozen=True)
 class DistKernelSpec:
+    """Checked when built; errors name the ``dist_kernel`` config field."""
+
     variant: str
     sigma: Union[float, str] = "median"  # explicit value or "median"
     base_samples: int = 10
@@ -103,6 +101,15 @@ class DistKernelSpec:
     ground_bandwidth: Union[float, str] = "second_order_median"
     mmd_mode: str = "closed_form"
     mmd_samples: int = 10
+
+    def __post_init__(self):
+        if self.variant not in DIST_KERNEL_VARIANTS:
+            raise ConfigError(f"dist_kernel.variant: must be one of {DIST_KERNEL_VARIANTS}")
+        _check_bandwidth(self.sigma, "median", "dist_kernel.sigma")
+        _check_scalar_kernel(self.ground_family, self.ground_bandwidth, "second_order_median",
+                             "dist_kernel.ground.")
+        if self.mmd_mode not in ("closed_form", "sampled"):
+            raise ConfigError("dist_kernel.mode: must be 'closed_form' or 'sampled'")
 
     def describe(self) -> str:
         sigma = _format_bandwidth(self.sigma)
@@ -163,6 +170,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row; the fields are the columns, in order."""
+
     family: str
     delta: float
     n: int
@@ -178,155 +187,157 @@ class ResultRow:
     wall_time_ms: float
 
 
-def _field(obj: dict, key: str, kind, default=None, required=False, where=""):
-    label = f"{where}{key}"
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{label}: missing required field")
-        return default
-    value = obj[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large
-            raise ConfigError(f"{label}: must be a finite number")
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+# The writer and the reader of a CSV cell, by the declared type of a ResultRow field
+_CSV_CELLS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (lambda x: format(float(x), ".17g"), float),
+    "bool": (lambda b: "true" if b else "false", {"true": True, "false": False}.__getitem__),
+}
+_CSV_COLUMNS = [(field.name, *_CSV_CELLS[field.type]) for field in dataclasses.fields(ResultRow)]
+CSV_HEADER = tuple(name for name, _, _ in _CSV_COLUMNS)
+
+_REQUIRED = object()
+
+
+class _Reader:
+    """Typed reads of one JSON object's fields, each named ``where + key`` in its errors.
+
+    A parser reads exactly the keys its variant or mode uses, then calls
+    :meth:`done`, which rejects the first key that no read asked for.
+    """
+
+    def __init__(self, obj: dict, where: str):
+        self.obj, self.where, self.keys = obj, where, []
+
+    def __call__(self, key: str, kind, default=_REQUIRED, minimum=None):
+        """``obj[key]``, or ``default`` when absent. ``kind`` is a type or a tuple of
+        types; a number read as ``float`` must be finite and comes back a float, and a
+        bool is accepted only as ``bool``."""
+        self.keys.append(key)
+        label = self.where + key
+        if key not in self.obj:
+            if default is _REQUIRED:
+                raise ConfigError(f"{label}: missing required field")
+            return default
+        value = self.obj[key]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large
+                raise ConfigError(f"{label}: must be a finite number")
+            value = float(value)
+        elif not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{label}: expected {expected}, got {type(value).__name__}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{label}: must be >= {minimum}")
         return value
-    if kind in (str, bool, dict, list) and isinstance(value, kind):
-        return value
-    raise ConfigError(f"{label}: expected {kind.__name__}, got {type(value).__name__}")
+
+    def done(self) -> None:
+        for key in self.obj:
+            if key not in self.keys:
+                raise ConfigError(f"{self.where}{key}: unknown key "
+                                  f"(allowed: {', '.join(self.keys)})")
 
 
-def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
-    """Raise :class:`ConfigError` naming the first key of ``obj`` not in ``allowed``."""
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}{key}: unknown key (allowed: {', '.join(allowed)})")
+def _scalar_kernel_fields(obj: dict, where: str, family: str,
+                          bandwidth: Union[float, str]) -> tuple:
+    """``family`` and ``bandwidth`` of a scalar kernel object, the given ones when absent."""
+    r = _Reader(obj, where)
+    fields = r("family", str, family), r("bandwidth", (float, str), bandwidth)
+    r.done()
+    return fields
 
 
-def _bandwidth_field(obj: dict, key: str, allowed_token: str, default, where: str):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, str):
-        if value != allowed_token:
-            raise ConfigError(f"{where}{key}: expected a number or {allowed_token!r}")
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large
-            raise ConfigError(f"{where}{key}: must be a finite number")
-        if value <= 0:
-            raise ConfigError(f"{where}{key}: must be > 0")
-        return float(value)
-    raise ConfigError(f"{where}{key}: expected a number or {allowed_token!r}")
+def parse_target_kernel(obj: dict) -> TargetKernelSpec:
+    default = TargetKernelSpec()
+    return TargetKernelSpec(*_scalar_kernel_fields(obj, "target_kernel.", default.family,
+                                                   default.bandwidth))
 
 
-def _scalar_kernel_fields(obj: dict, median_token: str, where: str) -> tuple:
-    _require_known_keys(obj, _SCALAR_KERNEL_KEYS, where)
-    family = _field(obj, "family", str, default="gaussian", where=where)
-    if family not in ("gaussian", "imq"):
-        raise ConfigError(f"{where}family: must be 'gaussian' or 'imq'")
-    return family, _bandwidth_field(obj, "bandwidth", median_token, median_token, where)
+def parse_dist_kernel(obj: dict) -> DistKernelSpec:
+    r = _Reader(obj, "dist_kernel.")
+    spec = DistKernelSpec(r("variant", str))  # checks the variant; holds the defaults
+    fields = {"sigma": r("sigma", (float, str), spec.sigma)}
+    if spec.variant in ("exp_gfd", "exp_kgfd"):
+        fields["base_samples"] = r("base_samples", int, spec.base_samples, minimum=1)
+    ground = r("ground", dict, {}) if spec.variant in ("exp_kgfd", "exp_mmd") else {}
+    if spec.variant == "exp_mmd":
+        fields["mmd_mode"] = r("mode", str, spec.mmd_mode)
+        fields["mmd_samples"] = r("samples", int, spec.mmd_samples, minimum=1)
+    r.done()
+    fields["ground_family"], fields["ground_bandwidth"] = _scalar_kernel_fields(
+        ground, "dist_kernel.ground.", spec.ground_family, spec.ground_bandwidth)
+    return dataclasses.replace(spec, **fields)
 
 
-def parse_target_kernel(obj: dict, where: str = "target_kernel.") -> TargetKernelSpec:
-    return TargetKernelSpec(*_scalar_kernel_fields(obj, "median", where))
-
-
-def parse_dist_kernel(obj: dict, where: str = "dist_kernel.") -> DistKernelSpec:
-    variant = _field(obj, "variant", str, required=True, where=where)
-    if variant not in DIST_KERNEL_VARIANTS:
-        raise ConfigError(f"{where}variant: must be one of {DIST_KERNEL_VARIANTS}")
-    _require_known_keys(obj, _DIST_KERNEL_KEYS[variant], where)
-    sigma = _bandwidth_field(obj, "sigma", "median", "median", where)
-    base_samples = _field(obj, "base_samples", int, default=10, where=where)
-    if base_samples < 1:
-        raise ConfigError(f"{where}base_samples: must be >= 1")
-    ground = _field(obj, "ground", dict, default={}, where=where)
-    ground_family, ground_bandwidth = _scalar_kernel_fields(ground, "second_order_median",
-                                                            where + "ground.")
-    mmd_mode = _field(obj, "mode", str, default="closed_form", where=where)
-    if mmd_mode not in ("closed_form", "sampled"):
-        raise ConfigError(f"{where}mode: must be 'closed_form' or 'sampled'")
-    mmd_samples = _field(obj, "samples", int, default=10, where=where)
-    if mmd_samples < 1:
-        raise ConfigError(f"{where}samples: must be >= 1")
-    return DistKernelSpec(variant=variant, sigma=sigma, base_samples=base_samples,
-                          ground_family=ground_family, ground_bandwidth=ground_bandwidth,
-                          mmd_mode=mmd_mode, mmd_samples=mmd_samples)
-
-
-def parse_statistic(obj: dict, where: str = "statistic.") -> StatisticSpec:
-    name = _field(obj, "name", str, required=True, where=where)
+def parse_statistic(obj: dict) -> StatisticSpec:
+    r = _Reader(obj, "statistic.")
+    name = r("name", str)
     if name not in ("kccsd", "skce"):
-        raise ConfigError(f"{where}name: must be 'kccsd' or 'skce'")
-    _require_known_keys(obj, _STATISTIC_KEYS[name], where)
+        raise ConfigError("statistic.name: must be 'kccsd' or 'skce'")
+    strategy = r("strategy", dict, {}) if name == "skce" else None
+    r.done()
     if name == "kccsd":
         return KCCSD()
-    strategy = _field(obj, "strategy", dict, default={}, where=where)
-    where += "strategy."
-    mode = _field(strategy, "mode", str, default="closed_form", where=where)
-    if mode not in _STRATEGY_KEYS:
-        raise ConfigError(f"{where}mode: must be 'closed_form', 'exact_sampler' or 'mala'")
-    _require_known_keys(strategy, _STRATEGY_KEYS[mode], where)
+    s = _Reader(strategy, "statistic.strategy.")
+    mode = s("mode", str, "closed_form")
+    if mode not in _STRATEGY_MODES.values():
+        raise ConfigError("statistic.strategy.mode: must be 'closed_form', 'exact_sampler' "
+                          "or 'mala'")
     if mode == "closed_form":
-        return SKCE(ClosedFormGaussian())
-    samples = _field(strategy, "samples", int, default=10, where=where)
-    if samples < 1:
-        raise ConfigError(f"{where}samples: must be >= 1")
-    if mode == "exact_sampler":
-        return SKCE(ExactSampler(samples))
-    step_size = _field(strategy, "step_size", float, default=0.01, where=where)
-    if step_size <= 0:
-        raise ConfigError(f"{where}step_size: must be > 0")
-    steps = _field(strategy, "steps", int, default=5, where=where)
-    if steps < 1:
-        raise ConfigError(f"{where}steps: must be >= 1")
-    burn_in = _field(strategy, "burn_in", int, default=0, where=where)
-    if burn_in < 0:
-        raise ConfigError(f"{where}burn_in: must be >= 0")
-    return SKCE(MalaSampler(samples, MalaConfig(step_size, n_steps=steps, burn_in=burn_in)))
+        built = ClosedFormGaussian()
+    elif mode == "exact_sampler":
+        built = ExactSampler(s("samples", int, 10, minimum=1))
+    else:
+        samples, step_size = s("samples", int, 10, minimum=1), s("step_size", float, 0.01)
+        if step_size <= 0:
+            raise ConfigError("statistic.strategy.step_size: must be > 0")
+        built = MalaSampler(samples, MalaConfig(step_size, n_steps=s("steps", int, 5, minimum=1),
+                                                burn_in=s("burn_in", int, 0, minimum=0)))
+    s.done()
+    return SKCE(built)
 
 
-def parse_setup(obj: dict, where: str = "setup.") -> SyntheticSetup:
-    _require_known_keys(obj, _SETUP_KEYS, where)
-    family = _field(obj, "family", str, required=True, where=where)
-    delta = _field(obj, "delta", float, default=0.0, where=where)
-    mgm_shift = _field(obj, "mgm_shift", str, default="all", where=where)
+def parse_setup(obj: dict) -> SyntheticSetup:
+    r = _Reader(obj, "setup.")
+    fields = dict(family=r("family", str), delta=r("delta", float, 0.0),
+                  mgm_shift=r("mgm_shift", str, "all"))
+    r.done()
     try:
-        return SyntheticSetup(family=family, delta=delta, mgm_shift=mgm_shift)
+        return SyntheticSetup(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from exc
+        raise ConfigError(f"setup.{exc}") from exc
 
 
-def _parse_test_fields(obj: dict, seed_key: str) -> TestConfig:
-    return TestConfig(
-        statistic=parse_statistic(_field(obj, "statistic", dict, required=True)),
-        dist_kernel=parse_dist_kernel(_field(obj, "dist_kernel", dict, required=True)),
-        target_kernel=parse_target_kernel(_field(obj, "target_kernel", dict, default={})),
-        alpha=_field(obj, "alpha", float, default=0.05),
-        bootstrap=_field(obj, "bootstrap", int, default=500),
-        seed=_field(obj, seed_key, int, default=0),
-    )
+def _read_test_fields(r: _Reader, seed_key: str) -> Callable[[], TestConfig]:
+    """Read the top-level keys a test and a sweep share. The returned callable
+    parses the nested objects, once the caller has checked for unknown keys."""
+    statistic, dist_kernel = r("statistic", dict), r("dist_kernel", dict)
+    target_kernel = r("target_kernel", dict, {})
+    alpha, bootstrap = r("alpha", float, 0.05), r("bootstrap", int, 500)
+    seed = r(seed_key, int, 0)
+    return lambda: TestConfig(parse_statistic(statistic), parse_dist_kernel(dist_kernel),
+                              parse_target_kernel(target_kernel), alpha, bootstrap, seed)
 
 
 def parse_test_config(obj: dict) -> TestConfig:
-    _require_known_keys(obj, _TEST_KEYS, "")
-    return _parse_test_fields(obj, "seed")
+    r = _Reader(obj, "")
+    build_test = _read_test_fields(r, "seed")
+    r.done()
+    return build_test()
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
-    _require_known_keys(obj, _EXPERIMENT_KEYS, "")
-    setup = parse_setup(_field(obj, "setup", dict, required=True))
-    n_grid = _field(obj, "n_grid", list, required=True)
+    r = _Reader(obj, "")
+    build_test = _read_test_fields(r, "master_seed")
+    setup, n_grid = r("setup", dict), r("n_grid", list)
+    repetitions, record_timings = r("repetitions", int, 100), r("record_timings", bool, False)
+    r.done()
+    setup = parse_setup(setup)
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in n_grid):
         raise ConfigError("n_grid: entries must be integers")
-    return ExperimentConfig(
-        setup=setup,
-        n_grid=tuple(n_grid),
-        test=_parse_test_fields(obj, "master_seed"),
-        repetitions=_field(obj, "repetitions", int, default=100),
-        record_timings=_field(obj, "record_timings", bool, default=False),
-    )
+    return ExperimentConfig(setup, tuple(n_grid), build_test(), repetitions, record_timings)
 
 
 def load_json_object(path: str) -> dict:
@@ -362,6 +373,9 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: ModelBatch,
     if spec.variant == "exp_gfd":
         return ExpGFDKernel(sigma, base, spec.base_samples)
     if isinstance(spec.ground_bandwidth, str):
+        if len(models) < 2:
+            raise ConfigError("dist_kernel.ground.bandwidth: 'second_order_median' needs "
+                              "at least two models")
         ground_bw = second_order_median_heuristic(models, stream=bandwidth_stream)
     else:
         ground_bw = spec.ground_bandwidth
@@ -443,30 +457,14 @@ def rejection_rates(rows: Sequence[ResultRow]) -> dict[tuple[str, float, int], f
 # File formats
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(rows: Sequence[ResultRow], path: str) -> None:
-    """Fixed-header CSV with 17-significant-digit floats (lossless round trip)."""
+    """One column per :class:`ResultRow` field, floats with 17 significant digits
+    (a lossless round trip) and bools as ``true``/``false``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for row in rows:
-            fh.write(",".join([
-                row.family,
-                _format_float(row.delta),
-                str(row.n),
-                str(row.rep),
-                row.statistic_name,
-                row.dist_kernel,
-                row.target_kernel,
-                _format_float(row.statistic_value),
-                _format_float(row.quantile),
-                _format_float(row.p_value),
-                "true" if row.reject else "false",
-                str(row.seed),
-                _format_float(row.wall_time_ms),
-            ]) + "\n")
+            fh.write(",".join([write(getattr(row, name)) for name, write, _ in _CSV_COLUMNS])
+                     + "\n")
 
 
 def read_csv(path: str) -> list[ResultRow]:
@@ -481,14 +479,8 @@ def read_csv(path: str) -> list[ResultRow]:
                 raise DatasetFormatError(f"{path}: line {lineno}: expected "
                                          f"{len(CSV_HEADER)} fields, got {len(parts)}")
             try:
-                rows.append(ResultRow(
-                    family=parts[0], delta=float(parts[1]), n=int(parts[2]),
-                    rep=int(parts[3]), statistic_name=parts[4], dist_kernel=parts[5],
-                    target_kernel=parts[6], statistic_value=float(parts[7]),
-                    quantile=float(parts[8]), p_value=float(parts[9]),
-                    reject={"true": True, "false": False}[parts[10]],
-                    seed=int(parts[11]), wall_time_ms=float(parts[12]),
-                ))
+                rows.append(ResultRow(*[parse(part) for (_, _, parse), part
+                                        in zip(_CSV_COLUMNS, parts)]))
             except (ValueError, KeyError) as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
     return rows

@@ -285,9 +285,11 @@ class DistributionKernel(ABC):
         sq = require_finite(self.squared_distances(models, stream), "squared distance")
         sigma = self.sigma
         if sigma is None:
-            # sqrt is monotone: this is the lower median of the distances themselves
-            upper = np.concatenate([sq[i, i + 1:] for i in range(len(sq) - 1)])
-            sigma = math.sqrt(_positive_median(upper))
+            # sorted, sq starts with its n diagonal zeros and holds each of the N pairs
+            # i < j twice, so entry n + N - 1 is their lower median; sqrt is monotone:
+            # this is the lower median of the distances themselves
+            n = len(sq)
+            sigma = math.sqrt(_positive_median(sq, k=n + n * (n - 1) // 2 - 1))
         out = np.divide(sq, -2.0 * sigma ** 2)
         np.exp(out, out=out)
         np.fill_diagonal(out, 1.0)
@@ -442,9 +444,10 @@ def _lower_median(values: np.ndarray) -> float:
     return float(np.partition(values, k)[k])
 
 
-def _positive_median(sq: np.ndarray) -> float:
-    """Lower median of pairwise squared distances; zero is a degenerate bandwidth."""
-    value = _lower_median(sq)
+def _positive_median(sq: np.ndarray, k: Optional[int] = None) -> float:
+    """Lower median of pairwise squared distances, or element ``k`` of all of ``sq``
+    sorted when ``k`` is given; zero is a degenerate bandwidth."""
+    value = _lower_median(sq) if k is None else float(np.partition(sq, k, axis=None)[k])
     if value <= 0.0:
         raise DegenerateBandwidthError("median pairwise distance is zero")
     return value

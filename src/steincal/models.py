@@ -304,11 +304,11 @@ class SyntheticSetup:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+            raise ValueError(f"family: must be one of {FAMILIES}, got {self.family!r}")
         if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+            raise ValueError(f"delta: must be >= 0, got {self.delta}")
         if self.mgm_shift not in (MGM_SHIFT_ALL, MGM_SHIFT_FIRST):
-            raise ValueError(f"mgm_shift must be 'all' or 'first', got {self.mgm_shift!r}")
+            raise ValueError(f"mgm_shift: must be 'all' or 'first', got {self.mgm_shift!r}")
 
     @property
     def input_dim(self) -> int:

@@ -275,6 +275,10 @@ _GOOD_EXPERIMENT = dict(_GOOD_TEST, setup={"family": "lgm"}, n_grid=[8], repetit
     pytest.param("test", dict(_GOOD_TEST, target_kernel={"bandwith": 0.5}),
                  "target_kernel.bandwith", id="test-target_kernel"),
     pytest.param("test", dict(_GOOD_TEST, master_seed=1), "master_seed", id="test-master_seed"),
+    *[pytest.param("test", dict(_GOOD_TEST, **{key: _GOOD_EXPERIMENT[key]}), key, id=f"test-{key}")
+      for key in ("setup", "n_grid", "repetitions")],
+    pytest.param("test", dict(_GOOD_TEST, record_timings=True), "record_timings",
+                 id="test-record_timings"),
     pytest.param("experiment", dict(_GOOD_EXPERIMENT, seed=1), "seed", id="experiment-seed"),
     pytest.param("experiment", dict(_GOOD_EXPERIMENT, setup={"family": "lgm", "detla": 0.5}),
                  "setup.detla", id="experiment-setup"),
@@ -292,6 +296,25 @@ def test_unknown_config_key_exits_one_naming_the_key(command, config, key, datas
     assert code == 1
     assert f"error: {key}: unknown key" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["exp_kgfd", "exp_mmd"])
+def test_gram_of_one_model_with_a_second_order_ground_exits_one(variant, tmp_path, capsys):
+    data = tmp_path / "one.jsonl"
+    data.write_text('{"mean": [0.5, 1.0], "var": [1.0, 2.0]}\n')
+    config = tmp_path / "gram.json"
+    config.write_text(json.dumps({"dist_kernel": {"variant": variant}}))
+    code = cli(["gram", "--config", str(config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("error: dist_kernel.ground.bandwidth: 'second_order_median' needs at least "
+            "two models") in err
+    assert "Traceback" not in err
+    # with an explicit ground bandwidth the one-model Gram is the 1 x 1 matrix of ones
+    config.write_text(json.dumps({"dist_kernel": {"variant": variant,
+                                                  "ground": {"bandwidth": 1.0}}}))
+    assert cli(["gram", "--config", str(config), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_alpha_and_seed_overrides_reach_the_test_result(test_config, dataset_file, capsys):

@@ -78,6 +78,9 @@ class TestConfigParsing:
          "statistic.strategy.step_size: must be a finite number"),
         ({"dist_kernel": {"variant": "exp_gfd", "sigma": 10 ** 400}},
          "dist_kernel.sigma: must be a finite number"),
+        ({"setup": {"family": "nope"}}, "setup.family: "),
+        ({"setup": {"family": "lgm", "delta": -0.5}}, "setup.delta: "),
+        ({"setup": {"family": "mgm", "mgm_shift": "last"}}, "setup.mgm_shift: "),
     ])
     def test_validation_errors_name_the_field(self, patch, fragment):
         with pytest.raises(ConfigError) as err:
@@ -105,6 +108,26 @@ class TestConfigParsing:
         ({"seed": 7}, "seed"),
         ({"setup": {"family": "lgm", "detla": 0.5}}, "setup.detla"),
         ({"target_kernel": {"bandwith": 0.5}}, "target_kernel.bandwith"),
+        # every key that only a sibling variant or mode reads
+        ({"dist_kernel": {"variant": "exp_gfd", "mode": "sampled"}}, "dist_kernel.mode"),
+        ({"dist_kernel": {"variant": "exp_gfd", "samples": 5}}, "dist_kernel.samples"),
+        ({"dist_kernel": {"variant": "exp_kgfd", "samples": 5}}, "dist_kernel.samples"),
+        ({"dist_kernel": {"variant": "exp_wasserstein", "base_samples": 5}},
+         "dist_kernel.base_samples"),
+        ({"dist_kernel": {"variant": "exp_wasserstein", "mode": "sampled"}}, "dist_kernel.mode"),
+        ({"dist_kernel": {"variant": "exp_wasserstein", "samples": 5}}, "dist_kernel.samples"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "step_size": 0.1}}},
+         "statistic.strategy.step_size"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "steps": 4}}},
+         "statistic.strategy.steps"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "burn_in": 1}}},
+         "statistic.strategy.burn_in"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "exact_sampler", "step_size": 0.1}}},
+         "statistic.strategy.step_size"),
+        ({"statistic": {"name": "skce", "strategy": {"mode": "exact_sampler", "burn_in": 1}}},
+         "statistic.strategy.burn_in"),
+        ({"dist_kernel": {"variant": "exp_mmd", "ground": {"family": "imq", "sigma": 1.0}}},
+         "dist_kernel.ground.sigma"),
     ])
     def test_unknown_keys_are_named(self, patch, fragment):
         with pytest.raises(ConfigError) as err:
@@ -121,6 +144,52 @@ class TestConfigParsing:
     ])
     def test_every_key_a_variant_reads_is_accepted(self, dist_kernel):
         parse_experiment_config(minimal_config(dist_kernel=dist_kernel))
+
+    @pytest.mark.parametrize("parse, obj", [
+        pytest.param(parse_test_config, {
+            "statistic": {"name": "kccsd"}, "dist_kernel": {"variant": "exp_gfd"},
+            "target_kernel": {"family": "imq", "bandwidth": 1.0}, "alpha": 0.1,
+            "bootstrap": 10, "seed": 2}, id="test"),
+        pytest.param(parse_experiment_config, minimal_config(
+            target_kernel={"family": "gaussian", "bandwidth": "median"}, alpha=0.1,
+            record_timings=True, setup={"family": "mgm", "delta": 0.5, "mgm_shift": "first"}),
+            id="experiment-and-setup"),
+        pytest.param(parse_test_config, {
+            "statistic": {"name": "skce", "strategy": {"mode": "closed_form"}},
+            "dist_kernel": {"variant": "exp_mmd", "ground": {"family": "gaussian"}}},
+            id="closed_form"),
+        pytest.param(parse_test_config, {
+            "statistic": {"name": "skce", "strategy": {"mode": "exact_sampler", "samples": 3}},
+            "dist_kernel": {"variant": "exp_mmd", "ground": {"bandwidth": 0.5}}},
+            id="exact_sampler"),
+        pytest.param(parse_test_config, {
+            "statistic": {"name": "skce", "strategy": {"mode": "mala", "samples": 2,
+                                                       "step_size": 0.1, "steps": 2,
+                                                       "burn_in": 1}},
+            "dist_kernel": {"variant": "exp_mmd"}}, id="mala"),
+    ])
+    def test_every_key_an_object_reads_is_accepted(self, parse, obj):
+        parse(obj)
+
+    @pytest.mark.parametrize("spec, kwargs, field", [
+        (DistKernelSpec, {"variant": "exp_gfdd"}, "dist_kernel.variant"),
+        (DistKernelSpec, {"variant": "exp_gfd", "sigma": "auto"}, "dist_kernel.sigma"),
+        (DistKernelSpec, {"variant": "exp_gfd", "sigma": -1.0}, "dist_kernel.sigma"),
+        (DistKernelSpec, {"variant": "exp_kgfd", "ground_family": "laplace"},
+         "dist_kernel.ground.family"),
+        (DistKernelSpec, {"variant": "exp_kgfd", "ground_bandwidth": "median"},
+         "dist_kernel.ground.bandwidth"),
+        (DistKernelSpec, {"variant": "exp_mmd", "ground_bandwidth": 0.0},
+         "dist_kernel.ground.bandwidth"),
+        (DistKernelSpec, {"variant": "exp_mmd", "mmd_mode": "exact"}, "dist_kernel.mode"),
+        (TargetKernelSpec, {"family": "laplace"}, "target_kernel.family"),
+        (TargetKernelSpec, {"bandwidth": "auto"}, "target_kernel.bandwidth"),
+        (TargetKernelSpec, {"bandwidth": "second_order_median"}, "target_kernel.bandwidth"),
+    ])
+    def test_specs_check_their_fields_when_built(self, spec, kwargs, field):
+        with pytest.raises(ConfigError) as err:
+            spec(**kwargs)
+        assert str(err.value).startswith(f"{field}: ")
 
     def test_missing_required_field(self):
         obj = minimal_config()

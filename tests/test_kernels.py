@@ -595,6 +595,32 @@ class TestGram:
         assert matrix.shape == (6, 6)
         assert np.all((matrix > 0) & (matrix <= 1.0))
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(ExpWassersteinKernel, id="exp_wasserstein"),
+        pytest.param(lambda sigma: ExpGFDKernel(
+            sigma, BaseMeasure.frozen(np.random.default_rng(7).normal(size=(5, 2)))),
+            id="exp_gfd"),
+    ])
+    @pytest.mark.parametrize("n, distinct", [(2, 1), (7, 1), (5, 2), (6, 3), (24, 3), (25, 4),
+                                             (40, 6), (8, 8)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_median_sigma_on_duplicated_models_is_the_upper_triangle_lower_median(
+            self, make, n, distinct, seed):
+        rng = np.random.default_rng(seed)
+        pick = rng.integers(0, distinct, size=n)
+        means = rng.normal(size=(distinct, 2))[pick]
+        variances = np.repeat(rng.uniform(0.5, 2.0, size=(distinct, 1)), 2, axis=1)[pick]
+        models = GaussianBatch(means, variances)
+        sq = make(None).squared_distances(models)
+        upper = sorted(sq[i, j] for i in range(n) for j in range(i + 1, n))
+        median = upper[(len(upper) - 1) // 2]
+        if median == 0.0:
+            with pytest.raises(DegenerateBandwidthError):
+                make(None).gram(models)
+        else:
+            want = make(float(np.sqrt(median))).gram(models)
+            assert np.array_equal(make(None).gram(models), want)
+
     def _psd_check(self, kernel, models, stream=None):
         matrix = kernel.gram(models, stream)
         assert np.allclose(matrix, matrix.T)
