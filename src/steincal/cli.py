@@ -22,8 +22,8 @@ from .harness import (
     DatasetFormatError,
     TestConfig,
     load_json_object,
-    parse_dist_kernel,
     parse_experiment_config,
+    parse_gram_config,
     parse_test_config,
     read_dataset,
     read_models,
@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p_gram = sub.add_parser("gram", help="Gram matrix of a model file")
-    p_gram.add_argument("--config", required=True, help="JSON with a dist_kernel spec")
+    p_gram.add_argument("--config", required=True,
+                        help='a dist_kernel object, bare or as {"dist_kernel": ...}')
     p_gram.add_argument("--data", default=None, help="models JSONL (default: stdin)")
     p_gram.add_argument("--seed", type=int, default=0, help="seed for base samples")
     p_gram.add_argument("--out", default=None, help="output CSV path (default: stdout)")
@@ -116,8 +117,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    obj = load_json_object(args.config)
-    spec = parse_dist_kernel(obj.get("dist_kernel", obj))
+    spec = parse_gram_config(load_json_object(args.config))
     models = _read_data(read_models, args.data)
     stream = RandomStream(args.seed)
     kernel = resolve_dist_kernel(spec, models, stream.derive("bandwidth"))

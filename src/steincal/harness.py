@@ -271,6 +271,16 @@ def parse_dist_kernel(obj: dict) -> DistKernelSpec:
     return dataclasses.replace(spec, **fields)
 
 
+def parse_gram_config(obj: dict) -> DistKernelSpec:
+    """A `steincal gram` config: a dist-kernel object, bare or as the one key ``dist_kernel``."""
+    if "dist_kernel" not in obj:
+        return parse_dist_kernel(obj)
+    r = _Reader(obj, "")
+    dist_kernel = r("dist_kernel", dict)
+    r.done()
+    return parse_dist_kernel(dist_kernel)
+
+
 def parse_statistic(obj: dict) -> StatisticSpec:
     r = _Reader(obj, "statistic.")
     name = r("name", str)

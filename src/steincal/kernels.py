@@ -22,6 +22,8 @@ from .sampling import CapabilityError, RandomStream
 # the draws within a chunk fix its stream layout: changing either changes its output.
 _PAIR_CHUNK = 8192
 _BLOCK_ELEMENTS = 1 << 16  # floats in one (rows, n, d) block of the median heuristic
+_ROW_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n2) block of a pairwise matrix
+_ROW_TILE = 48  # a block's first row is a multiple of this; see row_blocks
 
 
 class DegenerateBandwidthError(ValueError):
@@ -69,26 +71,20 @@ class ScalarKernel(ABC):
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
         return self._f(squared_distance_matrix(points, points2))
 
-    def bundle_matrices(self, points: np.ndarray, points2: np.ndarray):
-        """Pairwise bundle between two stacks of points.
+    def mean_gram(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int) -> np.ndarray:
+        """Matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l]).
 
-        Returns (value (n1,n2), grad_y (n1,n2,d), grad_y' (n1,n2,d),
-        mixed_trace (n1,n2)) where entry [i, j] is evaluated at
-        (points[i], points2[j]).
+        That is the (n1 m, n2 m2) Gram averaged over its m x m2 blocks. It is
+        formed a few groups of m rows at a time, each group averaged as soon as
+        it is formed, with the same bytes as averaging the whole Gram.
         """
-        points, points2 = _point_stacks(points, points2)
-        d = points.shape[1]
-        diff = points[:, None, :] - points2[None, :, :]
-        sq = np.sum(diff ** 2, axis=-1)
-        value = self._f(sq)
-        f1 = self._f1(value)
-        f2 = self._f2(value)
-        # l = f(||y - y'||^2): grad_y = 2 f' diff, grad_y' = -grad_y,
-        # sum_a d^2 l / dy_a dy'_a = -2 d f' - 4 ||y - y'||^2 f''
-        grad_y = 2.0 * f1[..., None] * diff
-        grad_y2 = -grad_y
-        mixed_trace = -2.0 * d * f1 - 4.0 * sq * f2
-        return value, grad_y, grad_y2, mixed_trace
+        rows_of = squared_distance_rows(points, points2)
+        n1, n2 = len(points) // m, len(points2) // m2
+        out = np.empty((n1, n2))
+        for start, stop in row_blocks(n1 * m, n2 * m2, multiple=m):
+            block = self._f(rows_of(start, stop))
+            out[start // m:stop // m] = block.reshape(-1, m, n2, m2).mean(axis=(1, 3))
+        return out
 
 
 class GaussianKernel(ScalarKernel):
@@ -145,27 +141,66 @@ def squared_distance_matrix(points: np.ndarray, points2: Optional[np.ndarray] = 
     Otherwise it is ||a||^2 + ||b||^2 - 2 <a, b> with both stacks centred at
     the mean of ``points``, which keeps the cancellation small, and clamped at
     0. Without ``points2`` (or with ``points2 is points``) the diagonal is
-    exactly 0.
+    exactly 0. It is the one-block case of :func:`squared_distance_rows`.
+    """
+    return squared_distance_rows(points, points2)()
+
+
+def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = None):
+    """Rows of :func:`squared_distance_matrix` on demand: a function ``rows(start, stop)``
+    that returns the (stop - start, n2) block of rows [start, stop), all rows by default.
+
+    The centre (the mean of all of ``points``), the squared norms and the operand
+    that takes the -2 are fixed from the whole stacks, so every block holds the
+    same bytes as the same rows of the whole matrix.
     """
     same = points2 is None or points2 is points
     points, points2 = _point_stacks(points, points if same else points2)
     if points.shape[1] == 1:
-        out = np.subtract.outer(points[:, 0], points2[:, 0])
-        return np.square(out, out=out)
+        x, y = points[:, 0], points2[:, 0]
+
+        def outer_rows(start=0, stop=None):
+            out = np.subtract.outer(x[start:stop], y)
+            return np.square(out, out=out)
+        return outer_rows
     center = points.mean(axis=0)
     a = points - center
     b = a if same else points2 - center
-    # the -2 goes into the smaller operand, and the norms are added in place
-    if a.shape[0] <= b.shape[0]:
-        out = (-2.0 * a) @ b.T
-    else:
-        out = a @ (-2.0 * b).T
-    out += np.einsum("ia,ia->i", a, a)[:, None]
-    out += np.einsum("ja,ja->j", b, b)[None, :]
-    np.maximum(out, 0.0, out=out)
-    if same:
-        np.fill_diagonal(out, 0.0)
-    return out
+    norms_a = np.einsum("ia,ia->i", a, a)
+    norms_b = np.einsum("ja,ja->j", b, b)
+    # the -2 goes into the smaller operand of the whole product
+    left, right = (-2.0 * a, b) if len(a) <= len(b) else (a, -2.0 * b)
+
+    def product_rows(start=0, stop=None):
+        out = left[start:stop] @ right.T
+        out += norms_a[start:stop, None]
+        out += norms_b[None, :]
+        np.maximum(out, 0.0, out=out)
+        if same:
+            np.fill_diagonal(out[:, start:start + len(out)], 0.0)
+        return out
+    return product_rows
+
+
+def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
+    """Row ranges [start, stop) that cut an (n1, n2) matrix into blocks of about
+    ``_ROW_BLOCK_ELEMENTS`` floats.
+
+    Every block starts at a multiple of ``multiple`` and of ``_ROW_TILE`` rows,
+    and a tail shorter than half a block joins the block before it. BLAS tiles
+    the rows of a product in groups that divide ``_ROW_TILE``, and it sends a
+    single row, or a product of few entries, through other routines: blocks cut
+    this way are formed by the same kernels, in the same order, as the same rows
+    of the whole product. That holds with one BLAS thread. With several, BLAS
+    splits a product between its threads by the product's shape, so the last
+    bits of a whole product and of its blocks can differ.
+    """
+    step = math.lcm(_ROW_TILE, multiple)
+    rows = step * max(1, _ROW_BLOCK_ELEMENTS // max(1, n2 * step))
+    stops = list(range(rows, n1, rows)) + [n1]
+    if len(stops) > 1 and n1 - stops[-2] < rows // 2:
+        del stops[-2]
+    return list(zip([0] + stops[:-1], stops))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +310,9 @@ class DistributionKernel(ABC):
 
     @abstractmethod
     def _squared_distances(self, models: ModelBatch, stream: Optional[RandomStream]) -> np.ndarray:
-        """:meth:`squared_distances` on a model batch. Exact symmetry is part of
-        the contract: :meth:`gram` neither symmetrises nor reads below the diagonal."""
+        """:meth:`squared_distances` on a model batch, as a new array: :meth:`gram`
+        writes the Gram over it. Exact symmetry is part of the contract: :meth:`gram`
+        neither symmetrises nor reads below the diagonal."""
 
     def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         models = as_batch(models)
@@ -290,10 +326,10 @@ class DistributionKernel(ABC):
             # this is the lower median of the distances themselves
             n = len(sq)
             sigma = math.sqrt(_positive_median(sq, k=n + n * (n - 1) // 2 - 1))
-        out = np.divide(sq, -2.0 * sigma ** 2)
-        np.exp(out, out=out)
-        np.fill_diagonal(out, 1.0)
-        return out
+        np.divide(sq, -2.0 * sigma ** 2, out=sq)
+        np.exp(sq, out=sq)
+        np.fill_diagonal(sq, 1.0)
+        return sq
 
 
 class ExpGFDKernel(DistributionKernel):
@@ -349,7 +385,8 @@ class ExpKGFDKernel(DistributionKernel):
         w = self.ground.gram(z)
         smoothed = np.einsum("ikd,kl->ild", scores, w)
         inner = np.einsum("ild,jld->ij", smoothed, scores)
-        inner = 0.5 * (inner + inner.T)
+        inner += inner.T  # numpy reads the overlapping inner.T from a copy
+        inner *= 0.5
         sq = _distances_from_inner(inner)
         sq /= m ** 2
         return sq
@@ -388,16 +425,19 @@ class ExpMMDKernel(DistributionKernel):
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
         cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
-        return _distances_from_inner(0.5 * (cross + cross.T))
+        cross += cross.T
+        cross *= 0.5
+        return _distances_from_inner(cross)
 
     def _sampled(self, models, stream):
         if stream is None:
             raise ValueError("sampled MMD needs a random stream")
         n, m = len(models), self.num_samples
-        draws = models.sample(m, stream.derive("mmd-samples"))
-        big = self.ground.gram(draws.reshape(n * m, models.dim))
-        blocks = big.reshape(n, m, n, m).mean(axis=(1, 3))
-        return _distances_from_inner(0.5 * (blocks + blocks.T))
+        draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
+        blocks = self.ground.mean_gram(draws, m, draws, m)
+        blocks += blocks.T
+        blocks *= 0.5
+        return _distances_from_inner(blocks)
 
 
 class ExpWassersteinKernel(DistributionKernel):
@@ -423,12 +463,15 @@ class ExpWassersteinKernel(DistributionKernel):
 
 def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
     """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from a symmetric inner-product
-    matrix, which it overwrites. The result is exactly symmetric with a zero diagonal."""
+    matrix, written over it in row blocks and returned. The result is exactly
+    symmetric with a zero diagonal."""
     diag = np.diag(inner).copy()
-    out = diag[:, None] + diag[None, :]
-    inner *= 2.0
-    out -= inner
-    return np.maximum(out, 0.0, out=out)
+    for start, stop in row_blocks(len(inner), len(inner)):
+        block = inner[start:stop]
+        block *= 2.0
+        np.subtract(diag[start:stop, None] + diag[None, :], block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return inner
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from .kernels import (
     ScalarKernel,
     UnsupportedKernelError,
     double_expectation_gram,
+    row_blocks,
     single_expectation_gram,
-    squared_distance_matrix,
+    squared_distance_rows,
 )
 from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -35,34 +36,42 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
 
     Entry [i, j] is
     ``l(y_i, y'_j) <s_i, s'_j> + trace + <s_i, grad_y' l> + <s'_j, grad_y l>``,
-    the terms of :meth:`ScalarKernel.bundle_matrices`. For l = f(||y - y'||^2)
-    that is ``f <s_i, s'_j> - 4 ||y_i - y'_j||^2 f''
+    where ``trace`` is the trace of the mixed second derivative of l. For
+    l = f(||y - y'||^2) that is ``f <s_i, s'_j> - 4 ||y_i - y'_j||^2 f''
     + 2 f' (<s'_j, y_i> - <s'_j, y'_j> - <s_i, y_i> + <s_i, y'_j> - d)``,
     so every term is an (n1, n2) product and no (n1, n2, d) tensor is formed.
     The bracket is invariant to a shift of the targets; they are centred first.
+    The score product is formed whole; the other terms are formed in row blocks
+    (:func:`steincal.kernels.row_blocks`) and added into it, so the output is the
+    only (n1, n2) array.
     """
     scores1, scores2 = np.asarray(scores1, dtype=float), np.asarray(scores2, dtype=float)
     targets1, targets2 = np.asarray(targets1, dtype=float), np.asarray(targets2, dtype=float)
     n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
-    sq = squared_distance_matrix(targets1, targets2)
-    value = l._f(sq)
+    sq_rows = squared_distance_rows(targets1, targets2)
     h = scores1 @ scores2.T
-    h *= value
-    f2 = l._f2(value)
-    f2 *= sq
-    f2 *= 4.0
-    h -= f2
-    del sq, f2  # two fewer (n1, n2) arrays alive during the bracket product
     center = targets1.mean(axis=0)
     y1, y2 = targets1 - center, targets2 - center
     # 2 (<s_i, y'_j> + <y_i, s'_j> - <s_i, y_i> - d - <s'_j, y'_j>) as one product
-    left = np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
-                      np.ones((n1, 1))])
+    left = 2.0 * np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
+                            np.ones((n1, 1))])
     right = np.hstack([y2, scores2, np.ones((n2, 1)),
                        -np.einsum("ja,ja->j", scores2, y2)[:, None]])
-    bracket = (2.0 * left) @ right.T
-    bracket *= l._f1(value)
-    h += bracket
+    for start, stop in row_blocks(n1, n2):
+        block = h[start:stop]
+        sq = sq_rows(start, stop)
+        value = l._f(sq)
+        block *= value
+        f2 = l._f2(value)
+        f2 *= sq
+        f2 *= 4.0
+        block -= f2
+        del sq, f2  # each temporary goes as soon as it is used up
+        bracket = left[start:stop] @ right.T
+        bracket *= l._f1(value)
+        del value
+        block += bracket
+        del bracket
     return h
 
 
@@ -190,10 +199,9 @@ def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStr
     n, m, d = batch_a.shape
     value = l.gram(targets)
     # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k)
-    term2 = l.gram(batch_a.reshape(n * m, d), targets).reshape(n, m, n).mean(axis=1)
-    term3 = l.gram(batch_b.reshape(n * m, d), targets).reshape(n, m, n).mean(axis=1).T
-    cross = l.gram(batch_c.reshape(n * m, d), batch_d.reshape(n * m, d))
-    term4 = cross.reshape(n, m, n, m).mean(axis=(1, 3))
+    term2 = l.mean_gram(batch_a.reshape(n * m, d), m, targets, 1)
+    term3 = l.mean_gram(batch_b.reshape(n * m, d), m, targets, 1).T
+    term4 = l.mean_gram(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
     return value - term2 - term3 + term4
 
 
@@ -245,7 +253,11 @@ def wild_bootstrap(matrix: np.ndarray, n_bootstrap: int, alpha: float,
 
     rng = stream.generator()
     signs = np.ones((n_bootstrap + 1, n))
-    signs[1:][rng.random((n_bootstrap, n)) < 0.5] = -1.0
+    # -1 where u < 0.5; u = 0.5 gives +0.0 and so +1
+    u = rng.random((n_bootstrap, n))
+    u -= 0.5
+    np.copysign(1.0, u, out=signs[1:])
+    del u
     values = np.einsum("bi,bi->b", signs @ entries, signs) / (n * (n - 1))
     statistic, replicates = float(values[0]), values[1:]
 
@@ -313,6 +325,7 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
                                   stream.derive(label))
     else:
         raise TypeError(f"unknown statistic spec {statistic!r}")
+    del k_gram  # the bootstrap reads only the statistic matrix
     value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
                                               stream.derive("bootstrap"))
     return TestResult(

@@ -3,7 +3,11 @@
 Everything here recomputes expected values through a different route than the
 library: central finite differences, plain Monte Carlo, explicit double
 loops, and bisection. Keep these free of steincal internals beyond the plain
-data types.
+data types; a kernel enters as its profile functions.
+
+The ``dense_*`` functions are the exception: they are the whole-matrix forms of
+the library's row-blocked pairwise products, element for element the same
+arithmetic, so the blocked forms must match them bit for bit.
 """
 import numpy as np
 from scipy import special
@@ -42,6 +46,88 @@ def fd_h_term(kernel_fn, score_p, score_q, y, y2, step=1e-5):
     s1 = score_p(np.asarray(y, float))
     s2 = score_q(np.asarray(y2, float))
     return value * float(s1 @ s2) + trace + float(s1 @ grad_y2) + float(s2 @ grad_y)
+
+
+def fd_stein_terms(kernel_fn, scores1, y, scores2, y2, step=1e-5):
+    """Matrix [i, j] of Stein terms at one pair of points (y, y2) for score rows
+    scores1[i] and scores2[j], from finite-difference kernel derivatives."""
+    value, grad_y, grad_y2, trace = fd_kernel_bundle(kernel_fn, y, y2, step)
+    return (value * (scores1 @ scores2.T) + trace + (scores1 @ grad_y2)[:, None]
+            + (scores2 @ grad_y)[None, :])
+
+
+def stein_terms_by_differences(f, f1, f2, scores1, points1, scores2, points2):
+    """Stein terms [i, j] from the explicit (n1, n2, d) derivative bundle of
+    l = f(||y - y'||^2); ``f1`` and ``f2`` map the value f to f' and f''."""
+    d = points1.shape[1]
+    diff = points1[:, None, :] - points2[None, :, :]
+    sq = np.sum(diff ** 2, axis=-1)
+    value = f(sq)
+    d1, d2 = f1(value), f2(value)
+    grad_y = 2.0 * d1[..., None] * diff  # grad_y' = -grad_y
+    trace = -2.0 * d * d1 - 4.0 * sq * d2
+    return (value * (scores1 @ scores2.T) + trace - np.einsum("ia,ija->ij", scores1, grad_y)
+            + np.einsum("ja,ija->ij", scores2, grad_y))
+
+
+def dense_squared_distances(points, points2=None):
+    """Whole-matrix ||points[i] - points2[j]||^2: the outer difference at d = 1, else the
+    centred product with the -2 in the smaller operand; zero diagonal without points2."""
+    same = points2 is None
+    points2 = points if same else points2
+    if points.shape[1] == 1:
+        return np.subtract.outer(points[:, 0], points2[:, 0]) ** 2
+    center = points.mean(axis=0)
+    a, b = points - center, points2 - center
+    out = (-2.0 * a) @ b.T if len(a) <= len(b) else a @ (-2.0 * b).T
+    out += np.einsum("ia,ia->i", a, a)[:, None]
+    out += np.einsum("ja,ja->j", b, b)[None, :]
+    np.maximum(out, 0.0, out=out)
+    if same:
+        np.fill_diagonal(out, 0.0)
+    return out
+
+
+def dense_stein_terms(f, f1, f2, scores1, targets1, scores2, targets2, same=False):
+    """Whole-matrix Stein terms in the product form; ``same`` marks one stack against itself."""
+    n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
+    sq = dense_squared_distances(targets1, None if same else targets2)
+    value = f(sq)
+    h = scores1 @ scores2.T
+    h *= value
+    h -= 4.0 * (f2(value) * sq)
+    center = targets1.mean(axis=0)
+    y1, y2 = targets1 - center, targets2 - center
+    left = np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
+                      np.ones((n1, 1))])
+    right = np.hstack([y2, scores2, np.ones((n2, 1)),
+                       -np.einsum("ja,ja->j", scores2, y2)[:, None]])
+    h += ((2.0 * left) @ right.T) * f1(value)
+    return h
+
+
+def dense_mean_gram(f, points, m, points2, m2):
+    """[i, j] = mean over k < m, l < m2 of f(||points[i m + k] - points2[j m2 + l]||^2),
+    averaged from the whole Gram; ``points2`` None is ``points`` against itself."""
+    gram = f(dense_squared_distances(points, points2))
+    return gram.reshape(len(points) // m, m, gram.shape[1] // m2, m2).mean(axis=(1, 3))
+
+
+def dense_sampled_bracket(f, targets, batch_a, batch_b, batch_c, batch_d):
+    """Whole-matrix sampled calibration-error bracket l - E l - E l + E E l from four
+    (n, m, d) sample batches."""
+    n, m, d = batch_a.shape
+    term2 = f(dense_squared_distances(batch_a.reshape(n * m, d), targets))
+    term3 = f(dense_squared_distances(batch_b.reshape(n * m, d), targets))
+    term4 = dense_mean_gram(f, batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
+    return (f(dense_squared_distances(targets)) - term2.reshape(n, m, n).mean(axis=1)
+            - term3.reshape(n, m, n).mean(axis=1).T + term4)
+
+
+def dense_distances_from_inner(inner):
+    """max(d_i + d_j - 2 inner_ij, 0) for the whole matrix, d the diagonal of ``inner``."""
+    diag = np.diag(inner)
+    return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0)
 
 
 def squared_distances_by_differences(points, points2):

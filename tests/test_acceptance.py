@@ -47,7 +47,7 @@ from steincal.statistics import (
 )
 
 from oracles import (
-    fd_kernel_bundle,
+    fd_stein_terms,
     mc_gaussian_kernel_double,
     mc_gaussian_kernel_single,
 )
@@ -211,20 +211,21 @@ def test_criterion_08_kernel_correctness_oracles():
     if abs(sampled - closed) > 3.0 / np.sqrt(m_mmd):
         problems.append("sampled mmd")
 
-    # derivative bundles vs central finite differences, 1e-4 relative
+    # Stein terms vs the same terms from central finite differences, 1e-4 relative; with
+    # the zero score and the unit scores on each side, the (d + 1, d + 1) matrix of terms
+    # at one pair of points holds the kernel value, both gradients and the mixed trace
     rng = np.random.default_rng(113)
     for kernel_cls in (GaussianKernel, IMQKernel):
         for _ in range(200):
             d = int(rng.integers(1, 4))
             kernel = kernel_cls(rng.uniform(0.5, 2.0))
             y1, y2 = rng.normal(size=d), rng.normal(size=d)
-            value, grad_y, grad_y2, trace = kernel.bundle_matrices(y1[None], y2[None])
-            got = (value[0, 0], grad_y[0, 0], grad_y2[0, 0], trace[0, 0])
-            want = fd_kernel_bundle(lambda a, b: kernel(a, b), y1, y2)
-            for lhs, rhs in zip(got, want):
-                err = np.abs(np.asarray(lhs) - np.asarray(rhs))
-                if np.any(err > 1e-4 * np.maximum(np.abs(np.asarray(lhs)), 1.0)):
-                    problems.append(f"bundle {kernel_cls.__name__}")
+            scores = np.vstack([np.zeros(d), np.eye(d)])
+            got = h_matrix_between(kernel, scores, np.tile(y1, (d + 1, 1)),
+                                   scores, np.tile(y2, (d + 1, 1)))
+            want = fd_stein_terms(lambda a, b: kernel(a, b), scores, y1, scores, y2)
+            if np.any(np.abs(got - want) > 1e-4 * np.maximum(np.abs(got), 1.0)):
+                problems.append(f"stein terms {kernel_cls.__name__}")
     report("criterion 8 kernel correctness oracles", not problems,
            "all oracles within tolerance" if not problems else "; ".join(problems))
 

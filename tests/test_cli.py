@@ -48,6 +48,13 @@ def test_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def gram_config(tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dist_kernel": {"variant": "exp_gfd"}}))
+    return path
+
+
 def test_experiment_subcommand_writes_expected_rows(experiment_config, tmp_path):
     out = tmp_path / "rows.csv"
     code = cli(["experiment", "--config", str(experiment_config), "--out", str(out)])
@@ -102,6 +109,16 @@ def test_gram_subcommand(tmp_path, dataset_file, capsys):
     assert matrix.shape == (20, 20)
     assert np.allclose(np.diag(matrix), 1.0)
     assert np.allclose(matrix, matrix.T)
+
+
+def test_gram_reads_a_bare_dist_kernel_object(tmp_path, dataset_file, capsys):
+    outputs = []
+    for config in ({"variant": "exp_gfd"}, {"dist_kernel": {"variant": "exp_gfd"}}):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(config))
+        assert cli(["gram", "--config", str(path), "--data", str(dataset_file)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 20
 
 
 def test_unknown_flag_exits_one_with_usage(experiment_config, tmp_path, capsys):
@@ -238,23 +255,26 @@ _NON_FINITE_TARGET = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [-Infinity]}
 @pytest.mark.parametrize("command, bad_line",
                          [("test", line) for line in _NON_FINITE_MODELS + [_NON_FINITE_TARGET]]
                          + [("gram", line) for line in _NON_FINITE_MODELS])
-def test_non_finite_input_exits_one_naming_the_line(command, bad_line, test_config, tmp_path,
-                                                    capsys):
+def test_non_finite_input_exits_one_naming_the_line(command, bad_line, test_config, gram_config,
+                                                    tmp_path, capsys):
     good = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
     data = tmp_path / "nonfinite.jsonl"
     data.write_text(good + bad_line + "\n" + good)
-    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    config = gram_config if command == "gram" else test_config
+    code = cli([command, "--config", str(config), "--data", str(data)])
     assert code == 1
     assert "line 2: NaN or Infinity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["test", "gram"])
-def test_mixed_dimensions_exit_one_naming_the_line(command, test_config, tmp_path, capsys):
+def test_mixed_dimensions_exit_one_naming_the_line(command, test_config, gram_config, tmp_path,
+                                                   capsys):
     data = tmp_path / "mixed.jsonl"
     data.write_text('{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
                     '{"model": {"mean": [0.5], "var": [1.0]}, "y": [0.75]}\n'
                     '{"model": {"mean": [0.0, 1.0], "var": [1.0, 1.0]}, "y": [0.5, 0.5]}\n')
-    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    config = gram_config if command == "gram" else test_config
+    code = cli([command, "--config", str(config), "--data", str(data)])
     err = capsys.readouterr().err
     assert code == 1
     assert "line 3: dimension 2 differs from dimension 1 on line 1" in err
@@ -269,7 +289,7 @@ _GOOD_EXPERIMENT = dict(_GOOD_TEST, setup={"family": "lgm"}, n_grid=[8], repetit
 
 @pytest.mark.parametrize("command, config, key", [
     pytest.param("test", _SIGAM, "dist_kernel.sigam", id="test"),
-    pytest.param("gram", _SIGAM, "dist_kernel.sigam", id="gram"),
+    pytest.param("gram", {"dist_kernel": _SIGAM["dist_kernel"]}, "dist_kernel.sigam", id="gram"),
     pytest.param("test", dict(_GOOD_TEST, bootstap=7, target_kernel={"bandwith": 0.5}),
                  "bootstap", id="test-top-level"),
     pytest.param("test", dict(_GOOD_TEST, target_kernel={"bandwith": 0.5}),
@@ -282,6 +302,11 @@ _GOOD_EXPERIMENT = dict(_GOOD_TEST, setup={"family": "lgm"}, n_grid=[8], repetit
     pytest.param("experiment", dict(_GOOD_EXPERIMENT, seed=1), "seed", id="experiment-seed"),
     pytest.param("experiment", dict(_GOOD_EXPERIMENT, setup={"family": "lgm", "detla": 0.5}),
                  "setup.detla", id="experiment-setup"),
+    pytest.param("gram", {"dist_kernel": {"variant": "exp_gfd"}, "sigam": 1.0}, "sigam",
+                 id="gram-top-level"),
+    pytest.param("gram", _GOOD_TEST, "statistic", id="gram-test-config"),
+    pytest.param("gram", {"variant": "exp_gfd", "sigam": 1.0}, "dist_kernel.sigam",
+                 id="gram-bare"),
 ])
 def test_unknown_config_key_exits_one_naming_the_key(command, config, key, dataset_file,
                                                      tmp_path, capsys):
@@ -381,12 +406,13 @@ _BAD_MODEL_LINES = {
 
 @pytest.mark.parametrize("command", ["test", "gram"])
 @pytest.mark.parametrize("bad_line", _BAD_MODEL_LINES.values(), ids=_BAD_MODEL_LINES.keys())
-def test_bad_model_line_exits_one_naming_the_line(command, bad_line, test_config, tmp_path,
-                                                  capsys):
+def test_bad_model_line_exits_one_naming_the_line(command, bad_line, test_config, gram_config,
+                                                  tmp_path, capsys):
     good = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
     data = tmp_path / "bad_model.jsonl"
     data.write_text(good + bad_line + "\n" + good)
-    code = cli([command, "--config", str(test_config), "--data", str(data)])
+    config = gram_config if command == "gram" else test_config
+    code = cli([command, "--config", str(config), "--data", str(data)])
     err = capsys.readouterr().err
     assert code == 1
     assert "line 2" in err

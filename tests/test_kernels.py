@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steincal import kernels
 from steincal.kernels import (
     BaseMeasure,
     DegenerateBandwidthError,
@@ -17,12 +18,17 @@ from steincal.kernels import (
     second_order_median_heuristic,
     single_expectation_gram,
     squared_distance_matrix,
+    squared_distance_rows,
 )
 from steincal.models import DiagonalGaussian, GaussianBatch, ScoredDensity
 from steincal.sampling import CapabilityError, RandomStream
+from steincal.statistics import h_matrix_between
 
 from oracles import (
     brute_force_kgfd,
+    dense_distances_from_inner,
+    dense_mean_gram,
+    dense_squared_distances,
     direct_gfd,
     fd_kernel_bundle,
     mc_gaussian_kernel_double,
@@ -43,10 +49,17 @@ def random_gaussians(rng, count, dim, spread=2.0):
 
 
 def bundle_at(kernel, y, y2):
-    """Derivative bundle at one pair of points, read off the (1, 1) matrices."""
-    value, gy, gy2, tr = kernel.bundle_matrices(np.atleast_1d(y)[None, :],
-                                                np.atleast_1d(y2)[None, :])
-    return value[0, 0], gy[0, 0], gy2[0, 0], tr[0, 0]
+    """Derivative bundle (value, grad_y, grad_y', mixed trace) at one pair of points, read
+    off the Stein terms of the zero score and the unit scores: term [0, 0] is the trace,
+    [1 + a, 0] adds grad_y'[a], [0, 1 + b] adds grad_y[b] and [1, 1] adds all of
+    value, grad_y'[0] and grad_y[0]."""
+    y, y2 = np.atleast_1d(np.asarray(y, float)), np.atleast_1d(np.asarray(y2, float))
+    s = np.vstack([np.zeros(y.size), np.eye(y.size)])
+    s2 = np.vstack([np.zeros(y2.size), np.eye(y2.size)])
+    h = h_matrix_between(kernel, s, np.tile(y, (len(s), 1)), s2, np.tile(y2, (len(s2), 1)))
+    trace = h[0, 0]
+    gy2, gy = h[1:, 0] - trace, h[0, 1:] - trace
+    return h[1, 1] - trace - gy2[0] - gy[0], gy, gy2, trace
 
 
 def gfd(p, q, z):
@@ -155,6 +168,52 @@ class TestScalarGram:
         points = np.random.default_rng(4).normal(size=(30, 1))
         assert np.array_equal(squared_distance_matrix(points),
                               squared_distances_by_differences(points, points))
+
+
+class TestRowBlocks:
+    """Row-blocked products against their whole-matrix forms, bit for bit. The blocks
+    hold 48 rows (the smallest block) and the last one what is left, so the block
+    ends fall inside the matrix. The shapes keep every product small enough that
+    BLAS runs it on one thread (see ``kernels.row_blocks``)."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+
+    def test_blocks_cover_the_rows_at_tile_multiples(self):
+        assert kernels.row_blocks(130, 77) == [(0, 48), (48, 96), (96, 130)]
+        assert kernels.row_blocks(110, 77) == [(0, 48), (48, 110)]
+        assert kernels.row_blocks(40, 77) == [(0, 40)]
+        assert kernels.row_blocks(700, 9, multiple=7) == [(0, 336), (336, 700)]
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_squared_distance_rows_match_the_whole_matrix(self, d):
+        rng = np.random.default_rng(30 + d)
+        a, b = 2.0 + rng.normal(size=(130, d)), 2.0 + rng.normal(size=(77, d))
+        for x, y in ((a, b), (b, a), (a, None)):
+            rows = squared_distance_rows(x, y)
+            cuts = kernels.row_blocks(len(x), len(x if y is None else y))
+            blocks = [rows(start, stop) for start, stop in cuts]
+            assert np.array_equal(np.vstack(blocks), dense_squared_distances(x, y))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_mean_gram_matches_the_averaged_whole_gram(self, d):
+        rng = np.random.default_rng(40 + d)
+        a, b = rng.normal(size=(30 * 4, d)), rng.normal(size=(25 * 4, d))
+        kernel = GaussianKernel(1.2)
+        for m2 in (1, 2, 4):
+            assert np.array_equal(kernel.mean_gram(a, 4, b, m2),
+                                  dense_mean_gram(kernel._f, a, 4, b, m2))
+        assert np.array_equal(kernel.mean_gram(a, 4, a, 4),
+                              dense_mean_gram(kernel._f, a, 4, None, 4))
+
+    def test_distances_from_inner_overwrite_the_inner_products(self):
+        a = np.random.default_rng(5).normal(size=(130, 7))
+        inner = a @ a.T
+        want = dense_distances_from_inner(inner)
+        got = kernels._distances_from_inner(inner)
+        assert got is inner
+        assert np.array_equal(got, want)
 
 
 class TestGaussianExpectations:

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from steincal import kernels
 from steincal.kernels import (
     BaseMeasure,
     ExpGFDKernel,
@@ -24,6 +28,8 @@ from steincal.statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
+    _sampled_bracket,
+    _strategy_batches,
     h_matrix,
     h_matrix_between,
     kccsd_stat_matrix,
@@ -33,7 +39,13 @@ from steincal.statistics import (
     wild_bootstrap,
 )
 
-from oracles import fd_h_term, gaussian_kernel_expectation
+from oracles import (
+    dense_sampled_bracket,
+    dense_stein_terms,
+    fd_h_term,
+    gaussian_kernel_expectation,
+    stein_terms_by_differences,
+)
 
 
 def g1(mean, var):
@@ -113,11 +125,24 @@ class TestHTerm:
         s1, s2 = rng.normal(size=(30, d)), rng.normal(size=(20, d))
         l = kernel_cls(0.9 * np.sqrt(d))
         for a, sa, b, sb in ((y1, s1, y2, s2), (y1, s1, y1, s1)):
-            value, grad_y, grad_y2, trace = l.bundle_matrices(a, b)
-            want = (value * (sa @ sb.T) + trace + np.einsum("ia,ija->ij", sa, grad_y2)
-                    + np.einsum("ja,ija->ij", sb, grad_y))
+            want = stein_terms_by_differences(l._f, l._f1, l._f2, sa, a, sb, b)
             got = h_matrix_between(l, sa, a, sb, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    def test_row_blocks_are_bit_identical_to_the_whole_matrix(self, d, kernel_cls, monkeypatch):
+        # 48-row blocks ending inside the matrix; the shapes keep every product small
+        # enough that BLAS runs it on one thread (see kernels.row_blocks)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+        rng = np.random.default_rng(50 + d)
+        y1, y2, y3 = (3.0 + rng.normal(size=(n, d)) for n in (130, 77, 110))
+        s1, s2, s3 = (rng.normal(size=(n, d)) for n in (130, 77, 110))
+        l = kernel_cls(0.9 * np.sqrt(d))
+        for a, sa, b, sb in ((y1, s1, y2, s2), (y3, s3, y1, s1), (y1, s1, y1, s1)):
+            assert len(kernels.row_blocks(len(a), len(b))) > 1
+            want = dense_stein_terms(l._f, l._f1, l._f2, sa, a, sb, b, same=a is b)
+            assert np.array_equal(h_matrix_between(l, sa, a, sb, b), want)
 
     def test_stein_identity_mean_zero(self):
         # expectation of the pairwise term over y ~ p vanishes for fixed (p', y')
@@ -213,6 +238,36 @@ class TestStatMatrix:
         pairs = random_dataset(np.random.default_rng(8), 3, 1)
         with pytest.raises(ValueError):
             kccsd_stat_matrix(np.ones((2, 2)), GaussianKernel(1.0), pairs)
+
+
+class TestPeakMemory:
+    """Traced peak memory of the statistic stage at n = 1024, d = 5, above its level on entry."""
+
+    @staticmethod
+    def traced_peak_floats(call) -> float:
+        call()  # first call outside the trace: imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / 8.0
+        finally:
+            tracemalloc.stop()
+
+    def test_kccsd_matrix_holds_little_beyond_its_output(self):
+        n = 1024
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(60).derive("d"))
+        k_gram = np.ones((n, n))
+        peak = self.traced_peak_floats(
+            lambda: kccsd_stat_matrix(k_gram, GaussianKernel(1.0), data))
+        assert peak <= 1.5 * n * n
+
+    def test_sampled_bracket_never_holds_the_cross_gram(self):
+        n, m = 1024, 5
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(61).derive("d"))
+        peak = self.traced_peak_floats(
+            lambda: _sampled_bracket(GaussianKernel(1.0), data, ExactSampler(m), RandomStream(62)))
+        assert peak <= 0.5 * (n * m) ** 2
 
 
 class TestUStatistic:
@@ -342,6 +397,18 @@ class TestSkceMatrix:
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
 
+    @pytest.mark.parametrize("family, m", [("lgm", 6), ("mgm", 4)])  # d = 1 and d = 5
+    def test_sampled_bracket_row_blocks_are_bit_identical(self, family, m, monkeypatch):
+        # each term is formed 48 rows (48 / m models) at a time; the shapes keep every
+        # product small enough that BLAS runs it on one thread
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+        data = sample_setup(SyntheticSetup(family, 0.3), 30, RandomStream(19).derive("d"))
+        assert len(kernels.row_blocks(30 * m, 30 * m, multiple=m)) > 1
+        l, strategy = GaussianKernel(1.1), ExactSampler(m)
+        got = _sampled_bracket(l, data, strategy, RandomStream(20))
+        batches = _strategy_batches(data.models, strategy, RandomStream(20))
+        assert np.array_equal(got, dense_sampled_bracket(l._f, data.targets, *batches))
+
     def test_exact_sampler_matrix_converges_to_closed_form(self):
         rng = np.random.default_rng(16)
         pairs = random_dataset(rng, 4, 1)
@@ -410,6 +477,24 @@ class TestWildBootstrap:
             statistic, _, p_value = wild_bootstrap(positive, b, 0.05, stream)
             assert statistic == pytest.approx(u_statistic(positive), rel=1e-14)
             assert p_value == wild_bootstrap(exact, b, 0.05, stream)[-1], seed
+
+    def test_signs_equal_the_masked_uniform_draws(self):
+        # signs are -1 where the uniform draw is below 0.5: the same result as setting
+        # -1 through a mask of the draws
+        rng = np.random.default_rng(31)
+        half = rng.normal(size=(40, 40))
+        m = half + half.T
+        np.fill_diagonal(m, 0.0)
+        n, b = 40, 300
+        for seed in range(5):
+            stream = RandomStream(seed).derive("b")
+            signs = np.ones((b + 1, n))
+            signs[1:][stream.generator().random((b, n)) < 0.5] = -1.0
+            values = np.einsum("bi,bi->b", signs @ m, signs) / (n * (n - 1))
+            rank = math.ceil(0.9 * b)
+            want = (float(values[0]), float(np.sort(values[1:])[rank - 1]),
+                    float((1 + np.count_nonzero(values[1:] >= values[0])) / (b + 1)))
+            assert wild_bootstrap(m, b, 0.1, stream) == want, seed
 
     def test_determinism(self):
         rng = np.random.default_rng(24)
