@@ -20,7 +20,6 @@ from .kernels import (
     IMQKernel,
     ScalarKernel,
     UnsupportedKernelError,
-    gfd_gaussian_closed,
     median_heuristic,
     scalar_kernel,
     second_order_median_heuristic,

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DiagonalGaussian, GaussianBatch, ModelBatch, as_batch, require_finite
+from .models import GaussianBatch, ModelBatch, as_batch, require_finite
 from .sampling import CapabilityError, RandomStream
 
 # Model pairs per chunk of the second-order heuristic. The chunk size and the order of
@@ -232,24 +232,6 @@ def double_expectation_gram(means, variances, gamma) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Score-difference divergences
-# ---------------------------------------------------------------------------
-
-def gfd_gaussian_closed(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
-    """Closed form of the score divergence under a standard Gaussian base measure.
-
-    With A = diag(1/var_q - 1/var_p) and b = mu_p/var_p - mu_q/var_q the score
-    difference is A x + b, so the expectation over x ~ N(0, I) is
-    ||A||_F^2 + ||b||^2.
-    """
-    if p.dim != q.dim:
-        raise ValueError("models have mismatched dimensions")
-    a = 1.0 / q.var - 1.0 / p.var
-    b = p.mean / p.var - q.mean / q.var
-    return float(np.sum(a ** 2) + np.sum(b ** 2))
-
-
-# ---------------------------------------------------------------------------
 # Distribution kernels
 # ---------------------------------------------------------------------------
 
@@ -321,11 +303,8 @@ class DistributionKernel(ABC):
         sq = require_finite(self.squared_distances(models, stream), "squared distance")
         sigma = self.sigma
         if sigma is None:
-            # sorted, sq starts with its n diagonal zeros and holds each of the N pairs
-            # i < j twice, so entry n + N - 1 is their lower median; sqrt is monotone:
-            # this is the lower median of the distances themselves
-            n = len(sq)
-            sigma = math.sqrt(_positive_median(sq, k=n + n * (n - 1) // 2 - 1))
+            # sqrt is monotone: the lower median of the distances themselves
+            sigma = math.sqrt(_positive_median(_strict_upper(sq)))
         np.divide(sq, -2.0 * sigma ** 2, out=sq)
         np.exp(sq, out=sq)
         np.fill_diagonal(sq, 1.0)
@@ -385,9 +364,7 @@ class ExpKGFDKernel(DistributionKernel):
         w = self.ground.gram(z)
         smoothed = np.einsum("ikd,kl->ild", scores, w)
         inner = np.einsum("ild,jld->ij", smoothed, scores)
-        inner += inner.T  # numpy reads the overlapping inner.T from a copy
-        inner *= 0.5
-        sq = _distances_from_inner(inner)
+        sq = _distances_from_inner(_symmetrize(inner))
         sq /= m ** 2
         return sq
 
@@ -425,9 +402,7 @@ class ExpMMDKernel(DistributionKernel):
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
         cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
-        cross += cross.T
-        cross *= 0.5
-        return _distances_from_inner(cross)
+        return _distances_from_inner(_symmetrize(cross))
 
     def _sampled(self, models, stream):
         if stream is None:
@@ -435,9 +410,7 @@ class ExpMMDKernel(DistributionKernel):
         n, m = len(models), self.num_samples
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
         blocks = self.ground.mean_gram(draws, m, draws, m)
-        blocks += blocks.T
-        blocks *= 0.5
-        return _distances_from_inner(blocks)
+        return _distances_from_inner(_symmetrize(blocks))
 
 
 class ExpWassersteinKernel(DistributionKernel):
@@ -461,6 +434,41 @@ class ExpWassersteinKernel(DistributionKernel):
         return mean_sq + d * (sd[:, None] - sd[None, :]) ** 2
 
 
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """0.5 (x + x^T), written over the square matrix x and returned.
+
+    For each row block I = [start, stop), the sums x[I, J] + x[J, I]^T over the
+    columns J = [start, n) go to x[I, J] and their transpose to x[J, I]; the sums
+    of the diagonal tile are symmetric, so writing them twice is harmless. Only
+    entries not yet written are read, and no whole x^T copy is formed.
+    """
+    n = len(x)
+    for start, stop in row_blocks(n, n):
+        tile = x[start:stop, start:] + x[start:, start:stop].T
+        x[start:stop, start:] = tile
+        x[start:, start:stop] = tile.T
+    x *= 0.5
+    return x
+
+
+def _strict_upper(matrix: np.ndarray) -> np.ndarray:
+    """The n(n - 1)/2 entries above the diagonal of a square matrix, as one new flat
+    array copied a row block at a time: the rectangle to the right of each block's
+    diagonal tile, then that tile's strict upper triangle."""
+    n = len(matrix)
+    out = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for start, stop in row_blocks(n, n):
+        right = matrix[start:stop, stop:]
+        out[filled:filled + right.size].reshape(right.shape)[...] = right
+        filled += right.size
+        tile = matrix[start:stop, start:stop]
+        upper = tile[~np.tri(stop - start, dtype=bool)]
+        out[filled:filled + upper.size] = upper
+        filled += upper.size
+    return out
+
+
 def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
     """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from a symmetric inner-product
     matrix, written over it in row blocks and returned. The result is exactly
@@ -479,18 +487,19 @@ def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _lower_median(values: np.ndarray) -> float:
-    """Element (N - 1) // 2 of the sorted values, found by selection."""
-    values = np.asarray(values, dtype=float).ravel()
+    """Element (N - 1) // 2 of the sorted values of a flat float array, found by
+    selection. The array is partitioned in place: callers pass arrays of their own."""
     if values.size == 0:
         raise ValueError("cannot take the median of an empty set")
     k = (values.size - 1) // 2
-    return float(np.partition(values, k)[k])
+    values.partition(k)
+    return float(values[k])
 
 
-def _positive_median(sq: np.ndarray, k: Optional[int] = None) -> float:
-    """Lower median of pairwise squared distances, or element ``k`` of all of ``sq``
-    sorted when ``k`` is given; zero is a degenerate bandwidth."""
-    value = _lower_median(sq) if k is None else float(np.partition(sq, k, axis=None)[k])
+def _positive_median(sq: np.ndarray) -> float:
+    """Lower median of a flat array of pairwise squared distances, partitioned in
+    place; zero is a degenerate bandwidth."""
+    value = _lower_median(sq)
     if value <= 0.0:
         raise DegenerateBandwidthError("median pairwise distance is zero")
     return value

@@ -30,6 +30,50 @@ from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 # Stein-type pairwise terms
 # ---------------------------------------------------------------------------
 
+def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
+                scores2: np.ndarray, targets2: np.ndarray):
+    """Rows of :func:`h_matrix_between` on demand: a function ``rows(start, stop, out=None)``
+    that forms the (stop - start, n2) block of rows [start, stop), into ``out`` if given.
+
+    Every term, the score product included, is formed for those rows only, and each
+    block temporary goes as soon as it is used up. The score product is a plain
+    matrix product: ``scores2`` is copied, so numpy never runs it as a symmetric
+    rank-k update when both stacks are one array.
+    """
+    scores1, scores2 = np.asarray(scores1, dtype=float), np.array(scores2, dtype=float)
+    targets1, targets2 = np.asarray(targets1, dtype=float), np.asarray(targets2, dtype=float)
+    n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
+    sq_rows = squared_distance_rows(targets1, targets2)
+    center = targets1.mean(axis=0)
+    y1, y2 = targets1 - center, targets2 - center
+    # 2 (<s_i, y'_j> + <y_i, s'_j> - <s_i, y_i> - d - <s'_j, y'_j>) as one product
+    left = 2.0 * np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
+                            np.ones((n1, 1))])
+    right = np.hstack([y2, scores2, np.ones((n2, 1)),
+                       -np.einsum("ja,ja->j", scores2, y2)[:, None]])
+
+    def rows(start, stop, out=None):
+        # ordered so that between steps at most two block-sized arrays live beside the output
+        sq = sq_rows(start, stop)
+        value = l._f(sq)
+        f2 = l._f2(value)
+        f2 *= sq
+        f2 *= 4.0
+        del sq
+        block = np.matmul(scores1[start:stop], scores2.T, out=out)
+        block *= value
+        block -= f2
+        del f2
+        f1 = l._f1(value)
+        del value
+        bracket = left[start:stop] @ right.T
+        bracket *= f1
+        del f1
+        block += bracket
+        return block
+    return rows
+
+
 def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
                      scores2: np.ndarray, targets2: np.ndarray) -> np.ndarray:
     """Pairwise Stein terms between two stacks of (score, target) rows.
@@ -41,37 +85,13 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     + 2 f' (<s'_j, y_i> - <s'_j, y'_j> - <s_i, y_i> + <s_i, y'_j> - d)``,
     so every term is an (n1, n2) product and no (n1, n2, d) tensor is formed.
     The bracket is invariant to a shift of the targets; they are centred first.
-    The score product is formed whole; the other terms are formed in row blocks
-    (:func:`steincal.kernels.row_blocks`) and added into it, so the output is the
-    only (n1, n2) array.
+    The terms are formed in row blocks (:func:`steincal.kernels.row_blocks`)
+    straight into the output, which is the only (n1, n2) array.
     """
-    scores1, scores2 = np.asarray(scores1, dtype=float), np.asarray(scores2, dtype=float)
-    targets1, targets2 = np.asarray(targets1, dtype=float), np.asarray(targets2, dtype=float)
-    n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
-    sq_rows = squared_distance_rows(targets1, targets2)
-    h = scores1 @ scores2.T
-    center = targets1.mean(axis=0)
-    y1, y2 = targets1 - center, targets2 - center
-    # 2 (<s_i, y'_j> + <y_i, s'_j> - <s_i, y_i> - d - <s'_j, y'_j>) as one product
-    left = 2.0 * np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
-                            np.ones((n1, 1))])
-    right = np.hstack([y2, scores2, np.ones((n2, 1)),
-                       -np.einsum("ja,ja->j", scores2, y2)[:, None]])
-    for start, stop in row_blocks(n1, n2):
-        block = h[start:stop]
-        sq = sq_rows(start, stop)
-        value = l._f(sq)
-        block *= value
-        f2 = l._f2(value)
-        f2 *= sq
-        f2 *= 4.0
-        block -= f2
-        del sq, f2  # each temporary goes as soon as it is used up
-        bracket = left[start:stop] @ right.T
-        bracket *= l._f1(value)
-        del value
-        block += bracket
-        del bracket
+    rows = _stein_rows(l, scores1, targets1, scores2, targets2)
+    h = np.empty((len(targets1), len(targets2)))
+    for start, stop in row_blocks(*h.shape):
+        rows(start, stop, out=h[start:stop])
     return h
 
 
@@ -92,12 +112,24 @@ def _gram_and_dataset(k_gram: np.ndarray, data) -> tuple[np.ndarray, Dataset]:
     return k_gram, data
 
 
-def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
+def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
-    k(p_i, p_j) h_ij, with a zero diagonal."""
+    k(p_i, p_j) h_ij, with a zero diagonal.
+
+    The Stein terms are formed a row block at a time and multiplied into the same
+    rows of ``out``, which may be ``k_gram`` itself; without ``out`` the result is
+    a new array and ``k_gram`` is left as it was.
+    """
     k_gram, data = _gram_and_dataset(k_gram, data)
-    entries = h_matrix(l, data)
-    entries *= k_gram
+    scores = data.models.rows().score_batch(data.targets)
+    rows = _stein_rows(l, scores, data.targets, scores, data.targets)
+    entries = np.empty_like(k_gram) if out is None else out
+    over_gram = np.may_share_memory(entries, k_gram)
+    for start, stop in row_blocks(*k_gram.shape):
+        # the Stein terms go into the output rows unless those still hold Gram rows
+        block = rows(start, stop, out=None if over_gram else entries[start:stop])
+        np.multiply(k_gram[start:stop], block, out=entries[start:stop])
     np.fill_diagonal(entries, 0.0)
     return entries
 
@@ -189,8 +221,11 @@ def _closed_form_bracket(l: ScalarKernel, data: Dataset) -> np.ndarray:
         raise CapabilityError("closed-form expectations need diagonal Gaussian models")
     value = l.gram(targets)
     single = single_expectation_gram(models.means, models.variances, targets, l.bandwidth)
-    double = double_expectation_gram(models.means, models.variances, l.bandwidth)
-    return value - single - single.T + double
+    value -= single
+    value -= single.T
+    del single
+    value += double_expectation_gram(models.means, models.variances, l.bandwidth)
+    return value
 
 
 def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStream) -> np.ndarray:
@@ -199,20 +234,23 @@ def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStr
     n, m, d = batch_a.shape
     value = l.gram(targets)
     # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k)
-    term2 = l.mean_gram(batch_a.reshape(n * m, d), m, targets, 1)
-    term3 = l.mean_gram(batch_b.reshape(n * m, d), m, targets, 1).T
-    term4 = l.mean_gram(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
-    return value - term2 - term3 + term4
+    value -= l.mean_gram(batch_a.reshape(n * m, d), m, targets, 1)
+    value -= l.mean_gram(batch_b.reshape(n * m, d), m, targets, 1).T
+    value += l.mean_gram(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
+    return value
 
 
 def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
                      strategy: ExpectationStrategy,
-                     stream: Optional[RandomStream] = None) -> np.ndarray:
+                     stream: Optional[RandomStream] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair.
 
     Sampled strategies evaluate each unordered pair once (the upper triangle)
     and mirror it, so the (n, n) matrix stays symmetric, with a zero diagonal,
-    and each term unbiased.
+    and each term unbiased. The result is written into ``out`` if given, which
+    may be ``k_gram`` itself; otherwise it is a new array and ``k_gram`` is left
+    as it was.
     """
     k_gram, data = _gram_and_dataset(k_gram, data)
     if isinstance(strategy, ClosedFormGaussian):
@@ -221,9 +259,16 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
         if stream is None:
             raise ValueError("sampled expectation strategies need a random stream")
         bracket = _sampled_bracket(l, data, strategy, stream)
-    entries = k_gram * bracket
-    upper = np.triu(entries, k=1)
-    return upper + upper.T
+    entries = np.multiply(bracket, k_gram, out=bracket if out is None else out)
+    del bracket
+    n = len(entries)
+    for start, stop in row_blocks(n, n):  # the strict lower triangle from the upper one
+        entries[start:stop, :start] = entries[:start, start:stop].T
+        tile = entries[start:stop, start:stop]
+        lower = np.tri(stop - start, k=-1, dtype=bool)
+        tile[lower] = tile.T[lower]
+    np.fill_diagonal(entries, 0.0)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +362,15 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k_gram = dist_kernel.gram(data.models, stream.derive("base"))
+    # the statistic matrix is written over the Gram
     if isinstance(statistic, KCCSD):
-        matrix = kccsd_stat_matrix(k_gram, target_kernel, data)
+        matrix = kccsd_stat_matrix(k_gram, target_kernel, data, out=k_gram)
     elif isinstance(statistic, SKCE):
         label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
         matrix = skce_stat_matrix(k_gram, target_kernel, data, statistic.strategy,
-                                  stream.derive(label))
+                                  stream.derive(label), out=k_gram)
     else:
         raise TypeError(f"unknown statistic spec {statistic!r}")
-    del k_gram  # the bootstrap reads only the statistic matrix
     value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
                                               stream.derive("bootstrap"))
     return TestResult(

@@ -89,11 +89,13 @@ def dense_squared_distances(points, points2=None):
 
 
 def dense_stein_terms(f, f1, f2, scores1, targets1, scores2, targets2, same=False):
-    """Whole-matrix Stein terms in the product form; ``same`` marks one stack against itself."""
+    """Whole-matrix Stein terms in the product form; ``same`` marks one stack against itself.
+    The score product is a plain product even for one stack against itself: on a copy,
+    numpy does not run it as a symmetric rank-k update."""
     n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
     sq = dense_squared_distances(targets1, None if same else targets2)
     value = f(sq)
-    h = scores1 @ scores2.T
+    h = scores1 @ scores2.copy().T
     h *= value
     h -= 4.0 * (f2(value) * sq)
     center = targets1.mean(axis=0)
@@ -130,6 +132,27 @@ def dense_distances_from_inner(inner):
     return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0)
 
 
+def dense_symmetrized(x):
+    """0.5 (x + x^T) for the whole matrix."""
+    return 0.5 * (x + x.T)
+
+
+def dense_median_sigma(sq):
+    """The median sigma selected on the whole matrix of squared distances: sorted, an
+    exactly symmetric matrix with a zero diagonal starts with its n diagonal zeros and
+    holds each of its N pairs twice, so entry n + N - 1 is the pairs' lower median."""
+    n = len(sq)
+    k = n + n * (n - 1) // 2 - 1
+    return float(np.sqrt(np.partition(sq, k, axis=None)[k]))
+
+
+def dense_mirrored_upper(entries):
+    """The strict upper triangle of a square matrix plus its transpose: a symmetric
+    matrix with a zero diagonal."""
+    upper = np.triu(entries, k=1)
+    return upper + upper.T
+
+
 def squared_distances_by_differences(points, points2):
     """Matrix [i, j] = ||points[i] - points2[j]||^2 from the explicit (n1, n2, d) differences."""
     points = np.asarray(points, dtype=float)
@@ -155,6 +178,21 @@ def mc_gaussian_kernel_double(mean1, var1, mean2, var2, gamma, n, rng):
     z1 = mean1 + np.sqrt(var1) * rng.standard_normal((n, mean1.size))
     z2 = mean2 + np.sqrt(var2) * rng.standard_normal((n, mean2.size))
     return float(np.mean(np.exp(-np.sum((z1 - z2) ** 2, axis=1) / (2.0 * gamma ** 2))))
+
+
+def gfd_gaussian_closed(p, q):
+    """Closed form of the score divergence between two diagonal Gaussians under a
+    standard Gaussian base measure.
+
+    With A = diag(1/var_q - 1/var_p) and b = mu_p/var_p - mu_q/var_q the score
+    difference is A x + b, so the expectation over x ~ N(0, I) is
+    ||A||_F^2 + ||b||^2.
+    """
+    if p.dim != q.dim:
+        raise ValueError("models have mismatched dimensions")
+    a = 1.0 / q.var - 1.0 / p.var
+    b = p.mean / p.var - q.mean / q.var
+    return float(np.sum(a ** 2) + np.sum(b ** 2))
 
 
 def direct_gfd(score_p, score_q, base_points):

@@ -25,7 +25,6 @@ from steincal.kernels import (
     GaussianKernel,
     IMQKernel,
     double_expectation_gram,
-    gfd_gaussian_closed,
     median_heuristic,
     single_expectation_gram,
 )
@@ -48,6 +47,7 @@ from steincal.statistics import (
 
 from oracles import (
     fd_stein_terms,
+    gfd_gaussian_closed,
     mc_gaussian_kernel_double,
     mc_gaussian_kernel_single,
 )

@@ -13,7 +13,6 @@ from steincal.kernels import (
     IMQKernel,
     UnsupportedKernelError,
     double_expectation_gram,
-    gfd_gaussian_closed,
     median_heuristic,
     second_order_median_heuristic,
     single_expectation_gram,
@@ -28,9 +27,12 @@ from oracles import (
     brute_force_kgfd,
     dense_distances_from_inner,
     dense_mean_gram,
+    dense_median_sigma,
     dense_squared_distances,
+    dense_symmetrized,
     direct_gfd,
     fd_kernel_bundle,
+    gfd_gaussian_closed,
     mc_gaussian_kernel_double,
     mc_gaussian_kernel_single,
     mixture_distance_median,
@@ -214,6 +216,36 @@ class TestRowBlocks:
         got = kernels._distances_from_inner(inner)
         assert got is inner
         assert np.array_equal(got, want)
+
+
+    def test_symmetrize_overwrites_with_the_dense_form(self):
+        x = np.random.default_rng(6).normal(size=(130, 130))
+        want = dense_symmetrized(x)
+        got = kernels._symmetrize(x)
+        assert got is x
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 47, 130])
+    def test_strict_upper_holds_the_entries_above_the_diagonal(self, n):
+        x = np.random.default_rng(n).normal(size=(n, n))
+        got = kernels._strict_upper(x)
+        assert np.array_equal(np.sort(got), np.sort(x[np.triu_indices(n, k=1)]))
+
+    @pytest.mark.parametrize("n, distinct", [(2, 2), (47, 47), (130, 130), (777, 777),
+                                             (130, 3), (777, 4), (300, 7)])
+    def test_median_sigma_on_the_packed_triangle_equals_the_whole_matrix_selection(
+            self, n, distinct):
+        # distinct < n draws the models from a few, so most distances are exact ties
+        rng = np.random.default_rng(n + distinct)
+        pick = rng.integers(0, distinct, size=n) if distinct < n else np.arange(n)
+        models = GaussianBatch(rng.normal(size=(distinct, 2))[pick],
+                               rng.uniform(0.5, 2.0, size=(distinct, 2))[pick])
+        base = BaseMeasure.frozen(rng.normal(size=(5, 2)))
+        sq = ExpGFDKernel(None, base).squared_distances(models)
+        sigma = dense_median_sigma(sq)
+        assert sigma > 0.0
+        assert np.array_equal(ExpGFDKernel(None, base).gram(models),
+                              ExpGFDKernel(sigma, base).gram(models))
 
 
 class TestGaussianExpectations:

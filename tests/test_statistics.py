@@ -28,6 +28,7 @@ from steincal.statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
+    _closed_form_bracket,
     _sampled_bracket,
     _strategy_batches,
     h_matrix,
@@ -40,6 +41,7 @@ from steincal.statistics import (
 )
 
 from oracles import (
+    dense_mirrored_upper,
     dense_sampled_bracket,
     dense_stein_terms,
     fd_h_term,
@@ -143,6 +145,17 @@ class TestHTerm:
             assert len(kernels.row_blocks(len(a), len(b))) > 1
             want = dense_stein_terms(l._f, l._f1, l._f2, sa, a, sb, b, same=a is b)
             assert np.array_equal(h_matrix_between(l, sa, a, sb, b), want)
+
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    def test_one_block_of_one_stack_is_a_plain_product(self, kernel_cls):
+        # one block covers all rows, where numpy would run scores @ scores.T as a
+        # symmetric rank-k update; at n = 130, d = 5 that moves the last bits
+        rng = np.random.default_rng(57)
+        y, s = 3.0 + rng.normal(size=(130, 5)), rng.normal(size=(130, 5))
+        assert len(kernels.row_blocks(130, 130)) == 1
+        l = kernel_cls(2.0)
+        want = dense_stein_terms(l._f, l._f1, l._f2, s, y, s, y, same=True)
+        assert np.array_equal(h_matrix_between(l, s, y, s, y), want)
 
     def test_stein_identity_mean_zero(self):
         # expectation of the pairwise term over y ~ p vanishes for fixed (p', y')
@@ -262,12 +275,85 @@ class TestPeakMemory:
             lambda: kccsd_stat_matrix(k_gram, GaussianKernel(1.0), data))
         assert peak <= 1.5 * n * n
 
+    def test_kccsd_matrix_over_the_gram_holds_a_few_row_blocks(self):
+        # the output block and two more between steps, and a kernel derivative's
+        # temporary while it is formed: about 4.5 blocks of 96 rows
+        n = 1024
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(60).derive("d"))
+        k_gram = np.ones((n, n))
+        (start, stop), *_ = kernels.row_blocks(n, n)
+        peak = self.traced_peak_floats(
+            lambda: kccsd_stat_matrix(k_gram, GaussianKernel(1.0), data, out=k_gram))
+        assert peak <= 5 * (stop - start) * n
+
     def test_sampled_bracket_never_holds_the_cross_gram(self):
         n, m = 1024, 5
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(61).derive("d"))
         peak = self.traced_peak_floats(
             lambda: _sampled_bracket(GaussianKernel(1.0), data, ExactSampler(m), RandomStream(62)))
         assert peak <= 0.5 * (n * m) ** 2
+
+
+    def test_kccsd_test_holds_one_matrix_and_blocks(self):
+        # the Gram step holds the squared distances and their packed upper triangle,
+        # the statistic is written over the Gram, and 100 replicates stay small
+        n = 1024
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(63).derive("d"))
+        assert len(kernels.row_blocks(n, n)) > 1
+        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        peak = self.traced_peak_floats(lambda: run_calibration_test(
+            data, kernel, GaussianKernel(1.0), KCCSD(), 0.05, 100, RandomStream(64)))
+        assert peak <= 1.6 * n * n
+
+
+class TestStatMatrixOut:
+    """The statistic matrices written over the Gram are the ones returned as new arrays.
+    Blocks of 48 rows end inside the matrices."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+
+    @staticmethod
+    def gram_and_data(n=130):
+        data = sample_setup(SyntheticSetup("mgm", 0.2), n, RandomStream(70).derive("d"))
+        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        return kernel.gram(data.models, RandomStream(71)), data
+
+    def test_kccsd_matrix_over_the_gram_equals_the_new_array(self):
+        k_gram, data = self.gram_and_data()
+        assert len(kernels.row_blocks(len(data), len(data))) > 1
+        before = k_gram.copy()
+        l = GaussianKernel(2.0)
+        fresh = kccsd_stat_matrix(k_gram, l, data)
+        assert np.array_equal(k_gram, before)
+        assert not np.shares_memory(fresh, k_gram)
+        into = np.full_like(k_gram, np.nan)
+        assert kccsd_stat_matrix(k_gram, l, data, out=into) is into
+        assert np.array_equal(into.view(np.int64), fresh.view(np.int64))
+        assert np.array_equal(k_gram, before)
+        for out in (k_gram[:], k_gram):  # a view of the Gram, then the Gram itself
+            np.copyto(k_gram, before)
+            assert kccsd_stat_matrix(k_gram, l, data, out=out) is out
+            assert np.array_equal(k_gram.view(np.int64), fresh.view(np.int64))
+
+    @pytest.mark.parametrize("strategy", [ClosedFormGaussian(), ExactSampler(3)],
+                             ids=["closed_form", "exact_sampler"])
+    def test_skce_matrix_over_the_gram_equals_the_new_array(self, strategy):
+        k_gram, data = self.gram_and_data()
+        before = k_gram.copy()
+        l = GaussianKernel(2.0)
+        fresh = skce_stat_matrix(k_gram, l, data, strategy, RandomStream(72))
+        assert np.array_equal(k_gram, before)
+        got = skce_stat_matrix(k_gram, l, data, strategy, RandomStream(72), out=k_gram)
+        assert got is k_gram
+        assert np.array_equal(got.view(np.int64), fresh.view(np.int64))
+
+    def test_skce_matrix_mirrors_the_upper_triangle(self):
+        k_gram, data = self.gram_and_data()
+        l = GaussianKernel(2.0)
+        want = dense_mirrored_upper(k_gram * _closed_form_bracket(l, data))
+        assert np.array_equal(skce_stat_matrix(k_gram, l, data, ClosedFormGaussian()), want)
 
 
 class TestUStatistic:
