@@ -203,6 +203,18 @@ def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
+def mirror_upper(x: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of the square matrix x written over its strict lower
+    one, a row block at a time; x is returned."""
+    n = len(x)
+    for start, stop in row_blocks(n, n):
+        x[start:stop, :start] = x[:start, start:stop].T
+        tile = x[start:stop, start:stop]
+        lower = np.tri(stop - start, k=-1, dtype=bool)
+        tile[lower] = tile.T[lower]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
@@ -328,7 +340,7 @@ class ExpGFDKernel(DistributionKernel):
         scores = models.score_tensor(z)
         n, m, d = scores.shape
         flat = scores.reshape(n, m * d)
-        # the rank-k update below rounds diagonal and off-diagonal entries differently, so
+        # BLAS may round a product's diagonal and off-diagonal entries differently, so
         # byte-equal rows (+0.0 makes -0.0 and 0.0 equal) are merged to stay exactly 0 apart
         rows, lead = flat, np.sort(flat[:, 0])
         if np.any(lead[1:] == lead[:-1]):  # equal rows need equal first entries
@@ -336,9 +348,7 @@ class ExpGFDKernel(DistributionKernel):
             keys = keyed.view(np.dtype((np.void, keyed.itemsize * m * d))).ravel()
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             rows = flat if len(first) == n else keyed[first]
-        # numpy runs a @ a.T as one symmetric rank-k update, so inner is exactly symmetric
-        inner = rows @ rows.T
-        sq = _distances_from_inner(inner)
+        sq = _distances_from_inner(rows @ rows.T.copy())
         sq /= m
         return sq if rows is flat else sq[np.ix_(inverse, inverse)]
 
@@ -364,7 +374,7 @@ class ExpKGFDKernel(DistributionKernel):
         w = self.ground.gram(z)
         smoothed = np.einsum("ikd,kl->ild", scores, w)
         inner = np.einsum("ild,jld->ij", smoothed, scores)
-        sq = _distances_from_inner(_symmetrize(inner))
+        sq = _distances_from_inner(inner)
         sq /= m ** 2
         return sq
 
@@ -402,7 +412,7 @@ class ExpMMDKernel(DistributionKernel):
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
         cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
-        return _distances_from_inner(_symmetrize(cross))
+        return _distances_from_inner(cross)
 
     def _sampled(self, models, stream):
         if stream is None:
@@ -410,7 +420,7 @@ class ExpMMDKernel(DistributionKernel):
         n, m = len(models), self.num_samples
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
         blocks = self.ground.mean_gram(draws, m, draws, m)
-        return _distances_from_inner(_symmetrize(blocks))
+        return _distances_from_inner(blocks)
 
 
 class ExpWassersteinKernel(DistributionKernel):
@@ -434,23 +444,6 @@ class ExpWassersteinKernel(DistributionKernel):
         return mean_sq + d * (sd[:, None] - sd[None, :]) ** 2
 
 
-def _symmetrize(x: np.ndarray) -> np.ndarray:
-    """0.5 (x + x^T), written over the square matrix x and returned.
-
-    For each row block I = [start, stop), the sums x[I, J] + x[J, I]^T over the
-    columns J = [start, n) go to x[I, J] and their transpose to x[J, I]; the sums
-    of the diagonal tile are symmetric, so writing them twice is harmless. Only
-    entries not yet written are read, and no whole x^T copy is formed.
-    """
-    n = len(x)
-    for start, stop in row_blocks(n, n):
-        tile = x[start:stop, start:] + x[start:, start:stop].T
-        x[start:stop, start:] = tile
-        x[start:, start:stop] = tile.T
-    x *= 0.5
-    return x
-
-
 def _strict_upper(matrix: np.ndarray) -> np.ndarray:
     """The n(n - 1)/2 entries above the diagonal of a square matrix, as one new flat
     array copied a row block at a time: the rectangle to the right of each block's
@@ -470,16 +463,19 @@ def _strict_upper(matrix: np.ndarray) -> np.ndarray:
 
 
 def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
-    """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from a symmetric inner-product
-    matrix, written over it in row blocks and returned. The result is exactly
-    symmetric with a zero diagonal."""
+    """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from an inner-product matrix,
+    written over it and returned. Only the diagonal and the upper triangle are read:
+    each row block is formed from its diagonal tile rightwards, then
+    :func:`mirror_upper` fills the rest, so the result is exactly symmetric with a
+    zero diagonal."""
+    n = len(inner)
     diag = np.diag(inner).copy()
-    for start, stop in row_blocks(len(inner), len(inner)):
-        block = inner[start:stop]
+    for start, stop in row_blocks(n, n):
+        block = inner[start:stop, start:]
         block *= 2.0
-        np.subtract(diag[start:stop, None] + diag[None, :], block, out=block)
+        np.subtract(diag[start:stop, None] + diag[None, start:], block, out=block)
         np.maximum(block, 0.0, out=block)
-    return inner
+    return mirror_upper(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .kernels import (
     ScalarKernel,
     UnsupportedKernelError,
     double_expectation_gram,
+    mirror_upper,
     row_blocks,
     single_expectation_gram,
     squared_distance_rows,
@@ -125,11 +126,8 @@ def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
     scores = data.models.rows().score_batch(data.targets)
     rows = _stein_rows(l, scores, data.targets, scores, data.targets)
     entries = np.empty_like(k_gram) if out is None else out
-    over_gram = np.may_share_memory(entries, k_gram)
     for start, stop in row_blocks(*k_gram.shape):
-        # the Stein terms go into the output rows unless those still hold Gram rows
-        block = rows(start, stop, out=None if over_gram else entries[start:stop])
-        np.multiply(k_gram[start:stop], block, out=entries[start:stop])
+        np.multiply(k_gram[start:stop], rows(start, stop), out=entries[start:stop])
     np.fill_diagonal(entries, 0.0)
     return entries
 
@@ -261,12 +259,7 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
         bracket = _sampled_bracket(l, data, strategy, stream)
     entries = np.multiply(bracket, k_gram, out=bracket if out is None else out)
     del bracket
-    n = len(entries)
-    for start, stop in row_blocks(n, n):  # the strict lower triangle from the upper one
-        entries[start:stop, :start] = entries[:start, start:stop].T
-        tile = entries[start:stop, start:stop]
-        lower = np.tri(stop - start, k=-1, dtype=bool)
-        tile[lower] = tile.T[lower]
+    mirror_upper(entries)
     np.fill_diagonal(entries, 0.0)
     return entries
 

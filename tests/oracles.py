@@ -132,11 +132,6 @@ def dense_distances_from_inner(inner):
     return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0)
 
 
-def dense_symmetrized(x):
-    """0.5 (x + x^T) for the whole matrix."""
-    return 0.5 * (x + x.T)
-
-
 def dense_median_sigma(sq):
     """The median sigma selected on the whole matrix of squared distances: sorted, an
     exactly symmetric matrix with a zero diagonal starts with its n diagonal zeros and

@@ -29,7 +29,6 @@ from oracles import (
     dense_mean_gram,
     dense_median_sigma,
     dense_squared_distances,
-    dense_symmetrized,
     direct_gfd,
     fd_kernel_bundle,
     gfd_gaussian_closed,
@@ -217,11 +216,21 @@ class TestRowBlocks:
         assert got is inner
         assert np.array_equal(got, want)
 
+    def test_distances_from_inner_read_only_the_upper_triangle(self):
+        a = np.random.default_rng(7).normal(size=(130, 7))
+        inner = a @ a.T.copy() + 1e-3 * np.random.default_rng(8).normal(size=(130, 130))
+        upper = np.triu(inner) + np.triu(inner, 1).T
+        inner[np.tril_indices(130, k=-1)] = np.nan
+        got = kernels._distances_from_inner(inner)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(got, dense_distances_from_inner(upper))
 
-    def test_symmetrize_overwrites_with_the_dense_form(self):
-        x = np.random.default_rng(6).normal(size=(130, 130))
-        want = dense_symmetrized(x)
-        got = kernels._symmetrize(x)
+    @pytest.mark.parametrize("n", [2, 47, 130])
+    def test_mirror_upper_writes_the_upper_triangle_over_the_lower(self, n):
+        x = np.random.default_rng(6 + n).normal(size=(n, n))
+        want = np.triu(x) + np.triu(x, 1).T
+        got = kernels.mirror_upper(x)
         assert got is x
         assert np.array_equal(got, want)
 
