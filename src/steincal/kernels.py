@@ -21,9 +21,9 @@ from .sampling import CapabilityError, RandomStream
 # Model pairs per chunk of the second-order heuristic. The chunk size and the order of
 # the draws within a chunk fix its stream layout: changing either changes its output.
 _PAIR_CHUNK = 8192
-_BLOCK_ELEMENTS = 1 << 16  # floats in one (rows, n, d) block of the median heuristic
 _ROW_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n2) block of a pairwise matrix
 _ROW_TILE = 48  # a block's first row is a multiple of this; see row_blocks
+_MIRROR_TILE = 128  # edge of the square tiles that mirror_upper copies
 
 
 class DegenerateBandwidthError(ValueError):
@@ -71,8 +71,10 @@ class ScalarKernel(ABC):
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
         return self._f(squared_distance_matrix(points, points2))
 
-    def mean_gram(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int) -> np.ndarray:
-        """Matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l]).
+    def mean_gram(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l]),
+        written into ``out`` if given.
 
         That is the (n1 m, n2 m2) Gram averaged over its m x m2 blocks. It is
         formed a few groups of m rows at a time, each group averaged as soon as
@@ -80,10 +82,10 @@ class ScalarKernel(ABC):
         """
         rows_of = squared_distance_rows(points, points2)
         n1, n2 = len(points) // m, len(points2) // m2
-        out = np.empty((n1, n2))
+        out = np.empty((n1, n2)) if out is None else out
         for start, stop in row_blocks(n1 * m, n2 * m2, multiple=m):
             block = self._f(rows_of(start, stop))
-            out[start // m:stop // m] = block.reshape(-1, m, n2, m2).mean(axis=(1, 3))
+            block.reshape(-1, m, n2, m2).mean(axis=(1, 3), out=out[start // m:stop // m])
         return out
 
 
@@ -97,7 +99,8 @@ class GaussianKernel(ScalarKernel):
         return np.exp(out, out=out)
 
     def _f1(self, value):
-        return -value / (2.0 * self.bandwidth ** 2)
+        # x / -c is -x / c, without a temporary for -x
+        return np.divide(value, -2.0 * self.bandwidth ** 2)
 
     def _f2(self, value):
         return value / (4.0 * self.bandwidth ** 4)
@@ -147,20 +150,21 @@ def squared_distance_matrix(points: np.ndarray, points2: Optional[np.ndarray] = 
 
 
 def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = None):
-    """Rows of :func:`squared_distance_matrix` on demand: a function ``rows(start, stop)``
-    that returns the (stop - start, n2) block of rows [start, stop), all rows by default.
+    """Rows of :func:`squared_distance_matrix` on demand: a function ``rows(start, stop, first)``
+    that returns the (stop - start, n2 - first) block of rows [start, stop) and columns
+    [first, n2), all rows and columns by default; ``first`` is at most ``start``.
 
     The centre (the mean of all of ``points``), the squared norms and the operand
     that takes the -2 are fixed from the whole stacks, so every block holds the
-    same bytes as the same rows of the whole matrix.
+    same arithmetic as the same entries of the whole matrix.
     """
     same = points2 is None or points2 is points
     points, points2 = _point_stacks(points, points if same else points2)
     if points.shape[1] == 1:
         x, y = points[:, 0], points2[:, 0]
 
-        def outer_rows(start=0, stop=None):
-            out = np.subtract.outer(x[start:stop], y)
+        def outer_rows(start=0, stop=None, first=0):
+            out = np.subtract.outer(x[start:stop], y[first:])
             return np.square(out, out=out)
         return outer_rows
     center = points.mean(axis=0)
@@ -171,15 +175,65 @@ def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = No
     # the -2 goes into the smaller operand of the whole product
     left, right = (-2.0 * a, b) if len(a) <= len(b) else (a, -2.0 * b)
 
-    def product_rows(start=0, stop=None):
-        out = left[start:stop] @ right.T
+    def product_rows(start=0, stop=None, first=0):
+        out = left[start:stop] @ right[first:].T
         out += norms_a[start:stop, None]
-        out += norms_b[None, :]
+        out += norms_b[None, first:]
         np.maximum(out, 0.0, out=out)
         if same:
-            np.fill_diagonal(out[:, start:start + len(out)], 0.0)
+            np.fill_diagonal(out[:, start - first:], 0.0)
         return out
     return product_rows
+
+
+def squared_differences(points: np.ndarray, points2: np.ndarray,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix [i, j] = sum_k (points[i, k] - points2[j, k])^2 by explicit differences,
+    written into ``out`` if given, with no (n1, n2, d) tensor.
+
+    The (n1, n2) squares are added coordinate by coordinate in the order in which
+    numpy sums a contiguous last axis: one after another below 8 terms, in eight
+    interleaved partial sums up to 128, and split in two halves (the first a
+    multiple of 8) above that. Every entry therefore holds the bytes of
+    ``np.sum((points[:, None] - points2[None]) ** 2, axis=-1)``.
+    """
+    shape = (len(points), len(points2))
+    spare = np.empty(shape) if points.shape[1] > 1 else None
+    return _summed_squares(points, points2, 0, points.shape[1],
+                           np.empty(shape) if out is None else out, spare)
+
+
+def _summed_squares(points, points2, lo, count, out, spare):
+    """Coordinates [lo, lo + count) of :func:`squared_differences`, summed into ``out``;
+    each term is formed in ``spare`` before it is added."""
+    def term(k, into):
+        np.subtract.outer(points[:, k], points2[:, k], out=into)
+        return np.square(into, out=into)
+
+    if count < 8:
+        term(lo, out)
+        for k in range(lo + 1, lo + count):
+            out += term(k, spare)
+        return out
+    if count <= 128:
+        acc = [term(lo, out)] + [term(lo + j, np.empty_like(out)) for j in range(1, 8)]
+        body = count - count % 8
+        for i in range(8, body, 8):
+            for j in range(8):
+                acc[j] += term(lo + i + j, spare)
+        for j in (0, 2, 4, 6):
+            acc[j] += acc[j + 1]
+        acc[0] += acc[2]
+        acc[4] += acc[6]
+        acc[0] += acc[4]
+        for k in range(lo + body, lo + count):
+            out += term(k, spare)
+        return out
+    half = count // 2 - (count // 2) % 8
+    _summed_squares(points, points2, lo, half, out, spare)
+    out += _summed_squares(points, points2, lo + half, count - half, np.empty_like(out),
+                           spare)
+    return out
 
 
 def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
@@ -205,10 +259,13 @@ def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
 
 def mirror_upper(x: np.ndarray) -> np.ndarray:
     """The strict upper triangle of the square matrix x written over its strict lower
-    one, a row block at a time; x is returned."""
+    one, one square tile at a time, so that the transposed reads stay within a tile;
+    x is returned."""
     n = len(x)
-    for start, stop in row_blocks(n, n):
-        x[start:stop, :start] = x[:start, start:stop].T
+    for start in range(0, n, _MIRROR_TILE):
+        stop = min(start + _MIRROR_TILE, n)
+        for left in range(0, start, _MIRROR_TILE):
+            x[start:stop, left:left + _MIRROR_TILE] = x[left:left + _MIRROR_TILE, start:stop].T
         tile = x[start:stop, start:stop]
         lower = np.tri(stop - start, k=-1, dtype=bool)
         tile[lower] = tile.T[lower]
@@ -232,15 +289,37 @@ def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
     return np.exp(-np.sum(quad, axis=-1) - np.sum(logs, axis=-1)[:, None])
 
 
-def double_expectation_gram(means, variances, gamma) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ model i, z' ~ model j} l(z, z') for Gaussian l."""
+def _double_expectation(means, variances, means2, variances2, g2) -> np.ndarray:
+    """E l(z, z') for z ~ N(means, variances), z' ~ N(means2, variances2) and Gaussian l
+    of squared bandwidth g2, broadcast over the leading axes; the last is summed."""
+    denom = g2 + variances + variances2
+    quad = (means - means2) ** 2 / (2.0 * denom)
+    logs = 0.5 * np.log(denom / g2)
+    total = np.sum(quad + logs, axis=-1)
+    return np.exp(np.negative(total, out=total), out=total)
+
+
+def double_expectation_gram(means, variances, gamma, means2=None, variances2=None,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix [i, j] = E_{z ~ model i, z' ~ model2 j} l(z, z') for Gaussian l, between
+    the models (means, variances) and (means2, variances2), or the first set against
+    itself; written into ``out`` if given.
+
+    It is formed a row block at a time, each through (rows, n2, d) temporaries of
+    about ``_ROW_BLOCK_ELEMENTS`` floats, and every entry holds the same bytes
+    whichever block it falls in.
+    """
     means = np.asarray(means, float)
     variances = np.asarray(variances, float)
-    g2 = gamma ** 2
-    denom = g2 + variances[:, None, :] + variances[None, :, :]
-    quad = (means[:, None, :] - means[None, :, :]) ** 2 / (2.0 * denom)
-    logs = 0.5 * np.log(denom / g2)
-    return np.exp(-np.sum(quad + logs, axis=-1))
+    means2 = means if means2 is None else np.asarray(means2, float)
+    variances2 = variances if variances2 is None else np.asarray(variances2, float)
+    n1, (n2, d) = len(means), means2.shape
+    out = np.empty((n1, n2)) if out is None else out
+    for start, stop in row_blocks(n1, n2 * d):
+        out[start:stop] = _double_expectation(means[start:stop, None, :],
+                                              variances[start:stop, None, :],
+                                              means2, variances2, gamma ** 2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +362,95 @@ class BaseMeasure:
         return stream.generator().standard_normal((m, self.dim))
 
 
+def _packed_upper(n: int, tile) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n - 1)/2 entries above the diagonal of a matrix given by its tile function,
+    as one new flat array filled a row block at a time: the strict upper triangle of
+    the block's diagonal tile, then the rectangle to its right, formed straight into
+    the array. The last diagonal tile is returned too: when the matrix is one block,
+    it is the whole matrix. The array is made after the first diagonal tile, so that
+    freeing it leaves no hole below a diagonal tile that is kept."""
+    packed = None
+    filled = 0
+    for start, stop in row_blocks(n, n):
+        rows = stop - start
+        diagonal = tile(start, stop, start, stop)
+        if packed is None:
+            packed = np.empty(n * (n - 1) // 2)
+        upper = rows * (rows - 1) // 2
+        np.compress(~np.tri(rows, dtype=bool).ravel(), diagonal.ravel(),
+                    out=packed[filled:filled + upper])
+        filled += upper
+        if stop < n:
+            right = packed[filled:filled + rows * (n - stop)].reshape(rows, n - stop)
+            tile(start, stop, stop, n, out=right)
+            filled += right.size
+    return packed, diagonal
+
+
+class DistanceBlocks:
+    """The squared distances of one model batch above the diagonal, formed on demand
+    from a distribution kernel's tile function, one row block at a time.
+
+    ``tile(i0, i1, j0, j1, out=None)`` forms the (i1 - i0, j1 - j0) block of rows
+    [i0, i1) and columns [j0, j1), for i0 <= j0, into ``out`` if given, from per-model
+    arrays fixed when the kernel made it. Entries on and below the diagonal of a tile
+    are unspecified. Every reader forms a row block [start, stop) (blocks from
+    :func:`row_blocks`) by the same two calls, its diagonal tile and the rectangle to
+    the right of it, so the median ``sigma``, the dense matrix and the streamed test
+    all read the same bytes.
+    """
+
+    def __init__(self, n: int, tile):
+        self.n = n
+        self._tile = tile
+        self._whole = None  # the one block of a one-block matrix, kept by median_sigma
+
+    def block(self, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows [start, stop) and columns [start, n), into ``out`` if given; entries on
+        and below the diagonal unspecified."""
+        rows, n = stop - start, self.n
+        if out is None:
+            if self._whole is not None:
+                whole, self._whole = self._whole, None
+                return whole
+            out = np.empty((rows, n - start))
+        self._tile(start, stop, start, stop, out=out[:, :rows])
+        if stop < n:
+            self._tile(start, stop, stop, n, out=out[:, rows:])
+        return out
+
+    def median_sigma(self) -> float:
+        """The lower median of the pairwise distances, selected on a packed copy of the
+        strict upper triangle that is freed on return. A one-block matrix keeps its
+        block for the next :meth:`block` call."""
+        packed, diagonal = _packed_upper(self.n, self._tile)
+        if len(diagonal) == self.n:
+            self._whole = diagonal
+        # squared distances are >= 0 or NaN: their maximum is finite exactly when all are
+        require_finite(packed.max(), "squared distance")
+        # sqrt is monotone: the lower median of the distances themselves
+        return math.sqrt(_positive_median(packed))
+
+    def dense(self) -> np.ndarray:
+        """The whole exactly symmetric matrix with a zero diagonal: the row blocks above
+        the diagonal, mirrored."""
+        n = self.n
+        if self._whole is not None:
+            out = self.block(0, n)
+        else:
+            out = np.empty((n, n))
+            for start, stop in row_blocks(n, n):
+                self.block(start, stop, out=out[start:stop, start:])
+        mirror_upper(out)
+        np.fill_diagonal(out, 0.0)
+        return out
+
+
 class DistributionKernel(ABC):
     """Exponentiated Hilbertian metric on densities: exp(-d^2 / (2 sigma^2)).
 
-    ``sigma`` may be None, in which case each Gram matrix picks it by the
-    median heuristic on the pairwise Hilbertian distances it just estimated.
+    ``sigma`` may be None, in which case each Gram matrix, or test, picks it by the
+    median heuristic on the pairwise Hilbertian distances it estimated.
     """
 
     name: str
@@ -297,30 +460,83 @@ class DistributionKernel(ABC):
             raise ValueError(f"sigma must be > 0, got {sigma}")
         self.sigma = sigma
 
+    def distance_blocks(self, models, stream: Optional[RandomStream] = None) -> DistanceBlocks:
+        """The estimated squared Hilbertian distances, formed on demand by row blocks."""
+        models = as_batch(models)
+        return DistanceBlocks(len(models), self._tiles(models, stream))
+
+    @abstractmethod
+    def _tiles(self, models: ModelBatch, stream: Optional[RandomStream]):
+        """The tile function of :class:`DistanceBlocks` on a model batch. It draws what
+        it needs from ``stream`` once and fixes every per-model array it reads."""
+
+    def bandwidth(self, distances: DistanceBlocks) -> float:
+        """``sigma``, or the median heuristic on the distances when it is None."""
+        return self.sigma if self.sigma is not None else distances.median_sigma()
+
     def squared_distances(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         """Estimated squared Hilbertian distances: an exactly symmetric,
         nonnegative matrix with a zero diagonal."""
-        return self._squared_distances(as_batch(models), stream)
-
-    @abstractmethod
-    def _squared_distances(self, models: ModelBatch, stream: Optional[RandomStream]) -> np.ndarray:
-        """:meth:`squared_distances` on a model batch, as a new array: :meth:`gram`
-        writes the Gram over it. Exact symmetry is part of the contract: :meth:`gram`
-        neither symmetrises nor reads below the diagonal."""
+        return self.distance_blocks(models, stream).dense()
 
     def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         models = as_batch(models)
         if len(models) == 1:
             return np.ones((1, 1))
-        sq = require_finite(self.squared_distances(models, stream), "squared distance")
-        sigma = self.sigma
-        if sigma is None:
-            # sqrt is monotone: the lower median of the distances themselves
-            sigma = math.sqrt(_positive_median(_strict_upper(sq)))
+        distances = self.distance_blocks(models, stream)
+        sigma = self.bandwidth(distances)
+        sq = require_finite(distances.dense(), "squared distance")
         np.divide(sq, -2.0 * sigma ** 2, out=sq)
         np.exp(sq, out=sq)
         np.fill_diagonal(sq, 1.0)
         return sq
+
+
+def _equal_row_labels(rows: np.ndarray) -> Optional[np.ndarray]:
+    """Labels that are equal exactly for byte-equal rows of a 2-d array (+0.0 and -0.0
+    taken as equal), or None when no two rows are equal."""
+    lead = np.sort(rows[:, 0])
+    if not np.any(lead[1:] == lead[:-1]):  # equal rows need equal first entries
+        return None
+    keyed = np.ascontiguousarray(rows + 0.0)
+    keys = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return None if len(first) == len(rows) else labels.ravel()
+
+
+def _tiles_from_inner(inner, diag: np.ndarray, scale: float = 1.0,
+                      labels: Optional[np.ndarray] = None):
+    """Tiles of max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) / scale from a tile function
+    of the inner products and their diagonal.
+
+    The norms are added in place to -2 times the inner products, so a tile needs no
+    memory beyond its own. An inner product and a norm may round apart; models
+    with equal ``labels`` (byte-equal models) are set exactly 0 apart.
+    """
+    def tile(i0, i1, j0, j1, out=None):
+        out = inner(i0, i1, j0, j1, out)
+        out *= -2.0
+        out += diag[i0:i1, None]
+        out += diag[None, j0:j1]
+        np.maximum(out, 0.0, out=out)
+        if scale != 1.0:
+            out /= scale
+        if labels is not None:
+            out[labels[i0:i1, None] == labels[None, j0:j1]] = 0.0
+        return out
+    return tile
+
+
+def _product_tiles(left: np.ndarray, right: np.ndarray):
+    """Tile function of the inner products <left_i, right_j>: one plain matrix product
+    per tile. A diagonal tile of one array with itself takes a copy of its right
+    operand, so numpy never runs it as a symmetric rank-k update."""
+    def inner(i0, i1, j0, j1, out=None):
+        other = right[j0:j1].T
+        if left is right and i0 == j0:
+            other = other.copy()
+        return np.matmul(left[i0:i1], other, out=out)
+    return inner
 
 
 class ExpGFDKernel(DistributionKernel):
@@ -335,22 +551,14 @@ class ExpGFDKernel(DistributionKernel):
         self.base = base
         self.num_base_samples = num_base_samples
 
-    def _squared_distances(self, models, stream):
+    def _tiles(self, models, stream):
         z = self.base.draw(self.num_base_samples, stream)
         scores = models.score_tensor(z)
         n, m, d = scores.shape
-        flat = scores.reshape(n, m * d)
-        # BLAS may round a product's diagonal and off-diagonal entries differently, so
-        # byte-equal rows (+0.0 makes -0.0 and 0.0 equal) are merged to stay exactly 0 apart
-        rows, lead = flat, np.sort(flat[:, 0])
-        if np.any(lead[1:] == lead[:-1]):  # equal rows need equal first entries
-            keyed = np.ascontiguousarray(flat + 0.0)
-            keys = keyed.view(np.dtype((np.void, keyed.itemsize * m * d))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            rows = flat if len(first) == n else keyed[first]
-        sq = _distances_from_inner(rows @ rows.T.copy())
-        sq /= m
-        return sq if rows is flat else sq[np.ix_(inverse, inverse)]
+        features = scores.reshape(n, m * d)
+        return _tiles_from_inner(_product_tiles(features, features),
+                                 np.einsum("ia,ia->i", features, features), m,
+                                 _equal_row_labels(features))
 
 
 class ExpKGFDKernel(DistributionKernel):
@@ -367,16 +575,16 @@ class ExpKGFDKernel(DistributionKernel):
         self.ground = ground
         self.num_base_samples = num_base_samples
 
-    def _squared_distances(self, models, stream):
+    def _tiles(self, models, stream):
         z = self.base.draw(self.num_base_samples, stream)
         m = z.shape[0]
         scores = models.score_tensor(z)
-        w = self.ground.gram(z)
-        smoothed = np.einsum("ikd,kl->ild", scores, w)
-        inner = np.einsum("ild,jld->ij", smoothed, scores)
-        sq = _distances_from_inner(inner)
-        sq /= m ** 2
-        return sq
+        smoothed = np.einsum("ikd,kl->ild", scores, self.ground.gram(z))
+        n, _, d = scores.shape
+        features, smoothed = scores.reshape(n, m * d), smoothed.reshape(n, m * d)
+        return _tiles_from_inner(_product_tiles(smoothed, features),
+                                 np.einsum("ia,ia->i", smoothed, features), m ** 2,
+                                 _equal_row_labels(features))
 
 
 class ExpMMDKernel(DistributionKernel):
@@ -401,7 +609,7 @@ class ExpMMDKernel(DistributionKernel):
         self.mode = mode
         self.num_samples = num_samples
 
-    def _squared_distances(self, models, stream):
+    def _tiles(self, models, stream):
         if self.mode == "closed_form":
             return self._closed_form(models)
         return self._sampled(models, stream)
@@ -411,16 +619,28 @@ class ExpMMDKernel(DistributionKernel):
             raise UnsupportedKernelError("closed-form MMD needs a Gaussian ground kernel")
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
-        cross = double_expectation_gram(models.means, models.variances, self.ground.bandwidth)
-        return _distances_from_inner(cross)
+        means, variances, gamma = models.means, models.variances, self.ground.bandwidth
+
+        def inner(i0, i1, j0, j1, out=None):
+            return double_expectation_gram(means[i0:i1], variances[i0:i1], gamma,
+                                           means[j0:j1], variances[j0:j1], out=out)
+        diag = _double_expectation(means, variances, means, variances, gamma ** 2)
+        return _tiles_from_inner(inner, diag, labels=_equal_row_labels(
+            np.hstack([means, variances])))
 
     def _sampled(self, models, stream):
         if stream is None:
             raise ValueError("sampled MMD needs a random stream")
         n, m = len(models), self.num_samples
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
-        blocks = self.ground.mean_gram(draws, m, draws, m)
-        return _distances_from_inner(blocks)
+
+        def inner(i0, i1, j0, j1, out=None):
+            return self.ground.mean_gram(draws[i0 * m:i1 * m], m, draws[j0 * m:j1 * m], m,
+                                         out=out)
+        # each model's mean Gram with itself, read off diagonal tiles of 8 models
+        diag = np.concatenate([np.diagonal(inner(i, min(i + 8, n), i, min(i + 8, n)))
+                               for i in range(0, n, 8)])
+        return _tiles_from_inner(inner, diag)
 
 
 class ExpWassersteinKernel(DistributionKernel):
@@ -432,7 +652,7 @@ class ExpWassersteinKernel(DistributionKernel):
 
     name = "exp_wasserstein"
 
-    def _squared_distances(self, models, stream):
+    def _tiles(self, models, stream):
         if not isinstance(models, GaussianBatch):
             raise UnsupportedKernelError("the Wasserstein kernel needs diagonal Gaussian models")
         means, variances = models.means, models.variances
@@ -440,42 +660,15 @@ class ExpWassersteinKernel(DistributionKernel):
             raise UnsupportedKernelError("the Wasserstein kernel needs isotropic models")
         d = means.shape[1]
         sd = np.sqrt(variances[:, 0])
-        mean_sq = np.sum((means[:, None, :] - means[None, :, :]) ** 2, axis=-1)
-        return mean_sq + d * (sd[:, None] - sd[None, :]) ** 2
 
-
-def _strict_upper(matrix: np.ndarray) -> np.ndarray:
-    """The n(n - 1)/2 entries above the diagonal of a square matrix, as one new flat
-    array copied a row block at a time: the rectangle to the right of each block's
-    diagonal tile, then that tile's strict upper triangle."""
-    n = len(matrix)
-    out = np.empty(n * (n - 1) // 2)
-    filled = 0
-    for start, stop in row_blocks(n, n):
-        right = matrix[start:stop, stop:]
-        out[filled:filled + right.size].reshape(right.shape)[...] = right
-        filled += right.size
-        tile = matrix[start:stop, start:stop]
-        upper = tile[~np.tri(stop - start, dtype=bool)]
-        out[filled:filled + upper.size] = upper
-        filled += upper.size
-    return out
-
-
-def _distances_from_inner(inner: np.ndarray) -> np.ndarray:
-    """max(<a_i, a_i> + <a_j, a_j> - 2 <a_i, a_j>, 0) from an inner-product matrix,
-    written over it and returned. Only the diagonal and the upper triangle are read:
-    each row block is formed from its diagonal tile rightwards, then
-    :func:`mirror_upper` fills the rest, so the result is exactly symmetric with a
-    zero diagonal."""
-    n = len(inner)
-    diag = np.diag(inner).copy()
-    for start, stop in row_blocks(n, n):
-        block = inner[start:stop, start:]
-        block *= 2.0
-        np.subtract(diag[start:stop, None] + diag[None, start:], block, out=block)
-        np.maximum(block, 0.0, out=block)
-    return mirror_upper(inner)
+        def tile(i0, i1, j0, j1, out=None):
+            out = squared_differences(means[i0:i1], means[j0:j1], out)
+            scale = np.subtract.outer(sd[i0:i1], sd[j0:j1])
+            np.square(scale, out=scale)
+            scale *= d
+            out += scale
+            return out
+        return tile
 
 
 # ---------------------------------------------------------------------------
@@ -505,29 +698,20 @@ def median_heuristic(points: np.ndarray) -> float:
     """Lower median of the pairwise Euclidean distances of a point set.
 
     Accepts an (n, d) stack of vectors or a flat length-n array of scalars.
-    The squared distances of the pairs i < j are formed in blocks of rows,
-    and the square root is taken of their lower median, which is the lower
-    median of the distances themselves.
+    The squared distances of the pairs i < j are formed by
+    :func:`squared_differences` a row block at a time, straight into one packed
+    array, and the square root is taken of their lower median, which is the
+    lower median of the distances themselves.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("median heuristic needs at least two points")
-    n, d = points.shape
-    rows = max(1, _BLOCK_ELEMENTS // (n * d))
-    upper = np.empty(n * (n - 1) // 2)
-    filled = 0
-    for start in range(0, n - 1, rows):
-        stop = min(start + rows, n - 1)
-        diff = points[start:stop, None, :] - points[None, start + 1:, :]
-        sq = np.square(diff, out=diff).sum(axis=-1)
-        # row i of the block keeps the columns j > i
-        keep = np.arange(n - start - 1)[None, :] >= np.arange(stop - start)[:, None]
-        block = sq[keep]
-        upper[filled:filled + block.size] = block
-        filled += block.size
-    return math.sqrt(_positive_median(upper))
+
+    def tile(i0, i1, j0, j1, out=None):
+        return squared_differences(points[i0:i1], points[j0:j1], out)
+    return math.sqrt(_positive_median(_packed_upper(len(points), tile)[0]))
 
 
 def second_order_median_heuristic(models, samples_per_pair: int = 10,

@@ -13,6 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .kernels import (
+    DistanceBlocks,
     DistributionKernel,
     GaussianKernel,
     ScalarKernel,
@@ -33,8 +34,10 @@ from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 
 def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
                 scores2: np.ndarray, targets2: np.ndarray):
-    """Rows of :func:`h_matrix_between` on demand: a function ``rows(start, stop, out=None)``
-    that forms the (stop - start, n2) block of rows [start, stop), into ``out`` if given.
+    """Rows of :func:`h_matrix_between` on demand: a function
+    ``rows(start, stop, first=0, out=None)`` that forms the (stop - start, n2 - first)
+    block of rows [start, stop) and columns [first, n2), into ``out`` if given;
+    ``first`` is at most ``start``.
 
     Every term, the score product included, is formed for those rows only, and each
     block temporary goes as soon as it is used up. The score product is a plain
@@ -53,21 +56,21 @@ def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     right = np.hstack([y2, scores2, np.ones((n2, 1)),
                        -np.einsum("ja,ja->j", scores2, y2)[:, None]])
 
-    def rows(start, stop, out=None):
+    def rows(start, stop, first=0, out=None):
         # ordered so that between steps at most two block-sized arrays live beside the output
-        sq = sq_rows(start, stop)
+        sq = sq_rows(start, stop, first)
         value = l._f(sq)
         f2 = l._f2(value)
         f2 *= sq
         f2 *= 4.0
         del sq
-        block = np.matmul(scores1[start:stop], scores2.T, out=out)
+        block = np.matmul(scores1[start:stop], scores2[first:].T, out=out)
         block *= value
         block -= f2
         del f2
         f1 = l._f1(value)
         del value
-        bracket = left[start:stop] @ right.T
+        bracket = left[start:stop] @ right[first:].T
         bracket *= f1
         del f1
         block += bracket
@@ -268,6 +271,61 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
 # Wild bootstrap and the full test
 # ---------------------------------------------------------------------------
 
+def _check_bootstrap(n_bootstrap: int, alpha: float) -> None:
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _upper_bootstrap(n: int, blocks, n_bootstrap: int, alpha: float,
+                     stream: RandomStream) -> tuple[float, float, float]:
+    """The wild bootstrap of :func:`wild_bootstrap` on a statistic matrix given by its
+    row blocks above the diagonal: ``(start, stop, block)`` for the cuts of
+    ``row_blocks(n, n)``, with ``block`` the rows [start, stop) and columns [start, n),
+    zero on and below the diagonal.
+
+    Each block adds its share ``2 sum_{i<j} s_i s_j M_ij`` to the B + 1 sums as one
+    (B + 1, n - start) x (n - start, rows) product and a row dot. The signs and the
+    products share one allocation, made once the first block is formed, so that the
+    first block's temporaries and the signs are never held together; the uniforms
+    are drawn straight into the sign rows.
+    """
+    widest = max(stop - start for start, stop in row_blocks(n, n))
+    signs = None
+    sums = np.zeros(n_bootstrap + 1)
+    for start, stop, block in blocks:
+        if signs is None:
+            work = np.empty((n_bootstrap + 1) * (n + widest))
+            signs = work[:(n_bootstrap + 1) * n].reshape(n_bootstrap + 1, n)
+            signs[0] = 1.0
+            draws = signs[1:]
+            stream.generator().random(out=draws)
+            # -1 where u < 0.5; u = 0.5 gives +0.0 and so +1
+            draws -= 0.5
+            np.copysign(1.0, draws, out=draws)
+            products = work[signs.size:]
+        part = products[:(n_bootstrap + 1) * (stop - start)].reshape(n_bootstrap + 1, -1)
+        np.matmul(signs[:, start:], block.T, out=part)
+        del block  # before the next block is formed
+        sums += np.einsum("bi,bi->b", part, signs[:, start:stop])
+    values = 2.0 * sums / (n * (n - 1))
+    statistic, replicates = float(values[0]), values[1:]
+
+    rank = min(n_bootstrap, max(1, math.ceil((1.0 - alpha) * n_bootstrap)))
+    quantile = float(np.partition(replicates, rank - 1)[rank - 1])
+    p_value = float((1 + np.count_nonzero(replicates >= statistic)) / (n_bootstrap + 1))
+    return statistic, quantile, p_value
+
+
+def _zero_lower(block: np.ndarray) -> np.ndarray:
+    """A row block [start, stop) x [start, n) with its entries on and below the diagonal
+    set to 0; the block is returned."""
+    rows = len(block)
+    block[:, :rows][np.tri(rows, dtype=bool)] = 0.0
+    return block
+
+
 def wild_bootstrap(matrix: np.ndarray, n_bootstrap: int, alpha: float,
                    stream: RandomStream) -> tuple[float, float, float]:
     """Rademacher wild bootstrap of the degenerate U-statistic.
@@ -276,33 +334,41 @@ def wild_bootstrap(matrix: np.ndarray, n_bootstrap: int, alpha: float,
     (1 - alpha) quantile (order statistic at the 1-based index
     ceil((1 - alpha) B)) and the p-value (1 + #{b : B_b >= statistic}) / (B + 1).
     The statistic is the replicate of the all-ones sign vector, computed in
-    the same product as the B replicates, so a replicate whose signs are all
+    the same products as the B replicates, so a replicate whose signs are all
     equal ties with it exactly and counts towards the p-value.
+
+    The matrix is read a row block at a time above the diagonal, as
+    ``(M_ij + M_ji) / 2``: that is M itself for a symmetric matrix, and the same
+    quadratic forms for any square one.
     """
-    if n_bootstrap < 1:
-        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_bootstrap(n_bootstrap, alpha)
     entries = _statistic_entries(matrix)
     n = entries.shape[0]
-    if np.any(np.diagonal(entries)):
-        entries = entries.copy()
-        np.fill_diagonal(entries, 0.0)
 
-    rng = stream.generator()
-    signs = np.ones((n_bootstrap + 1, n))
-    # -1 where u < 0.5; u = 0.5 gives +0.0 and so +1
-    u = rng.random((n_bootstrap, n))
-    u -= 0.5
-    np.copysign(1.0, u, out=signs[1:])
-    del u
-    values = np.einsum("bi,bi->b", signs @ entries, signs) / (n * (n - 1))
-    statistic, replicates = float(values[0]), values[1:]
+    def blocks():
+        for start, stop in row_blocks(n, n):
+            block = entries[start:stop, start:] + entries[start:, start:stop].T
+            block *= 0.5
+            yield start, stop, _zero_lower(block)
+    return _upper_bootstrap(n, blocks(), n_bootstrap, alpha, stream)
 
-    rank = min(n_bootstrap, max(1, math.ceil((1.0 - alpha) * n_bootstrap)))
-    quantile = float(np.partition(replicates, rank - 1)[rank - 1])
-    p_value = float((1 + np.count_nonzero(replicates >= statistic)) / (n_bootstrap + 1))
-    return statistic, quantile, p_value
+
+def _kccsd_blocks(distances: DistanceBlocks, sigma: float, l: ScalarKernel, data: Dataset):
+    """Row blocks of the KCCSD statistic matrix above the diagonal, as
+    :func:`_upper_bootstrap` reads them: each unordered pair is formed once, from its
+    squared distance, ``exp(-d^2 / (2 sigma^2))`` and its Stein term, and nothing
+    larger than a row block is held."""
+    n = len(data)
+    scores = data.models.rows().score_batch(data.targets)
+    stein = _stein_rows(l, scores, data.targets, scores, data.targets)
+    for start, stop in row_blocks(n, n):
+        block = stein(start, stop, start)
+        weights = require_finite(distances.block(start, stop), "squared distance")
+        np.divide(weights, -2.0 * sigma ** 2, out=weights)
+        block *= np.exp(weights, out=weights)
+        del weights
+        yield start, stop, require_finite(_zero_lower(block), "statistic matrix")
+        del block  # before the next block is formed
 
 
 @dataclass(frozen=True)
@@ -348,24 +414,33 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
 
     Base samples for the distribution kernel are drawn once and shared by all
     Gram entries. Rejects when the statistic reaches the bootstrap quantile.
+    A KCCSD test holds no (n, n) array beyond one row block: its Gram entries,
+    statistic entries and bootstrap sums are formed together, a row block above the
+    diagonal at a time, after a first pass over the distances when ``sigma`` is the
+    median.
     """
     data = as_dataset(data)
     if len(data) < 2:
         raise ValueError("the calibration test needs at least two pairs")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    k_gram = dist_kernel.gram(data.models, stream.derive("base"))
-    # the statistic matrix is written over the Gram
+    _check_bootstrap(n_bootstrap, alpha)
     if isinstance(statistic, KCCSD):
-        matrix = kccsd_stat_matrix(k_gram, target_kernel, data, out=k_gram)
+        # tile-streamed: the distances, the statistic and the bootstrap sums, a row
+        # block at a time
+        distances = dist_kernel.distance_blocks(data.models, stream.derive("base"))
+        sigma = dist_kernel.bandwidth(distances)
+        value, quantile, p_value = _upper_bootstrap(
+            len(data), _kccsd_blocks(distances, sigma, target_kernel, data), n_bootstrap,
+            alpha, stream.derive("bootstrap"))
     elif isinstance(statistic, SKCE):
+        k_gram = dist_kernel.gram(data.models, stream.derive("base"))
         label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
+        # the statistic matrix is written over the Gram
         matrix = skce_stat_matrix(k_gram, target_kernel, data, statistic.strategy,
                                   stream.derive(label), out=k_gram)
+        value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
+                                                  stream.derive("bootstrap"))
     else:
         raise TypeError(f"unknown statistic spec {statistic!r}")
-    value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
-                                              stream.derive("bootstrap"))
     return TestResult(
         statistic=value,
         quantile=quantile,

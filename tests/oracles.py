@@ -126,10 +126,19 @@ def dense_sampled_bracket(f, targets, batch_a, batch_b, batch_c, batch_d):
             - term3.reshape(n, m, n).mean(axis=1).T + term4)
 
 
-def dense_distances_from_inner(inner):
-    """max(d_i + d_j - 2 inner_ij, 0) for the whole matrix, d the diagonal of ``inner``."""
-    diag = np.diag(inner)
-    return np.maximum(diag[:, None] + diag[None, :] - 2.0 * inner, 0.0)
+def dense_distances_from_inner(inner, diag):
+    """max((-2 inner_ij + d_i) + d_j, 0) for the whole matrix, d the given diagonal."""
+    return np.maximum((-2.0 * inner + diag[:, None]) + diag[None, :], 0.0)
+
+
+def dense_double_expectation(means, variances, gamma):
+    """[i, j] = E l(z, z') for z ~ N(means[i], variances[i]), z' ~ N(means[j], variances[j])
+    and Gaussian l, through the whole (n, n, d) tensors."""
+    g2 = gamma ** 2
+    denom = g2 + variances[:, None, :] + variances[None, :, :]
+    quad = (means[:, None, :] - means[None, :, :]) ** 2 / (2.0 * denom)
+    logs = 0.5 * np.log(denom / g2)
+    return np.exp(-np.sum(quad + logs, axis=-1))
 
 
 def dense_median_sigma(sq):
@@ -139,6 +148,23 @@ def dense_median_sigma(sq):
     n = len(sq)
     k = n + n * (n - 1) // 2 - 1
     return float(np.sqrt(np.partition(sq, k, axis=None)[k]))
+
+
+def dense_wild_bootstrap(matrix, n_bootstrap, alpha, rng):
+    """Statistic, (1 - alpha) quantile and p-value of the Rademacher wild bootstrap on the
+    whole matrix with its diagonal zeroed: sign -1 where the generator's (B, n) uniform
+    draw is below 0.5, replicate s^T M s / (n (n - 1)), and the all-ones signs for the
+    statistic."""
+    m = np.array(matrix, dtype=float)
+    np.fill_diagonal(m, 0.0)
+    n = len(m)
+    signs = np.ones((n_bootstrap + 1, n))
+    signs[1:][rng.random((n_bootstrap, n)) < 0.5] = -1.0
+    values = np.einsum("bi,bi->b", signs @ m, signs) / (n * (n - 1))
+    rank = min(n_bootstrap, max(1, int(np.ceil((1.0 - alpha) * n_bootstrap))))
+    quantile = np.sort(values[1:])[rank - 1]
+    p_value = (1 + np.count_nonzero(values[1:] >= values[0])) / (n_bootstrap + 1)
+    return float(values[0]), float(quantile), float(p_value)
 
 
 def dense_mirrored_upper(entries):

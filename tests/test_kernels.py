@@ -26,8 +26,10 @@ from steincal.statistics import h_matrix_between
 from oracles import (
     brute_force_kgfd,
     dense_distances_from_inner,
+    dense_double_expectation,
     dense_mean_gram,
     dense_median_sigma,
+    dense_mirrored_upper,
     dense_squared_distances,
     direct_gfd,
     fd_kernel_bundle,
@@ -42,6 +44,16 @@ from oracles import (
 def g1(mean, var):
     return DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
                             np.atleast_1d(np.asarray(var, float)))
+
+
+def tiles_of(matrix):
+    """The tile function of a fixed matrix: tiles are copied out of it."""
+    def tile(i0, i1, j0, j1, out=None):
+        if out is None:
+            return matrix[i0:i1, j0:j1].copy()
+        out[...] = matrix[i0:i1, j0:j1]
+        return out
+    return tile
 
 
 def random_gaussians(rng, count, dim, spread=2.0):
@@ -208,25 +220,18 @@ class TestRowBlocks:
         assert np.array_equal(kernel.mean_gram(a, 4, a, 4),
                               dense_mean_gram(kernel._f, a, 4, None, 4))
 
-    def test_distances_from_inner_overwrite_the_inner_products(self):
-        a = np.random.default_rng(5).normal(size=(130, 7))
-        inner = a @ a.T
-        want = dense_distances_from_inner(inner)
-        got = kernels._distances_from_inner(inner)
-        assert got is inner
-        assert np.array_equal(got, want)
-
-    def test_distances_from_inner_read_only_the_upper_triangle(self):
+    def test_tiles_from_inner_read_only_the_upper_triangle(self):
         a = np.random.default_rng(7).normal(size=(130, 7))
         inner = a @ a.T.copy() + 1e-3 * np.random.default_rng(8).normal(size=(130, 130))
+        diag = np.einsum("ia,ia->i", a, a)
         upper = np.triu(inner) + np.triu(inner, 1).T
         inner[np.tril_indices(130, k=-1)] = np.nan
-        got = kernels._distances_from_inner(inner)
+        got = kernels.DistanceBlocks(130, kernels._tiles_from_inner(tiles_of(inner), diag)).dense()
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, got.T)
-        assert np.array_equal(got, dense_distances_from_inner(upper))
+        assert np.array_equal(got, dense_mirrored_upper(dense_distances_from_inner(upper, diag)))
 
-    @pytest.mark.parametrize("n", [2, 47, 130])
+    @pytest.mark.parametrize("n", [2, 47, 130, 300])
     def test_mirror_upper_writes_the_upper_triangle_over_the_lower(self, n):
         x = np.random.default_rng(6 + n).normal(size=(n, n))
         want = np.triu(x) + np.triu(x, 1).T
@@ -235,10 +240,36 @@ class TestRowBlocks:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 47, 130])
-    def test_strict_upper_holds_the_entries_above_the_diagonal(self, n):
+    def test_packed_upper_holds_the_entries_above_the_diagonal(self, n):
         x = np.random.default_rng(n).normal(size=(n, n))
-        got = kernels._strict_upper(x)
+        x[np.tril_indices(n)] = np.nan  # read nowhere
+        got, diagonal = kernels._packed_upper(n, tiles_of(x))
         assert np.array_equal(np.sort(got), np.sort(x[np.triu_indices(n, k=1)]))
+        start, stop = kernels.row_blocks(n, n)[-1]
+        assert np.array_equal(diagonal, x[start:stop, start:stop], equal_nan=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 63, 127, 128, 129, 136, 257, 300])
+    def test_squared_differences_hold_the_bytes_of_the_summed_tensor(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(23, d)) * rng.uniform(0.1, 100.0, size=d)
+        b = rng.normal(size=(19, d)) * rng.uniform(0.1, 100.0, size=d)
+        want = squared_distances_by_differences(a, b)
+        assert np.array_equal(kernels.squared_differences(a, b), want)
+        out = np.full((23, 19), np.nan)
+        assert kernels.squared_differences(a, b, out) is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_double_expectation_gram_blocks_hold_the_dense_bytes(self, d):
+        # unequal variances, so the order of g^2 + v_i + v_j shows
+        rng = np.random.default_rng(50 + d)
+        means, variances = rng.normal(size=(130, d)), rng.uniform(0.5, 2.0, size=(130, d))
+        want = dense_double_expectation(means, variances, 0.8)
+        assert np.array_equal(double_expectation_gram(means, variances, 0.8), want)
+        got = double_expectation_gram(means[40:90], variances[40:90], 0.8,
+                                      means[60:], variances[60:])
+        assert np.array_equal(got, want[40:90, 60:])
+
 
     @pytest.mark.parametrize("n, distinct", [(2, 2), (47, 47), (130, 130), (777, 777),
                                              (130, 3), (777, 4), (300, 7)])
@@ -255,6 +286,58 @@ class TestRowBlocks:
         assert sigma > 0.0
         assert np.array_equal(ExpGFDKernel(None, base).gram(models),
                               ExpGFDKernel(sigma, base).gram(models))
+
+
+_DIST_KERNELS = {
+    "exp_gfd": lambda: ExpGFDKernel(None, BaseMeasure.standard_gaussian(3)),
+    "exp_kgfd": lambda: ExpKGFDKernel(None, BaseMeasure.standard_gaussian(3), GaussianKernel(1.0)),
+    "exp_mmd": lambda: ExpMMDKernel(None, GaussianKernel(1.0)),
+    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled",
+                                            num_samples=3),
+    "exp_wasserstein": lambda: ExpWassersteinKernel(None),
+}
+
+
+class TestDistanceBlocks:
+    """The row blocks above the diagonal that a test streams, against the dense matrix.
+    Blocks of 48 rows end inside the matrices."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+
+    @staticmethod
+    def isotropic(rng, n, distinct=None):
+        """n isotropic Gaussians in three dimensions; with ``distinct``, drawn from that many."""
+        pick = rng.integers(0, distinct, size=n) if distinct else np.arange(n)
+        count = distinct or n
+        means = rng.normal(size=(count, 3))[pick]
+        variances = np.repeat(rng.uniform(0.5, 2.0, size=(count, 1)), 3, axis=1)[pick]
+        return GaussianBatch(means, variances), pick
+
+    @pytest.mark.parametrize("n", [7, 130])
+    @pytest.mark.parametrize("name", sorted(_DIST_KERNELS))
+    def test_blocks_hold_the_dense_entries_above_the_diagonal(self, name, n):
+        models, _ = self.isotropic(np.random.default_rng(n), n)
+        kernel = _DIST_KERNELS[name]()
+        dense = kernel.squared_distances(models, RandomStream(5))
+        distances = kernel.distance_blocks(models, RandomStream(5))
+        assert distances.median_sigma() == dense_median_sigma(dense)
+        for start, stop in kernels.row_blocks(n, n):
+            block = distances.block(start, stop)
+            above = np.triu(np.ones(block.shape, dtype=bool), k=1)
+            assert np.array_equal(block[above], dense[start:stop, start:][above])
+
+    @pytest.mark.parametrize("name", ["exp_gfd", "exp_kgfd", "exp_mmd", "exp_wasserstein"])
+    def test_byte_equal_models_are_exactly_zero_apart_in_every_block(self, name):
+        models, pick = self.isotropic(np.random.default_rng(9), 130, distinct=6)
+        distances = _DIST_KERNELS[name]().distance_blocks(models, RandomStream(6))
+        for start, stop in kernels.row_blocks(130, 130):
+            block = distances.block(start, stop)
+            above = np.triu(np.ones(block.shape, dtype=bool), k=1)
+            same = pick[start:stop, None] == pick[None, start:]
+            assert np.all(block[same & above] == 0.0)
+            assert np.all(block[~same & above] > 0.0)
 
 
 class TestGaussianExpectations:

@@ -8,7 +8,9 @@ from steincal import kernels
 from steincal.kernels import (
     BaseMeasure,
     ExpGFDKernel,
+    ExpKGFDKernel,
     ExpMMDKernel,
+    ExpWassersteinKernel,
     GaussianKernel,
     IMQKernel,
     UnsupportedKernelError,
@@ -44,6 +46,7 @@ from oracles import (
     dense_mirrored_upper,
     dense_sampled_bracket,
     dense_stein_terms,
+    dense_wild_bootstrap,
     fd_h_term,
     gaussian_kernel_expectation,
     stein_terms_by_differences,
@@ -294,16 +297,23 @@ class TestPeakMemory:
         assert peak <= 0.5 * (n * m) ** 2
 
 
-    def test_kccsd_test_holds_one_matrix_and_blocks(self):
-        # the Gram step holds the squared distances and their packed upper triangle,
-        # the statistic is written over the Gram, and 100 replicates stay small
-        n = 1024
+    @pytest.mark.parametrize("sigma", [None, 1.0], ids=["median_sigma", "fixed_sigma"])
+    def test_kccsd_test_holds_no_square_matrix(self, sigma):
+        # the median sigma is selected on the packed upper triangle, n(n - 1)/2 floats,
+        # which is freed before the bootstrap. Then the test holds the (B + 1, n) signs,
+        # a statistic block and the Stein terms' temporaries (three blocks), and the
+        # score features and per-row arrays (under one more block)
+        n, b = 1024, 100
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(63).derive("d"))
-        assert len(kernels.row_blocks(n, n)) > 1
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        (start, stop), *_ = kernels.row_blocks(n, n)
+        assert stop < n
+        kernel = ExpGFDKernel(sigma, BaseMeasure.standard_gaussian(5))
         peak = self.traced_peak_floats(lambda: run_calibration_test(
-            data, kernel, GaussianKernel(1.0), KCCSD(), 0.05, 100, RandomStream(64)))
-        assert peak <= 1.6 * n * n
+            data, kernel, GaussianKernel(1.0), KCCSD(), 0.05, b, RandomStream(64)))
+        if sigma is None:
+            assert peak <= 0.6 * n * n
+        else:
+            assert peak <= (b + 1) * n + 5 * (stop - start) * n
 
 
 class TestStatMatrixOut:
@@ -566,9 +576,10 @@ class TestWildBootstrap:
 
     def test_signs_equal_the_masked_uniform_draws(self):
         # signs are -1 where the uniform draw is below 0.5: the same result as setting
-        # -1 through a mask of the draws
+        # -1 through a mask of the draws. Small integer entries keep every sum exact, so
+        # the whole-matrix quadratic forms match the upper-triangle ones bit for bit
         rng = np.random.default_rng(31)
-        half = rng.normal(size=(40, 40))
+        half = rng.integers(-9, 10, size=(40, 40)).astype(float)
         m = half + half.T
         np.fill_diagonal(m, 0.0)
         n, b = 40, 300
@@ -581,6 +592,18 @@ class TestWildBootstrap:
             want = (float(values[0]), float(np.sort(values[1:])[rank - 1]),
                     float((1 + np.count_nonzero(values[1:] >= values[0])) / (b + 1)))
             assert wild_bootstrap(m, b, 0.1, stream) == want, seed
+
+    @pytest.mark.parametrize("n", [2, 9, 130])
+    def test_any_square_matrix_keeps_its_quadratic_forms(self, n, monkeypatch):
+        # an asymmetric matrix with a diagonal is read as (M + M^T) / 2 above the
+        # diagonal: the same replicates as s^T M s over the off-diagonal entries
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+        m = np.random.default_rng(n).normal(size=(n, n))
+        stream = RandomStream(32).derive("b")
+        got = wild_bootstrap(m, 300, 0.1, stream)
+        want = dense_wild_bootstrap(m, 300, 0.1, stream.generator())
+        assert got == pytest.approx(want, rel=0, abs=1e-12 * abs(want[1]))
+        assert got[2] == want[2]
 
     def test_determinism(self):
         rng = np.random.default_rng(24)
@@ -595,6 +618,44 @@ class TestWildBootstrap:
             wild_bootstrap(np.zeros((3, 3)), 0, 0.05, RandomStream(0))
         with pytest.raises(ValueError):
             wild_bootstrap(np.zeros((3, 3)), 10, 1.5, RandomStream(0))
+
+
+_STREAMED_KERNELS = {
+    "exp_gfd": lambda: ExpGFDKernel(None, BaseMeasure.standard_gaussian(5)),
+    "exp_kgfd": lambda: ExpKGFDKernel(None, BaseMeasure.standard_gaussian(5), GaussianKernel(2.0)),
+    "exp_mmd": lambda: ExpMMDKernel(None, GaussianKernel(2.0)),
+    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(2.0), mode="sampled",
+                                            num_samples=2),
+    "exp_wasserstein": lambda: ExpWassersteinKernel(None),
+    "exp_gfd_fixed_sigma": lambda: ExpGFDKernel(3.0, BaseMeasure.standard_gaussian(5)),
+}
+
+
+class TestTileStreamedKCCSD:
+    """run_calibration_test forms the KCCSD statistic a row block above the diagonal at a
+    time, straight into the bootstrap sums. Against the dense pipeline (the Gram,
+    kccsd_stat_matrix and the whole-matrix bootstrap oracle) it agrees to rounding with
+    the same p-value and verdict. Blocks of 48 rows end inside the matrix."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+
+    @pytest.mark.parametrize("n", [7, 300, 1015])
+    @pytest.mark.parametrize("name", sorted(_STREAMED_KERNELS))
+    def test_matches_the_dense_pipeline(self, name, n):
+        data = sample_setup(SyntheticSetup("mgm", 0.1), n, RandomStream(80).derive("d"))
+        kernel, l = _STREAMED_KERNELS[name](), GaussianKernel(2.0)
+        stream = RandomStream(81)
+        got = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, stream)
+        matrix = kccsd_stat_matrix(kernel.gram(data.models, stream.derive("base")), l, data)
+        statistic, quantile, p_value = dense_wild_bootstrap(
+            matrix, 200, 0.05, stream.derive("bootstrap").generator())
+        tol = 1e-12 * abs(quantile)
+        assert got.statistic == pytest.approx(statistic, rel=0, abs=tol)
+        assert got.quantile == pytest.approx(quantile, rel=0, abs=tol)
+        assert got.p_value == p_value
+        assert got.reject == (statistic >= quantile)
 
 
 class TestRunCalibrationTest:
@@ -632,9 +693,12 @@ class TestRunCalibrationTest:
         matrix = kccsd_stat_matrix(k_gram, l, data)
         statistic, quantile, p_value = wild_bootstrap(matrix, 150, 0.05,
                                                       stream.derive("bootstrap"))
+        # the test forms each pair once, the dense pipeline averages the two rounded
+        # Stein terms of a pair: they agree to rounding, with the same verdict
         assert result.statistic == pytest.approx(u_statistic(matrix))
-        assert result.statistic == statistic
-        assert result.quantile == quantile and result.p_value == p_value
+        assert result.statistic == pytest.approx(statistic, rel=0, abs=1e-12 * abs(quantile))
+        assert result.quantile == pytest.approx(quantile, rel=0, abs=1e-12 * abs(quantile))
+        assert result.p_value == p_value
 
     def test_skce_path_runs(self):
         data = self._dataset(24, seed=6)

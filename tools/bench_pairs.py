@@ -11,7 +11,9 @@ pair, so a drift of the host hits both sides alike. The last line of a run's
 standard output is its JSON summary. The output file holds every summary
 and, per workload and metric, the median and quartiles of each side and the
 number of pairs whose change run beat its parent run (by the metric's
-``better`` direction in the parent's BENCHMARK.json).
+``better`` direction in the parent's BENCHMARK.json). It also counts each
+side's runs that are not correct (an error, ``correct`` false or failed tests),
+and the exit status is 1 if any change run is among them.
 """
 import argparse
 import json
@@ -67,6 +69,17 @@ def summarise(runs: list, better: dict) -> dict:
     return out
 
 
+def incorrect_runs(runs: list) -> dict:
+    """Per side, the runs without a correct result: an error, ``correct`` false or a
+    failed test."""
+    counts = {"parent": 0, "change": 0}
+    for run in runs:
+        result = run["result"]
+        if "error" in result or result.get("correct") is not True or result.get("failed"):
+            counts[run["side"]] += 1
+    return counts
+
+
 def directions(tree: Path) -> dict:
     with open(tree / "BENCHMARK.json", "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -115,10 +128,16 @@ def main(argv=None) -> int:
                       + json.dumps(result.get("error") or {
                           k: round(v["value"], 4) for k, v in result["metrics"].items()}),
                       flush=True)
-        record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, better)}
+        record["workloads"][workload] = {"runs": runs, "incorrect": incorrect_runs(runs),
+                                         "summary": summarise(runs, better)}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")
+    failing = {w: entry["incorrect"]["change"] for w, entry in record["workloads"].items()
+               if entry["incorrect"]["change"]}
+    if failing:
+        print(f"change runs not correct: {json.dumps(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 
