@@ -53,8 +53,9 @@ class ScalarKernel(ABC):
         self.bandwidth = float(bandwidth)
 
     @abstractmethod
-    def _f(self, sq: np.ndarray) -> np.ndarray:
-        """Kernel profile as a function of the squared distance."""
+    def _f(self, sq: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Kernel profile as a function of the squared distance, into ``out`` if given
+        (which may be ``sq`` itself)."""
 
     @abstractmethod
     def _f1(self, value: np.ndarray) -> np.ndarray:
@@ -69,24 +70,54 @@ class ScalarKernel(ABC):
         return float(self.gram(y, y2)[0, 0])
 
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._f(squared_distance_matrix(points, points2))
+        sq = squared_distance_matrix(points, points2)
+        return self._f(sq, out=sq)
 
     def mean_gram(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """Matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l]),
         written into ``out`` if given.
 
-        That is the (n1 m, n2 m2) Gram averaged over its m x m2 blocks. It is
-        formed a few groups of m rows at a time, each group averaged as soon as
-        it is formed, with the same bytes as averaging the whole Gram.
+        That is the (n1 m, n2 m2) Gram averaged over its m x m2 blocks, with the same
+        bytes as averaging the whole Gram. It is assembled from all the tiles of
+        :meth:`mean_gram_tiles`.
+        """
+        out = np.empty((len(points) // m, len(points2) // m2)) if out is None else out
+        for rows, columns, means in self.mean_gram_tiles(points, m, points2, m2)():
+            out[rows, columns] = means
+        return out
+
+    def mean_gram_tiles(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int):
+        """Tiles of :meth:`mean_gram` on demand: a generator function
+        ``tiles(start=0, stop=None, first=0, last=None, upper=False)`` over the block of
+        groups [start, stop) of ``points`` against groups [first, last) of ``points2``,
+        all of them by default. It yields ``(rows, columns, means)``: the slices of the
+        block that a tile covers and the tile's means.
+
+        The Gram comes from one :func:`squared_distance_rows` of the whole stacks and is
+        formed a tile of whole groups at a time, of about ``_ROW_BLOCK_ELEMENTS`` floats,
+        each tile averaged as soon as it is formed. With ``upper`` (and ``first`` at most
+        ``start``) each run of m-row groups forms its columns from its own first group on,
+        so only the entries [i, j] with j >= i, counted in groups from 0 in both stacks,
+        are sure to be covered.
         """
         rows_of = squared_distance_rows(points, points2)
         n1, n2 = len(points) // m, len(points2) // m2
-        out = np.empty((n1, n2)) if out is None else out
-        for start, stop in row_blocks(n1 * m, n2 * m2, multiple=m):
-            block = self._f(rows_of(start, stop))
-            block.reshape(-1, m, n2, m2).mean(axis=(1, 3), out=out[start // m:stop // m])
-        return out
+
+        def tiles(start=0, stop=None, first=0, last=None, upper=False):
+            stop = n1 if stop is None else stop
+            last = n2 if last is None else last
+            for lo, hi in row_blocks((stop - start) * m, (last - first) * m2, multiple=m):
+                col = max(start + lo // m, first) if upper else first
+                # wide rows are cut into column ranges of whole groups as well
+                for c0, c1 in column_blocks(last - col, hi - lo, m2):
+                    c0, c1 = col + c0, col + c1
+                    block = rows_of(start * m + lo, start * m + hi, c0 * m2, c1 * m2)
+                    self._f(block, out=block)
+                    means = block.reshape(-1, m, c1 - c0, m2).mean(axis=(1, 3))
+                    del block
+                    yield slice(lo // m, hi // m), slice(c0 - first, c1 - first), means
+        return tiles
 
 
 class GaussianKernel(ScalarKernel):
@@ -94,8 +125,8 @@ class GaussianKernel(ScalarKernel):
 
     name = "gaussian"
 
-    def _f(self, sq):
-        out = np.divide(sq, -2.0 * self.bandwidth ** 2)
+    def _f(self, sq, out=None):
+        out = np.divide(sq, -2.0 * self.bandwidth ** 2, out=out)
         return np.exp(out, out=out)
 
     def _f1(self, value):
@@ -111,8 +142,10 @@ class IMQKernel(ScalarKernel):
 
     name = "imq"
 
-    def _f(self, sq):
-        return 1.0 / (1.0 + sq / self.bandwidth ** 2)
+    def _f(self, sq, out=None):
+        out = np.divide(sq, self.bandwidth ** 2, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
     def _f1(self, value):
         return -value ** 2 / self.bandwidth ** 2
@@ -150,9 +183,10 @@ def squared_distance_matrix(points: np.ndarray, points2: Optional[np.ndarray] = 
 
 
 def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = None):
-    """Rows of :func:`squared_distance_matrix` on demand: a function ``rows(start, stop, first)``
-    that returns the (stop - start, n2 - first) block of rows [start, stop) and columns
-    [first, n2), all rows and columns by default; ``first`` is at most ``start``.
+    """Rows of :func:`squared_distance_matrix` on demand: a function
+    ``rows(start, stop, first, last)`` that returns the block of rows [start, stop) and
+    columns [first, last), all rows and columns by default; for a set against itself
+    the diagonal entries inside the block are exact zeros.
 
     The centre (the mean of all of ``points``), the squared norms and the operand
     that takes the -2 are fixed from the whole stacks, so every block holds the
@@ -163,8 +197,8 @@ def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = No
     if points.shape[1] == 1:
         x, y = points[:, 0], points2[:, 0]
 
-        def outer_rows(start=0, stop=None, first=0):
-            out = np.subtract.outer(x[start:stop], y[first:])
+        def outer_rows(start=0, stop=None, first=0, last=None):
+            out = np.subtract.outer(x[start:stop], y[first:last])
             return np.square(out, out=out)
         return outer_rows
     center = points.mean(axis=0)
@@ -175,13 +209,15 @@ def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = No
     # the -2 goes into the smaller operand of the whole product
     left, right = (-2.0 * a, b) if len(a) <= len(b) else (a, -2.0 * b)
 
-    def product_rows(start=0, stop=None, first=0):
-        out = left[start:stop] @ right[first:].T
+    def product_rows(start=0, stop=None, first=0, last=None):
+        out = left[start:stop] @ right[first:last].T
         out += norms_a[start:stop, None]
-        out += norms_b[None, first:]
+        out += norms_b[None, first:last]
         np.maximum(out, 0.0, out=out)
         if same:
-            np.fill_diagonal(out[:, start - first:], 0.0)
+            # the part of the diagonal that falls inside the block
+            shift = start - first
+            np.fill_diagonal(out[:, shift:] if shift >= 0 else out[-shift:, :], 0.0)
         return out
     return product_rows
 
@@ -257,6 +293,15 @@ def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
+def column_blocks(n2: int, rows: int, depth: int = 1) -> list[tuple[int, int]]:
+    """Column ranges [first, last) that cut ``rows`` rows of an (n1, n2) matrix, whose
+    entries take ``depth`` floats each while they are formed, into tiles of at most about
+    ``_ROW_BLOCK_ELEMENTS`` floats. Every range but the last is a multiple of
+    ``_ROW_TILE`` columns wide."""
+    cols = _ROW_TILE * max(1, _ROW_BLOCK_ELEMENTS // (rows * depth * _ROW_TILE))
+    return [(first, min(first + cols, n2)) for first in range(0, n2, cols)]
+
+
 def mirror_upper(x: np.ndarray) -> np.ndarray:
     """The strict upper triangle of the square matrix x written over its strict lower
     one, one square tile at a time, so that the transposed reads stay within a tile;
@@ -276,26 +321,67 @@ def mirror_upper(x: np.ndarray) -> np.ndarray:
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
 
-def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l."""
-    # exp of sum_a [ -log(1 + v_a/g^2)/2 - (mu_a - y_a)^2 / (2 (g^2 + v_a)) ], broadcast (n, m)
+def deep_tiles(n1: int, n2: int, d: int):
+    """Tiles (start, stop, first, last) of an (n1, n2) matrix whose entries are formed
+    through (rows, columns, d) temporaries: the row blocks of ``row_blocks(n1, n2 d)``,
+    each cut by :func:`column_blocks`."""
+    for start, stop in row_blocks(n1, n2 * d):
+        for first, last in column_blocks(n2, stop - start, d):
+            yield start, stop, first, last
+
+
+def single_expectation_gram(means, variances, points, gamma,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l,
+    written into ``out`` if given.
+
+    Entry [i, j] is exp of -sum_a (mu_ia - y_ja)^2 / (2 (g^2 + v_ia)) - sum_a log(1 +
+    v_ia / g^2) / 2. It is formed a tile at a time (:func:`deep_tiles`), each through
+    one (rows, columns, d) temporary, and every entry holds the same bytes whichever
+    tile it falls in.
+    """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     means, variances, points = (np.asarray(a, float) for a in (means, variances, points))
     g2 = gamma ** 2
-    denom = g2 + variances  # (n, d)
-    quad = (means[:, None, :] - points[None, :, :]) ** 2 / (2.0 * denom[:, None, :])
-    logs = 0.5 * np.log1p(variances / g2)
-    return np.exp(-np.sum(quad, axis=-1) - np.sum(logs, axis=-1)[:, None])
+    twice_denom = 2.0 * (g2 + variances)  # (n1, d)
+    logs = np.sum(0.5 * np.log1p(variances / g2), axis=-1)
+    n1, (n2, d) = len(means), points.shape
+    out = np.empty((n1, n2)) if out is None else out
+    for start, stop, first, last in deep_tiles(n1, n2, d):
+        quad = means[start:stop, None, :] - points[None, first:last, :]
+        np.square(quad, out=quad)
+        quad /= twice_denom[start:stop, None, :]
+        total = np.sum(quad, axis=-1, out=out[start:stop, first:last])
+        del quad
+        # -a - b is -(a + b) exactly
+        total += logs[start:stop, None]
+        np.negative(total, out=total)
+        np.exp(total, out=total)
+    return out
 
 
-def _double_expectation(means, variances, means2, variances2, g2) -> np.ndarray:
+def _double_expectation(means, variances, means2, variances2, g2,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """E l(z, z') for z ~ N(means, variances), z' ~ N(means2, variances2) and Gaussian l
-    of squared bandwidth g2, broadcast over the leading axes; the last is summed."""
-    denom = g2 + variances + variances2
-    quad = (means - means2) ** 2 / (2.0 * denom)
-    logs = 0.5 * np.log(denom / g2)
-    total = np.sum(quad + logs, axis=-1)
+    of squared bandwidth g2, broadcast over the leading axes; the last is summed, into
+    ``out`` if given.
+
+    That is exp of -sum (mu - mu')^2 / (2 D) - sum log(D / g^2) / 2 with
+    D = (g^2 + v) + v', through two broadcast temporaries: 2 D is formed as
+    (2 g^2 + 2 v) + 2 v', and D / g^2 as 2 D / (2 g^2). Doubling is exact, so both
+    round as the direct forms do.
+    """
+    twice_denom = (2.0 * g2 + 2.0 * variances) + 2.0 * variances2
+    quad = np.subtract(means, means2)
+    np.square(quad, out=quad)
+    quad /= twice_denom
+    logs = np.divide(twice_denom, 2.0 * g2, out=twice_denom)
+    np.log(logs, out=logs)
+    logs *= 0.5
+    quad += logs
+    del logs, twice_denom
+    total = np.sum(quad, axis=-1, out=out)
     return np.exp(np.negative(total, out=total), out=total)
 
 
@@ -305,9 +391,9 @@ def double_expectation_gram(means, variances, gamma, means2=None, variances2=Non
     the models (means, variances) and (means2, variances2), or the first set against
     itself; written into ``out`` if given.
 
-    It is formed a row block at a time, each through (rows, n2, d) temporaries of
-    about ``_ROW_BLOCK_ELEMENTS`` floats, and every entry holds the same bytes
-    whichever block it falls in.
+    It is formed a tile at a time (:func:`deep_tiles`), each through two
+    (rows, columns, d) temporaries of about ``_ROW_BLOCK_ELEMENTS`` floats, and every
+    entry holds the same bytes whichever tile it falls in.
     """
     means = np.asarray(means, float)
     variances = np.asarray(variances, float)
@@ -315,10 +401,10 @@ def double_expectation_gram(means, variances, gamma, means2=None, variances2=Non
     variances2 = variances if variances2 is None else np.asarray(variances2, float)
     n1, (n2, d) = len(means), means2.shape
     out = np.empty((n1, n2)) if out is None else out
-    for start, stop in row_blocks(n1, n2 * d):
-        out[start:stop] = _double_expectation(means[start:stop, None, :],
-                                              variances[start:stop, None, :],
-                                              means2, variances2, gamma ** 2)
+    for start, stop, first, last in deep_tiles(n1, n2, d):
+        _double_expectation(means[start:stop, None, :], variances[start:stop, None, :],
+                            means2[first:last], variances2[first:last], gamma ** 2,
+                            out=out[start:stop, first:last])
     return out
 
 

@@ -18,6 +18,7 @@ from .kernels import (
     GaussianKernel,
     ScalarKernel,
     UnsupportedKernelError,
+    deep_tiles,
     double_expectation_gram,
     mirror_upper,
     row_blocks,
@@ -214,31 +215,65 @@ def _strategy_batches(models: ModelBatch, strategy, stream: RandomStream) -> lis
     return batches
 
 
-def _closed_form_bracket(l: ScalarKernel, data: Dataset) -> np.ndarray:
-    if not isinstance(l, GaussianKernel):
-        raise UnsupportedKernelError("closed-form expectations need a Gaussian target kernel")
-    models, targets = data.models, data.targets
-    if not isinstance(models, GaussianBatch):
-        raise CapabilityError("closed-form expectations need diagonal Gaussian models")
-    value = l.gram(targets)
-    single = single_expectation_gram(models.means, models.variances, targets, l.bandwidth)
-    value -= single
-    value -= single.T
-    del single
-    value += double_expectation_gram(models.means, models.variances, l.bandwidth)
-    return value
+def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
+                  stream: Optional[RandomStream]):
+    """Rows of the calibration-error bracket l - E l - E l + E E l above the diagonal on
+    demand: a function ``rows(start, stop)`` that forms the (stop - start, n - start)
+    block of rows [start, stop) and columns [start, n). Entries on and below the
+    diagonal are finite but hold no pair's bracket.
 
-
-def _sampled_bracket(l: ScalarKernel, data: Dataset, strategy, stream: RandomStream) -> np.ndarray:
+    The sample batches, or the models' parameters, are fixed once. Each expectation
+    term is formed a tile at a time, for the block's pairs only (the sampled terms
+    skip most of the pairs below the diagonal, see ``upper`` in
+    :meth:`ScalarKernel.mean_gram_tiles`), and each tile is combined into the block in
+    the order of the bracket as soon as it is formed.
+    """
     targets = data.targets
-    batch_a, batch_b, batch_c, batch_d = _strategy_batches(data.models, strategy, stream)
-    n, m, d = batch_a.shape
-    value = l.gram(targets)
-    # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k)
-    value -= l.mean_gram(batch_a.reshape(n * m, d), m, targets, 1)
-    value -= l.mean_gram(batch_b.reshape(n * m, d), m, targets, 1).T
-    value += l.mean_gram(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
-    return value
+    n = len(targets)
+    target_rows = squared_distance_rows(targets)
+    if isinstance(strategy, ClosedFormGaussian):
+        if not isinstance(l, GaussianKernel):
+            raise UnsupportedKernelError("closed-form expectations need a Gaussian target kernel")
+        models = data.models
+        if not isinstance(models, GaussianBatch):
+            raise CapabilityError("closed-form expectations need diagonal Gaussian models")
+        means, variances, gamma = models.means, models.variances, l.bandwidth
+
+        def expectations(start, stop, value):
+            for r0, r1, c0, c1 in deep_tiles(stop - start, n - start, means.shape[1]):
+                rows, columns = slice(start + r0, start + r1), slice(start + c0, start + c1)
+                tile = value[r0:r1, c0:c1]
+                tile -= single_expectation_gram(means[rows], variances[rows], targets[columns],
+                                                gamma)
+                tile -= single_expectation_gram(means[columns], variances[columns],
+                                                targets[rows], gamma).T
+                tile += double_expectation_gram(means[rows], variances[rows], gamma,
+                                                means[columns], variances[columns])
+            return value
+    else:
+        if stream is None:
+            raise ValueError("sampled expectation strategies need a random stream")
+        batch_a, batch_b, batch_c, batch_d = _strategy_batches(data.models, strategy, stream)
+        m, d = batch_a.shape[1:]
+        # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k), formed
+        # with B's models as rows, through value.T
+        term2 = l.mean_gram_tiles(batch_a.reshape(n * m, d), m, targets, 1)
+        term3 = l.mean_gram_tiles(batch_b.reshape(n * m, d), m, targets, 1)
+        term4 = l.mean_gram_tiles(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
+
+        def expectations(start, stop, value):
+            for rows, columns, term in term2(start, stop, start, upper=True):
+                value[rows, columns] -= term
+            for rows, columns, term in term3(start, n, start, stop):
+                value.T[rows, columns] -= term
+            for rows, columns, term in term4(start, stop, start, upper=True):
+                value[rows, columns] += term
+            return value
+
+    def rows(start, stop):
+        sq = target_rows(start, stop, start)
+        return expectations(start, stop, l._f(sq, out=sq))
+    return rows
 
 
 def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
@@ -247,21 +282,18 @@ def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair.
 
-    Sampled strategies evaluate each unordered pair once (the upper triangle)
-    and mirror it, so the (n, n) matrix stays symmetric, with a zero diagonal,
-    and each term unbiased. The result is written into ``out`` if given, which
-    may be ``k_gram`` itself; otherwise it is a new array and ``k_gram`` is left
-    as it was.
+    Each unordered pair is evaluated once, by the row blocks above the diagonal that a
+    test streams, and mirrored, so the (n, n) matrix stays symmetric, with a zero
+    diagonal, and each sampled term unbiased. The result is written into ``out`` if
+    given, which may be ``k_gram`` itself; otherwise it is a new array and ``k_gram`` is
+    left as it was.
     """
     k_gram, data = _gram_and_dataset(k_gram, data)
-    if isinstance(strategy, ClosedFormGaussian):
-        bracket = _closed_form_bracket(l, data)
-    else:
-        if stream is None:
-            raise ValueError("sampled expectation strategies need a random stream")
-        bracket = _sampled_bracket(l, data, strategy, stream)
-    entries = np.multiply(bracket, k_gram, out=bracket if out is None else out)
-    del bracket
+    rows = _bracket_rows(l, data, strategy, stream)
+    entries = np.empty_like(k_gram) if out is None else out
+    for start, stop in row_blocks(*k_gram.shape):
+        np.multiply(k_gram[start:stop, start:], rows(start, stop),
+                    out=entries[start:stop, start:])
     mirror_upper(entries)
     np.fill_diagonal(entries, 0.0)
     return entries
@@ -353,16 +385,15 @@ def wild_bootstrap(matrix: np.ndarray, n_bootstrap: int, alpha: float,
     return _upper_bootstrap(n, blocks(), n_bootstrap, alpha, stream)
 
 
-def _kccsd_blocks(distances: DistanceBlocks, sigma: float, l: ScalarKernel, data: Dataset):
-    """Row blocks of the KCCSD statistic matrix above the diagonal, as
-    :func:`_upper_bootstrap` reads them: each unordered pair is formed once, from its
-    squared distance, ``exp(-d^2 / (2 sigma^2))`` and its Stein term, and nothing
-    larger than a row block is held."""
-    n = len(data)
-    scores = data.models.rows().score_batch(data.targets)
-    stein = _stein_rows(l, scores, data.targets, scores, data.targets)
-    for start, stop in row_blocks(n, n):
-        block = stein(start, stop, start)
+def _statistic_blocks(distances: DistanceBlocks, sigma: float, pair_rows):
+    """Row blocks of a statistic matrix k(p_i, p_j) t_ij above the diagonal, as
+    :func:`_upper_bootstrap` reads them. ``pair_rows(start, stop)`` forms the pair terms
+    t of rows [start, stop) and columns [start, n): the Stein terms of KCCSD or the
+    bracket of SKCE. Each unordered pair is formed once, from its term, its squared
+    distance and ``exp(-d^2 / (2 sigma^2))``, and nothing larger than a row block is
+    held."""
+    for start, stop in row_blocks(distances.n, distances.n):
+        block = pair_rows(start, stop)
         weights = require_finite(distances.block(start, stop), "squared distance")
         np.divide(weights, -2.0 * sigma ** 2, out=weights)
         block *= np.exp(weights, out=weights)
@@ -410,37 +441,35 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
                          target_kernel: ScalarKernel, statistic: StatisticSpec,
                          alpha: float, n_bootstrap: int,
                          stream: RandomStream) -> TestResult:
-    """Run one calibration test: Gram matrix, pairwise terms, bootstrap verdict.
+    """Run one calibration test: Gram entries, pairwise terms, bootstrap verdict.
 
     Base samples for the distribution kernel are drawn once and shared by all
     Gram entries. Rejects when the statistic reaches the bootstrap quantile.
-    A KCCSD test holds no (n, n) array beyond one row block: its Gram entries,
-    statistic entries and bootstrap sums are formed together, a row block above the
-    diagonal at a time, after a first pass over the distances when ``sigma`` is the
-    median.
+    A test holds no (n, n) array beyond one row block: its Gram entries, pair terms
+    (Stein terms or calibration brackets) and bootstrap sums are formed together, a
+    row block above the diagonal at a time, after a first pass over the distances
+    when ``sigma`` is the median.
     """
     data = as_dataset(data)
     if len(data) < 2:
         raise ValueError("the calibration test needs at least two pairs")
     _check_bootstrap(n_bootstrap, alpha)
-    if isinstance(statistic, KCCSD):
-        # tile-streamed: the distances, the statistic and the bootstrap sums, a row
-        # block at a time
-        distances = dist_kernel.distance_blocks(data.models, stream.derive("base"))
-        sigma = dist_kernel.bandwidth(distances)
-        value, quantile, p_value = _upper_bootstrap(
-            len(data), _kccsd_blocks(distances, sigma, target_kernel, data), n_bootstrap,
-            alpha, stream.derive("bootstrap"))
-    elif isinstance(statistic, SKCE):
-        k_gram = dist_kernel.gram(data.models, stream.derive("base"))
-        label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
-        # the statistic matrix is written over the Gram
-        matrix = skce_stat_matrix(k_gram, target_kernel, data, statistic.strategy,
-                                  stream.derive(label), out=k_gram)
-        value, quantile, p_value = wild_bootstrap(matrix, n_bootstrap, alpha,
-                                                  stream.derive("bootstrap"))
-    else:
+    if not isinstance(statistic, (KCCSD, SKCE)):
         raise TypeError(f"unknown statistic spec {statistic!r}")
+    distances = dist_kernel.distance_blocks(data.models, stream.derive("base"))
+    sigma = dist_kernel.bandwidth(distances)
+    if isinstance(statistic, KCCSD):
+        scores = data.models.rows().score_batch(data.targets)
+        stein = _stein_rows(target_kernel, scores, data.targets, scores, data.targets)
+
+        def pair_rows(start, stop):
+            return stein(start, stop, start)
+    else:
+        label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
+        pair_rows = _bracket_rows(target_kernel, data, statistic.strategy, stream.derive(label))
+    value, quantile, p_value = _upper_bootstrap(
+        len(data), _statistic_blocks(distances, sigma, pair_rows), n_bootstrap, alpha,
+        stream.derive("bootstrap"))
     return TestResult(
         statistic=value,
         quantile=quantile,

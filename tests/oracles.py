@@ -126,9 +126,27 @@ def dense_sampled_bracket(f, targets, batch_a, batch_b, batch_c, batch_d):
             - term3.reshape(n, m, n).mean(axis=1).T + term4)
 
 
+def dense_closed_form_bracket(f, targets, means, variances, gamma):
+    """Whole-matrix closed-form calibration-error bracket l - E l - E l + E E l of Gaussian
+    models and a Gaussian l of bandwidth gamma, summed in that order."""
+    single = dense_single_expectation(means, variances, targets, gamma)
+    value = f(dense_squared_distances(targets)) - single
+    value -= single.T
+    return value + dense_double_expectation(means, variances, gamma)
+
+
 def dense_distances_from_inner(inner, diag):
     """max((-2 inner_ij + d_i) + d_j, 0) for the whole matrix, d the given diagonal."""
     return np.maximum((-2.0 * inner + diag[:, None]) + diag[None, :], 0.0)
+
+
+def dense_single_expectation(means, variances, points, gamma):
+    """[i, j] = E l(z, points[j]) for z ~ N(means[i], variances[i]) and Gaussian l, through
+    the whole (n1, n2, d) tensors."""
+    g2 = gamma ** 2
+    quad = (means[:, None, :] - points[None, :, :]) ** 2 / (2.0 * (g2 + variances)[:, None, :])
+    logs = 0.5 * np.log1p(variances / g2)
+    return np.exp(-np.sum(quad, axis=-1) - np.sum(logs, axis=-1)[:, None])
 
 
 def dense_double_expectation(means, variances, gamma):

@@ -382,6 +382,28 @@ def test_non_finite_user_score_exits_two(test_config, dataset_file, monkeypatch,
     assert "score is not finite" in capsys.readouterr().err
 
 
+def test_non_finite_skce_sample_batch_exits_two(dataset_file, tmp_path, monkeypatch, capsys):
+    import steincal.statistics
+    real = steincal.statistics._strategy_batches
+
+    def nan_batches(models, strategy, stream):
+        batches = real(models, strategy, stream)
+        batches[2][:] = np.nan
+        return batches
+    monkeypatch.setattr(steincal.statistics, "_strategy_batches", nan_batches)
+    config = tmp_path / "skce.json"
+    config.write_text(json.dumps({
+        "statistic": {"name": "skce", "strategy": {"mode": "exact_sampler", "samples": 3}},
+        "dist_kernel": {"variant": "exp_gfd"},
+        "bootstrap": 100,
+    }))
+    code = cli(["test", "--config", str(config), "--data", str(dataset_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "statistic matrix is not finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dist_kernel", [{"variant": "exp_kgfd"}, {"variant": "exp_mmd"}],
                          ids=["exp_kgfd", "exp_mmd"])
 def test_second_order_heuristic_on_score_only_models_exits_one(dist_kernel, test_config,

@@ -30,6 +30,7 @@ from oracles import (
     dense_mean_gram,
     dense_median_sigma,
     dense_mirrored_upper,
+    dense_single_expectation,
     dense_squared_distances,
     direct_gfd,
     fd_kernel_bundle,
@@ -219,6 +220,82 @@ class TestRowBlocks:
                                   dense_mean_gram(kernel._f, a, 4, b, m2))
         assert np.array_equal(kernel.mean_gram(a, 4, a, 4),
                               dense_mean_gram(kernel._f, a, 4, None, 4))
+
+    def test_column_blocks_cut_wide_rows_at_tile_multiples(self):
+        assert kernels.column_blocks(130, 48) == [(0, 48), (48, 96), (96, 130)]
+        assert kernels.column_blocks(40, 48, depth=5) == [(0, 40)]
+
+    @staticmethod
+    def assembled(tiles, shape, fill=np.nan):
+        """The block that ``tiles`` yields, ``fill`` where no tile covers it."""
+        out = np.full(shape, fill)
+        for rows, columns, means in tiles:
+            out[rows, columns] = means
+        return out
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_mean_gram_tiles_hold_the_entries_of_the_averaged_whole_gram(self, d):
+        # tiles of 48 groups cut the rows into column ranges: exact at d = 1; at d = 5
+        # BLAS may round the last columns of a narrower product differently
+        rng = np.random.default_rng(45 + d)
+        a, b = rng.normal(size=(130 * 2, d)), rng.normal(size=(130 * 3, d))
+        kernel = GaussianKernel(1.2)
+        tiles = kernel.mean_gram_tiles(a, 2, b, 3)
+        want = dense_mean_gram(kernel._f, a, 2, b, 3)
+
+        def same(got, expected):
+            if d == 1:
+                return np.array_equal(got, expected)
+            return np.allclose(got, expected, rtol=1e-13, atol=0.0)
+        assert same(self.assembled(tiles(), (130, 130)), want)
+        assert same(self.assembled(tiles(40, 90, 30, 100), (50, 70)), want[40:90, 30:100])
+        # upper: each run of groups starts its columns at its own first group, and
+        # the tiles cover nothing else
+        got = self.assembled(tiles(40, 130, 20, upper=True), (90, 110))
+        upper = np.triu(np.ones((90, 110), dtype=bool), k=20)
+        assert same(got[upper], want[40:, 20:][upper])
+        formed = np.zeros((90, 110), dtype=bool)
+        for lo, hi in kernels.row_blocks(90 * 2, 110 * 3, multiple=2):
+            formed[lo // 2:hi // 2, max(40 + lo // 2, 20) - 20:] = True
+        assert np.array_equal(~np.isnan(got), formed)
+
+    def test_mean_gram_of_a_stack_against_itself_zeroes_only_its_diagonal(self):
+        # 110 groups are cut into column ranges of 48, so tiles start their columns
+        # after their first row, below it and on the diagonal
+        a = np.random.default_rng(47).normal(size=(110 * 3, 5))
+        kernel = GaussianKernel(1.2)
+        want = dense_mean_gram(kernel._f, a, 3, None, 3)
+        assert np.allclose(kernel.mean_gram(a, 3, a, 3), want, rtol=1e-13, atol=0.0)
+        tiles = kernel.mean_gram_tiles(a, 3, a, 3)
+        assert np.allclose(self.assembled(tiles(40, 110, 20), (70, 90)), want[40:, 20:],
+                           rtol=1e-13, atol=0.0)
+        assert np.allclose(self.assembled(tiles(10, 60, 50, 110), (50, 60)),
+                           want[10:60, 50:], rtol=1e-13, atol=0.0)
+        got = self.assembled(tiles(40, 110, 20, upper=True), (70, 90))
+        upper = np.triu(np.ones((70, 90), dtype=bool), k=20)
+        assert np.allclose(got[upper], want[40:, 20:][upper], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_single_expectation_gram_tiles_hold_the_dense_bytes(self, d):
+        rng = np.random.default_rng(55 + d)
+        means, variances = rng.normal(size=(130, d)), rng.uniform(0.5, 2.0, size=(130, d))
+        points = rng.normal(size=(110, d))
+        want = dense_single_expectation(means, variances, points, 0.8)
+        assert np.array_equal(single_expectation_gram(means, variances, points, 0.8), want)
+        # into a transposed view, as the bracket writes E l(y_i, z'_j)
+        out = np.full((60, 70), 2.0)
+        got = single_expectation_gram(means[40:110], variances[40:110], points[50:], 0.8,
+                                      out=out.T)
+        assert got.base is out
+        assert np.array_equal(out.T, want[40:110, 50:])
+
+    def test_double_expectation_gram_writes_into_out(self):
+        rng = np.random.default_rng(58)
+        means, variances = rng.normal(size=(130, 3)), rng.uniform(0.5, 2.0, size=(130, 3))
+        want = dense_double_expectation(means, variances, 0.8)
+        out = np.full((130, 130), 1.5)
+        assert double_expectation_gram(means, variances, 0.8, out=out) is out
+        assert np.array_equal(out, want)
 
     def test_tiles_from_inner_read_only_the_upper_triangle(self):
         a = np.random.default_rng(7).normal(size=(130, 7))

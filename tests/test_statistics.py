@@ -30,8 +30,7 @@ from steincal.statistics import (
     ClosedFormGaussian,
     ExactSampler,
     MalaSampler,
-    _closed_form_bracket,
-    _sampled_bracket,
+    _bracket_rows,
     _strategy_batches,
     h_matrix,
     h_matrix_between,
@@ -43,6 +42,7 @@ from steincal.statistics import (
 )
 
 from oracles import (
+    dense_closed_form_bracket,
     dense_mirrored_upper,
     dense_sampled_bracket,
     dense_stein_terms,
@@ -292,9 +292,26 @@ class TestPeakMemory:
     def test_sampled_bracket_never_holds_the_cross_gram(self):
         n, m = 1024, 5
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(61).derive("d"))
-        peak = self.traced_peak_floats(
-            lambda: _sampled_bracket(GaussianKernel(1.0), data, ExactSampler(m), RandomStream(62)))
+
+        def all_row_blocks():
+            rows = _bracket_rows(GaussianKernel(1.0), data, ExactSampler(m), RandomStream(62))
+            for start, stop in kernels.row_blocks(n, n):
+                rows(start, stop)
+        peak = self.traced_peak_floats(all_row_blocks)
         assert peak <= 0.5 * (n * m) ** 2
+
+    @pytest.mark.parametrize("strategy", [ExactSampler(5), ClosedFormGaussian()],
+                             ids=["exact_sampler", "closed_form"])
+    def test_skce_test_holds_no_square_matrix(self, strategy):
+        # as for KCCSD: the packed upper triangle while the median sigma is selected,
+        # then the signs, a statistic block and tiles of the bracket's terms (each
+        # combined into the block as it is formed) beside the sample batches' rows
+        n, b = 1024, 100
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(65).derive("d"))
+        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        peak = self.traced_peak_floats(lambda: run_calibration_test(
+            data, kernel, GaussianKernel(1.0), SKCE(strategy), 0.05, b, RandomStream(66)))
+        assert peak <= 0.6 * n * n
 
 
     @pytest.mark.parametrize("sigma", [None, 1.0], ids=["median_sigma", "fixed_sigma"])
@@ -362,7 +379,12 @@ class TestStatMatrixOut:
     def test_skce_matrix_mirrors_the_upper_triangle(self):
         k_gram, data = self.gram_and_data()
         l = GaussianKernel(2.0)
-        want = dense_mirrored_upper(k_gram * _closed_form_bracket(l, data))
+        n = len(data)
+        rows = _bracket_rows(l, data, ClosedFormGaussian(), None)
+        bracket = np.zeros((n, n))
+        for start, stop in kernels.row_blocks(n, n):
+            bracket[start:stop, start:] = rows(start, stop)
+        want = dense_mirrored_upper(k_gram * bracket)
         assert np.array_equal(skce_stat_matrix(k_gram, l, data, ClosedFormGaussian()), want)
 
 
@@ -493,6 +515,19 @@ class TestSkceMatrix:
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
 
+    @staticmethod
+    def upper_entries_of_the_row_blocks(rows, n):
+        """The entries above the diagonal of every row block of a bracket row function,
+        and of an (n, n) matrix at the same places."""
+        blocks = kernels.row_blocks(n, n)
+        got = np.concatenate([rows(start, stop)[np.triu_indices(stop - start, 1, n - start)]
+                              for start, stop in blocks])
+
+        def of(matrix):
+            return np.concatenate([matrix[start:stop, start:][
+                np.triu_indices(stop - start, 1, n - start)] for start, stop in blocks])
+        return got, of
+
     @pytest.mark.parametrize("family, m", [("lgm", 6), ("mgm", 4)])  # d = 1 and d = 5
     def test_sampled_bracket_row_blocks_are_bit_identical(self, family, m, monkeypatch):
         # each term is formed 48 rows (48 / m models) at a time; the shapes keep every
@@ -501,9 +536,21 @@ class TestSkceMatrix:
         data = sample_setup(SyntheticSetup(family, 0.3), 30, RandomStream(19).derive("d"))
         assert len(kernels.row_blocks(30 * m, 30 * m, multiple=m)) > 1
         l, strategy = GaussianKernel(1.1), ExactSampler(m)
-        got = _sampled_bracket(l, data, strategy, RandomStream(20))
+        got, of = self.upper_entries_of_the_row_blocks(
+            _bracket_rows(l, data, strategy, RandomStream(20)), 30)
         batches = _strategy_batches(data.models, strategy, RandomStream(20))
-        assert np.array_equal(got, dense_sampled_bracket(l._f, data.targets, *batches))
+        assert np.array_equal(got, of(dense_sampled_bracket(l._f, data.targets, *batches)))
+
+    @pytest.mark.parametrize("family", ["lgm", "mgm"])
+    def test_closed_form_bracket_row_blocks_are_bit_identical(self, family, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+        data = sample_setup(SyntheticSetup(family, 0.3), 130, RandomStream(21).derive("d"))
+        l = GaussianKernel(1.1)
+        got, of = self.upper_entries_of_the_row_blocks(
+            _bracket_rows(l, data, ClosedFormGaussian(), None), 130)
+        want = dense_closed_form_bracket(l._f, data.targets, data.models.means,
+                                         data.models.variances, 1.1)
+        assert np.array_equal(got, of(want))
 
     def test_exact_sampler_matrix_converges_to_closed_form(self):
         rng = np.random.default_rng(16)
@@ -656,6 +703,72 @@ class TestTileStreamedKCCSD:
         assert got.quantile == pytest.approx(quantile, rel=0, abs=tol)
         assert got.p_value == p_value
         assert got.reject == (statistic >= quantile)
+
+
+_SKCE_STRATEGIES = {
+    "closed_form": ClosedFormGaussian(),
+    "exact_sampler": ExactSampler(2),
+    "mala": MalaSampler(2, MalaConfig(step_size=0.05, n_steps=3)),
+}
+
+
+class TestTileStreamedSKCE:
+    """run_calibration_test forms the SKCE statistic a row block above the diagonal at a
+    time, straight into the bootstrap sums, with each bracket term formed for the pairs
+    i < j only. It reads the bytes of the dense pipeline's matrix (the Gram and
+    skce_stat_matrix); at d = 1 those are the bytes of the whole-matrix bracket. Against
+    the whole-matrix bootstrap oracle it agrees to rounding with the same p-value and
+    verdict. Blocks of 48 rows end inside the matrix."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+
+    @pytest.mark.parametrize("n", [7, 300, 1015])
+    @pytest.mark.parametrize("family", ["lgm", "mgm"])  # d = 1 and d = 5
+    @pytest.mark.parametrize("name", sorted(_SKCE_STRATEGIES))
+    def test_matches_the_dense_pipeline(self, name, family, n):
+        data = sample_setup(SyntheticSetup(family, 0.1), n, RandomStream(82).derive("d"))
+        kernel, l = ExpMMDKernel(None, GaussianKernel(2.0)), GaussianKernel(2.0)
+        strategy = _SKCE_STRATEGIES[name]
+        stream = RandomStream(83)
+        sampler = stream.derive("mala" if name == "mala" else "sampler")
+        got = run_calibration_test(data, kernel, l, SKCE(strategy), 0.05, 200, stream)
+        k_gram = kernel.gram(data.models, stream.derive("base"))
+        matrix = skce_stat_matrix(k_gram, l, data, strategy, sampler)
+        assert (got.statistic, got.quantile, got.p_value) == wild_bootstrap(
+            matrix, 200, 0.05, stream.derive("bootstrap"))
+        if family == "lgm":
+            if name == "closed_form":
+                bracket = dense_closed_form_bracket(l._f, data.targets, data.models.means,
+                                                    data.models.variances, 2.0)
+            else:
+                batches = _strategy_batches(data.models, strategy, sampler)
+                bracket = dense_sampled_bracket(l._f, data.targets, *batches)
+            assert np.array_equal(matrix, dense_mirrored_upper(k_gram * bracket))
+        statistic, quantile, p_value = dense_wild_bootstrap(
+            matrix, 200, 0.05, stream.derive("bootstrap").generator())
+        tol = 1e-12 * abs(quantile)
+        assert got.statistic == pytest.approx(statistic, rel=0, abs=tol)
+        assert got.quantile == pytest.approx(quantile, rel=0, abs=tol)
+        assert got.p_value == p_value
+        assert got.reject == (statistic >= quantile)
+
+    def test_a_non_finite_sample_batch_is_a_named_error(self, monkeypatch):
+        import steincal.statistics
+
+        real = steincal.statistics._strategy_batches
+
+        def nan_batches(models, strategy, stream):
+            batches = real(models, strategy, stream)
+            batches[2][:] = np.nan
+            return batches
+        monkeypatch.setattr(steincal.statistics, "_strategy_batches", nan_batches)
+        data = sample_setup(SyntheticSetup("lgm", 0.0), 100, RandomStream(84).derive("d"))
+        kernel = ExpMMDKernel(None, GaussianKernel(2.0))
+        with pytest.raises(NumericalError, match="statistic matrix is not finite"):
+            run_calibration_test(data, kernel, GaussianKernel(2.0), SKCE(ExactSampler(3)),
+                                 0.05, 100, RandomStream(85))
 
 
 class TestRunCalibrationTest:
