@@ -89,28 +89,30 @@ class ScalarKernel(ABC):
 
     def mean_gram_tiles(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int):
         """Tiles of :meth:`mean_gram` on demand: a generator function
-        ``tiles(start=0, stop=None, first=0, last=None, upper=False)`` over the block of
-        groups [start, stop) of ``points`` against groups [first, last) of ``points2``,
-        all of them by default. It yields ``(rows, columns, means)``: the slices of the
-        block that a tile covers and the tile's means.
+        ``tiles(start=0, stop=None, first=0, last=None, upper=False, lower=False)`` over
+        the block of groups [start, stop) of ``points`` against groups [first, last) of
+        ``points2``, all of them by default. It yields ``(rows, columns, means)``: the
+        slices of the block that a tile covers and the tile's means.
 
         The Gram comes from one :func:`squared_distance_rows` of the whole stacks and is
         formed a tile of whole groups at a time, of about ``_ROW_BLOCK_ELEMENTS`` floats,
         each tile averaged as soon as it is formed. With ``upper`` (and ``first`` at most
         ``start``) each run of m-row groups forms its columns from its own first group on,
         so only the entries [i, j] with j >= i, counted in groups from 0 in both stacks,
-        are sure to be covered.
+        are sure to be covered. With ``lower`` it forms its columns up to its own last
+        group, so only the entries with j <= i are.
         """
         rows_of = squared_distance_rows(points, points2)
         n1, n2 = len(points) // m, len(points2) // m2
 
-        def tiles(start=0, stop=None, first=0, last=None, upper=False):
+        def tiles(start=0, stop=None, first=0, last=None, upper=False, lower=False):
             stop = n1 if stop is None else stop
             last = n2 if last is None else last
             for lo, hi in row_blocks((stop - start) * m, (last - first) * m2, multiple=m):
                 col = max(start + lo // m, first) if upper else first
+                end = min(start + hi // m, last) if lower else last
                 # wide rows are cut into column ranges of whole groups as well
-                for c0, c1 in column_blocks(last - col, hi - lo, m2):
+                for c0, c1 in column_blocks(end - col, hi - lo, m2):
                     c0, c1 = col + c0, col + c1
                     block = rows_of(start * m + lo, start * m + hi, c0 * m2, c1 * m2)
                     self._f(block, out=block)
@@ -321,13 +323,15 @@ def mirror_upper(x: np.ndarray) -> np.ndarray:
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
 
-def deep_tiles(n1: int, n2: int, d: int):
+def deep_tiles(n1: int, n2: int, d: int, upper: bool = False):
     """Tiles (start, stop, first, last) of an (n1, n2) matrix whose entries are formed
     through (rows, columns, d) temporaries: the row blocks of ``row_blocks(n1, n2 d)``,
-    each cut by :func:`column_blocks`."""
+    each cut by :func:`column_blocks`. With ``upper`` each row block's columns start at
+    its first row, so only the entries [i, j] with j >= i are sure to be covered."""
     for start, stop in row_blocks(n1, n2 * d):
-        for first, last in column_blocks(n2, stop - start, d):
-            yield start, stop, first, last
+        col = start if upper else 0
+        for first, last in column_blocks(n2 - col, stop - start, d):
+            yield start, stop, col + first, col + last
 
 
 def single_expectation_gram(means, variances, points, gamma,

@@ -147,8 +147,9 @@ class ModelBatch:
     array belongs to model i. Besides ``len``, ``dim`` and :meth:`score_tensor`
     a batch offers ``rows()``, itself as one :class:`ScoredDensity` on (n, dim)
     arrays whose row i is scored under model i; ``sample(m, stream)``, an
-    (n, m, dim) array or :class:`CapabilityError`; and ``centers()``, the
-    (n, dim) points MALA chains start around."""
+    (n, m, dim) array or :class:`CapabilityError`; ``centers()``, the
+    (n, dim) points MALA chains start around; and ``copies(k)``, the batch of k
+    stacked copies, whose model c n + i is model i."""
 
     def score_tensor(self, points: np.ndarray) -> np.ndarray:
         """Scores of every model at every point of one shared (m, dim) set. Shape (n, m, dim)."""
@@ -209,6 +210,9 @@ class GaussianBatch(ModelBatch):
     def centers(self) -> np.ndarray:
         return self.means
 
+    def copies(self, k: int) -> "GaussianBatch":
+        return GaussianBatch(np.tile(self.means, (k, 1)), np.tile(self.variances, (k, 1)))
+
 
 @dataclass(frozen=True, eq=False)
 class ScoredBatch(ModelBatch):
@@ -248,6 +252,9 @@ class ScoredBatch(ModelBatch):
 
     def centers(self) -> np.ndarray:
         return np.zeros((len(self), self.dim))
+
+    def copies(self, k: int) -> "ScoredBatch":
+        return ScoredBatch(self.densities * k)
 
 
 @dataclass(frozen=True, eq=False)

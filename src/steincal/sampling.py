@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -77,14 +77,18 @@ class MalaRun:
 
 
 def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
-             n_samples: int, stream: RandomStream) -> MalaRun:
+             n_samples: int,
+             stream: Union[RandomStream, Sequence[RandomStream]]) -> MalaRun:
     """Run MALA chains in lock step against an unnormalised density and thin them.
 
     ``init`` is one start point (d,) or a (c, d) stack of them; row i of the
     (c, d) state is chain i, and ``target`` is called on the whole state, so a
     model batch's ``rows()`` view runs chain i against model i.
-    Each step draws one (c, d) normal and one (c,) uniform array from the
-    stream's generator. Proposal: y* = y + tau * score(y) + sqrt(2 tau) * xi,
+    ``stream`` is one stream, or a sequence of g streams of which stream k drives
+    the k-th group of c / g consecutive chains; g must divide c. Each step draws,
+    from each group's generator, one (c / g, d) normal and then one (c / g,)
+    uniform array, so a group's samples are the bytes of its own run on its rows.
+    Proposal: y* = y + tau * score(y) + sqrt(2 tau) * xi,
     Metropolis-corrected with the unnormalised log density, which the target
     must provide. Samples are (c, n_samples, d), or (n_samples, d) for a 1-d
     ``init``; ``acceptance_rate`` is accepted over proposed moves, all chains
@@ -98,7 +102,12 @@ def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
     init = np.asarray(init, dtype=float)
     y = np.atleast_2d(init)
     chains = y.shape[0]
-    rng = stream.generator()
+    streams = [stream] if isinstance(stream, RandomStream) else list(stream)
+    if not streams or chains % len(streams):
+        raise ValueError(f"{len(streams)} streams do not split {chains} chains "
+                         "into groups of one size")
+    size = chains // len(streams)
+    groups = [(slice(k * size, (k + 1) * size), s.generator()) for k, s in enumerate(streams)]
     tau = cfg.step_size
     log_f = target.log_unnorm_batch(y)
     if not np.all(np.isfinite(log_f)):
@@ -107,10 +116,13 @@ def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
 
     total_steps = cfg.burn_in + cfg.n_steps * n_samples
     out = np.empty((chains, n_samples, y.shape[1]))
+    xi = np.empty(y.shape)
+    u = np.empty(chains)
     kept = 0
     accepted = 0
     for step in range(total_steps):
-        xi = rng.standard_normal(y.shape)
+        for rows, rng in groups:
+            rng.standard_normal(out=xi[rows])
         proposal = y + tau * score + math.sqrt(2.0 * tau) * xi
         log_f_prop = target.log_unnorm_batch(proposal)
         score_prop = target.score_batch(proposal)
@@ -119,7 +131,9 @@ def run_mala(target: "ScoredDensity", cfg: MalaConfig, init: np.ndarray,
         forward = proposal - y - tau * score
         log_alpha = (log_f_prop - log_f
                      + (np.sum(forward ** 2, axis=1) - np.sum(backward ** 2, axis=1)) / (4.0 * tau))
-        accept = np.log(rng.random(chains)) < log_alpha
+        for rows, rng in groups:
+            rng.random(out=u[rows])
+        accept = np.log(u, out=u) < log_alpha
         y = np.where(accept[:, None], proposal, y)
         log_f = np.where(accept, log_f_prop, log_f)
         score = np.where(accept[:, None], score_prop, score)

@@ -179,7 +179,8 @@ class ExactSampler:
 class MalaSampler:
     """Expectations from short MALA chains, one chain per model and batch.
 
-    The chains of one batch run in lock step as a single (n, d) state. They
+    The chains of all four batches run in lock step as a single (4n, d) state, a
+    group of n chains per batch with its own stream (see :func:`run_mala`). They
     start at the model mean plus unit noise (at the origin plus unit noise for
     score-only densities). Untuned step sizes and short chains are allowed on
     purpose; they are the failure mode this strategy exists to exhibit.
@@ -199,20 +200,20 @@ _BATCH_LABELS = ("batch-a", "batch-b", "batch-c", "batch-d")
 
 
 def _strategy_batches(models: ModelBatch, strategy, stream: RandomStream) -> list[np.ndarray]:
-    """Four independent (n, m, d) sample batches, one per term. MALA makes one
-    lock-step run per batch label, and chain i targets model i."""
+    """Four independent (n, m, d) sample batches, one per term and batch label. MALA
+    runs the four batches as one lock-step state of 4n chains against
+    ``models.copies(4)``: chain c n + i targets model i, and its group c draws from
+    the stream of label c, so each batch holds the bytes of its own run."""
     if not isinstance(strategy, MalaSampler):
         return [models.sample(strategy.num_samples, stream.derive(label))
                 for label in _BATCH_LABELS]
-    target = models.rows()
+    children = [stream.derive(label) for label in _BATCH_LABELS]
     centers = models.centers()
-    batches = []
-    for label in _BATCH_LABELS:
-        child = stream.derive(label)
-        init = centers + child.derive("init").generator().standard_normal(centers.shape)
-        run = run_mala(target, strategy.config, init, strategy.num_samples, child.derive("chain"))
-        batches.append(run.samples)
-    return batches
+    init = np.concatenate([centers + child.derive("init").generator().standard_normal(
+        centers.shape) for child in children])
+    run = run_mala(models.copies(len(children)).rows(), strategy.config, init,
+                   strategy.num_samples, [child.derive("chain") for child in children])
+    return list(run.samples.reshape(len(children), len(models), *run.samples.shape[1:]))
 
 
 def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
@@ -223,9 +224,10 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
     diagonal are finite but hold no pair's bracket.
 
     The sample batches, or the models' parameters, are fixed once. Each expectation
-    term is formed a tile at a time, for the block's pairs only (the sampled terms
-    skip most of the pairs below the diagonal, see ``upper`` in
-    :meth:`ScalarKernel.mean_gram_tiles`), and each tile is combined into the block in
+    term is formed a tile at a time, for the block's pairs only: each run of rows of a
+    term forms its columns on its side of the diagonal only (``upper`` and ``lower`` in
+    :meth:`ScalarKernel.mean_gram_tiles`, ``upper`` in
+    :func:`steincal.kernels.deep_tiles`), and each tile is combined into the block in
     the order of the bracket as soon as it is formed.
     """
     targets = data.targets
@@ -240,7 +242,7 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
         means, variances, gamma = models.means, models.variances, l.bandwidth
 
         def expectations(start, stop, value):
-            for r0, r1, c0, c1 in deep_tiles(stop - start, n - start, means.shape[1]):
+            for r0, r1, c0, c1 in deep_tiles(stop - start, n - start, means.shape[1], upper=True):
                 rows, columns = slice(start + r0, start + r1), slice(start + c0, start + c1)
                 tile = value[r0:r1, c0:c1]
                 tile -= single_expectation_gram(means[rows], variances[rows], targets[columns],
@@ -264,7 +266,7 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
         def expectations(start, stop, value):
             for rows, columns, term in term2(start, stop, start, upper=True):
                 value[rows, columns] -= term
-            for rows, columns, term in term3(start, n, start, stop):
+            for rows, columns, term in term3(start, n, start, stop, lower=True):
                 value.T[rows, columns] -= term
             for rows, columns, term in term4(start, stop, start, upper=True):
                 value[rows, columns] += term

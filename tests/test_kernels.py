@@ -259,6 +259,40 @@ class TestRowBlocks:
             formed[lo // 2:hi // 2, max(40 + lo // 2, 20) - 20:] = True
         assert np.array_equal(~np.isnan(got), formed)
 
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_mean_gram_tiles_lower_cut_stops_at_each_run_of_groups_last_group(self, d):
+        # B's models as rows against targets, as the bracket forms E l(y_i, z'_j)
+        rng = np.random.default_rng(48 + d)
+        a, b = rng.normal(size=(130 * 3, d)), rng.normal(size=(130, d))
+        kernel = GaussianKernel(1.2)
+        want = dense_mean_gram(kernel._f, a, 3, b, 1)
+        got = self.assembled(kernel.mean_gram_tiles(a, 3, b, 1)(40, 130, 40, 100, lower=True),
+                             (90, 60))
+        lower = np.tril(np.ones((90, 60), dtype=bool))
+        if d == 1:
+            assert np.array_equal(got[lower], want[40:, 40:100][lower])
+        else:
+            assert np.allclose(got[lower], want[40:, 40:100][lower], rtol=1e-13, atol=0.0)
+        formed = np.zeros((90, 60), dtype=bool)
+        for lo, hi in kernels.row_blocks(90 * 3, 60, multiple=3):
+            formed[lo // 3:hi // 3, :min(40 + hi // 3, 100) - 40] = True
+        assert np.array_equal(~np.isnan(got), formed)
+        assert not formed.all()
+
+    def test_deep_tiles_upper_cut_starts_each_row_block_at_its_first_row(self):
+        # each entry is covered once, and with upper only the rows' own upper part
+        for n1, n2, d in ((130, 130, 5), (130, 100, 3), (300, 300, 1)):
+            for upper in (False, True):
+                count = np.zeros((n1, n2), dtype=int)
+                for start, stop, first, last in kernels.deep_tiles(n1, n2, d, upper=upper):
+                    count[start:stop, first:last] += 1
+                assert count.max() == 1
+                assert count[np.triu(np.ones((n1, n2), dtype=bool))].min() == 1
+                formed = np.zeros((n1, n2), dtype=int)
+                for start, stop in kernels.row_blocks(n1, n2 * d):
+                    formed[start:stop, min(start, n2) if upper else 0:] = 1
+                assert np.array_equal(count, formed)
+
     def test_mean_gram_of_a_stack_against_itself_zeroes_only_its_diagonal(self):
         # 110 groups are cut into column ranges of 48, so tiles start their columns
         # after their first row, below it and on the diagonal

@@ -275,3 +275,29 @@ class TestScoreStacking:
         got = u_statistic(kccsd_stat_matrix(k_gram, l, list(zip(user, data.targets))))
         want = u_statistic(kccsd_stat_matrix(k_gram, l, data))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestCopies:
+    @staticmethod
+    def batches():
+        data = sample_setup(SyntheticSetup("hgm", 0.5), 7, RandomStream(19).derive("d"))
+        gaussian = data.models
+        generic = as_batch([ScoredDensity(dim=1, score=g.score, log_unnorm=g.log_density)
+                            for g in (DiagonalGaussian(m, v)
+                                      for m, v in zip(gaussian.means, gaussian.variances))])
+        return gaussian, generic
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["gaussian", "scored"])
+    def test_row_c_n_plus_i_of_the_copies_is_model_i(self, which):
+        batch, n, k = self.batches()[which], 7, 3
+        copies = batch.copies(k)
+        assert type(copies) is type(batch) and len(copies) == k * n and copies.dim == 1
+        points = np.random.default_rng(20).normal(size=(k * n, 1))
+        scores = copies.rows().score_batch(points)
+        logs = copies.rows().log_unnorm_batch(points)
+        own = batch.rows()
+        for c in range(k):
+            rows = slice(c * n, (c + 1) * n)
+            assert np.array_equal(scores[rows], own.score_batch(points[rows]))
+            assert np.array_equal(logs[rows], own.log_unnorm_batch(points[rows]))
+        assert np.array_equal(copies.centers(), np.tile(batch.centers(), (k, 1)))

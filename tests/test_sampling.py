@@ -150,3 +150,58 @@ def test_acceptance_rate_pools_all_chains():
     run = run_mala(target, MalaConfig(step_size=1.5), init, 5, RandomStream(33).derive("mala"))
     assert run.samples.shape == (4000, 5, 1)
     assert 0.6 < run.acceptance_rate < 0.66
+
+
+# Grouped chains: stream k drives the k-th group of c / g consecutive chains.
+
+def _batches_of_dim(d):
+    rng = np.random.default_rng(34 + d)
+    means, variances = rng.normal(size=(5, d)), rng.uniform(0.5, 2.0, size=(5, d))
+    models = [DiagonalGaussian(m, v) for m, v in zip(means, variances)]
+    generic = [ScoredDensity(dim=d, score=g.score, log_unnorm=g.log_density) for g in models]
+    return {"gaussian": as_batch(models), "scored": as_batch(generic)}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "scored"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("groups", [1, 4])
+def test_grouped_run_holds_the_bytes_of_separate_runs(kind, d, groups):
+    batch = _batches_of_dim(d)[kind]
+    cfg = MalaConfig(step_size=0.4, n_steps=2, burn_in=3)
+    n, steps = len(batch), cfg.burn_in + cfg.n_steps * 6
+    init = RandomStream(35).derive("init").generator().standard_normal((groups * n, d))
+    streams = [RandomStream(36).derive("group", k) for k in range(groups)]
+    grouped = run_mala(batch.copies(groups).rows(), cfg, init, 6, streams)
+    separate = [run_mala(batch.rows(), cfg, init[k * n:(k + 1) * n], 6, stream)
+                for k, stream in enumerate(streams)]
+    assert np.array_equal(grouped.samples, np.concatenate([run.samples for run in separate]))
+    accepted = sum(round(run.acceptance_rate * steps * n) for run in separate)
+    assert round(grouped.acceptance_rate * steps * n * groups) == accepted
+    assert 0 < accepted < steps * n * groups
+    if groups == 1:
+        single = run_mala(batch.rows(), cfg, init, 6, streams[0])
+        assert np.array_equal(single.samples, grouped.samples)
+
+
+def test_stream_count_must_divide_the_chain_count():
+    target = _standard_normal_density()
+    streams = [RandomStream(37).derive("group", k) for k in range(4)]
+    with pytest.raises(ValueError, match=r"4 streams .* 6 chains"):
+        run_mala(target, MalaConfig(step_size=0.5), np.zeros((6, 1)), 5, streams)
+    with pytest.raises(ValueError, match=r"0 streams .* 6 chains"):
+        run_mala(target, MalaConfig(step_size=0.5), np.zeros((6, 1)), 5, [])
+
+
+def test_grouped_run_rejects_a_nonfinite_init_in_its_last_group():
+    # the density vanishes above 10; only the last chain of the last group starts there
+    def log_unnorm(y):
+        return np.where(y[:, 0] > 10.0, -np.inf, -0.5 * y[:, 0] ** 2)
+
+    target = ScoredDensity(dim=1, score=lambda y: -y, log_unnorm=log_unnorm)
+    init = np.zeros((8, 1))
+    init[-1] = 20.0
+    streams = [RandomStream(38).derive("group", k) for k in range(4)]
+    with pytest.raises(ValueError, match="not finite at the chain initialisation"):
+        run_mala(target, MalaConfig(step_size=0.5), init, 5, streams)
+    # without that group the same chains run
+    run_mala(target, MalaConfig(step_size=0.5), init[:-2], 5, streams[:3])

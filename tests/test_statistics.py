@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steincal import kernels
+from steincal import kernels, statistics
 from steincal.kernels import (
     BaseMeasure,
     ExpGFDKernel,
@@ -23,7 +23,7 @@ from steincal.models import (
     SyntheticSetup,
     sample_setup,
 )
-from steincal.sampling import CapabilityError, MalaConfig, RandomStream
+from steincal.sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 from steincal.statistics import (
     KCCSD,
     SKCE,
@@ -552,6 +552,21 @@ class TestSkceMatrix:
                                          data.models.variances, 1.1)
         assert np.array_equal(got, of(want))
 
+    def test_closed_form_bracket_tiles_cut_inside_a_row_block_are_bit_identical(
+            self, monkeypatch):
+        # one row block of 130 rows, whose (rows, columns, 5) tiles are 48 rows high:
+        # the tiles below the first start their columns at their own first row
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 130 * 96)
+        assert kernels.row_blocks(130, 130) == [(0, 130)]
+        assert len(kernels.row_blocks(130, 130 * 5)) == 3
+        data = sample_setup(SyntheticSetup("mgm", 0.3), 130, RandomStream(22).derive("d"))
+        l = GaussianKernel(1.1)
+        got, of = self.upper_entries_of_the_row_blocks(
+            _bracket_rows(l, data, ClosedFormGaussian(), None), 130)
+        want = dense_closed_form_bracket(l._f, data.targets, data.models.means,
+                                         data.models.variances, 1.1)
+        assert np.array_equal(got, of(want))
+
     def test_exact_sampler_matrix_converges_to_closed_form(self):
         rng = np.random.default_rng(16)
         pairs = random_dataset(rng, 4, 1)
@@ -561,6 +576,25 @@ class TestSkceMatrix:
         sampled = skce_stat_matrix(np.ones((4, 4)), l, pairs, ExactSampler(m),
                                    RandomStream(17).derive("s"))
         assert np.max(np.abs(sampled - closed)) <= 3.0 / np.sqrt(m)
+
+    def test_mala_batches_are_one_run_with_the_bytes_of_a_run_per_label(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_mala(*args)
+        monkeypatch.setattr(statistics, "run_mala", counted)
+        data = sample_setup(SyntheticSetup("mgm", 0.3), 9, RandomStream(23).derive("d"))
+        strategy = MalaSampler(3, MalaConfig(step_size=0.2, n_steps=2, burn_in=1))
+        stream = RandomStream(24).derive("mala")
+        batches = _strategy_batches(data.models, strategy, stream)
+        assert len(calls) == 1 and len(batches) == 4
+        centers = data.models.centers()
+        for batch, label in zip(batches, ("batch-a", "batch-b", "batch-c", "batch-d")):
+            child = stream.derive(label)
+            init = centers + child.derive("init").generator().standard_normal(centers.shape)
+            own = run_mala(data.models.rows(), strategy.config, init, 3, child.derive("chain"))
+            assert np.array_equal(batch, own.samples)
 
     def test_mala_strategy_runs_on_gaussian_models(self):
         rng = np.random.default_rng(18)
