@@ -55,7 +55,6 @@ from .statistics import (
     ExactSampler,
     MalaSampler,
     TestResult,
-    h_matrix,
     kccsd_stat_matrix,
     run_calibration_test,
     skce_stat_matrix,

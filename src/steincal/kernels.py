@@ -536,6 +536,14 @@ class DistanceBlocks:
         return out
 
 
+def distance_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """The distribution kernel's weights exp(-sq / (2 sigma^2)) of finite squared
+    distances ``sq``, formed in place; ``sq`` is returned."""
+    require_finite(sq, "squared distance")
+    np.divide(sq, -2.0 * sigma ** 2, out=sq)
+    return np.exp(sq, out=sq)
+
+
 class DistributionKernel(ABC):
     """Exponentiated Hilbertian metric on densities: exp(-d^2 / (2 sigma^2)).
 
@@ -575,11 +583,9 @@ class DistributionKernel(ABC):
             return np.ones((1, 1))
         distances = self.distance_blocks(models, stream)
         sigma = self.bandwidth(distances)
-        sq = require_finite(distances.dense(), "squared distance")
-        np.divide(sq, -2.0 * sigma ** 2, out=sq)
-        np.exp(sq, out=sq)
-        np.fill_diagonal(sq, 1.0)
-        return sq
+        gram = distance_weights(distances.dense(), sigma)
+        np.fill_diagonal(gram, 1.0)
+        return gram
 
 
 def _equal_row_labels(rows: np.ndarray) -> Optional[np.ndarray]:

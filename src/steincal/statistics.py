@@ -19,6 +19,7 @@ from .kernels import (
     ScalarKernel,
     UnsupportedKernelError,
     deep_tiles,
+    distance_weights,
     double_expectation_gram,
     mirror_upper,
     row_blocks,
@@ -36,9 +37,8 @@ from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
                 scores2: np.ndarray, targets2: np.ndarray):
     """Rows of :func:`h_matrix_between` on demand: a function
-    ``rows(start, stop, first=0, out=None)`` that forms the (stop - start, n2 - first)
-    block of rows [start, stop) and columns [first, n2), into ``out`` if given;
-    ``first`` is at most ``start``.
+    ``rows(start, stop, first=0)`` that forms the (stop - start, n2 - first) block of
+    rows [start, stop) and columns [first, n2); ``first`` is at most ``start``.
 
     Every term, the score product included, is formed for those rows only, and each
     block temporary goes as soon as it is used up. The score product is a plain
@@ -57,15 +57,15 @@ def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     right = np.hstack([y2, scores2, np.ones((n2, 1)),
                        -np.einsum("ja,ja->j", scores2, y2)[:, None]])
 
-    def rows(start, stop, first=0, out=None):
-        # ordered so that between steps at most two block-sized arrays live beside the output
+    def rows(start, stop, first=0):
+        # ordered so that between steps at most three block-sized arrays are alive
         sq = sq_rows(start, stop, first)
         value = l._f(sq)
         f2 = l._f2(value)
         f2 *= sq
         f2 *= 4.0
         del sq
-        block = np.matmul(scores1[start:stop], scores2[first:].T, out=out)
+        block = scores1[start:stop] @ scores2[first:].T
         block *= value
         block -= f2
         del f2
@@ -90,50 +90,49 @@ def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
     + 2 f' (<s'_j, y_i> - <s'_j, y'_j> - <s_i, y_i> + <s_i, y'_j> - d)``,
     so every term is an (n1, n2) product and no (n1, n2, d) tensor is formed.
     The bracket is invariant to a shift of the targets; they are centred first.
-    The terms are formed in row blocks (:func:`steincal.kernels.row_blocks`)
-    straight into the output, which is the only (n1, n2) array.
+    The terms are formed in row blocks (:func:`steincal.kernels.row_blocks`).
     """
     rows = _stein_rows(l, scores1, targets1, scores2, targets2)
     h = np.empty((len(targets1), len(targets2)))
     for start, stop in row_blocks(*h.shape):
-        rows(start, stop, out=h[start:stop])
+        h[start:stop] = rows(start, stop)
     return h
 
 
-def h_matrix(l: ScalarKernel, data) -> np.ndarray:
-    """Full symmetric matrix of Stein terms for a dataset (diagonal included)."""
-    data = as_dataset(data)
-    scores = data.models.rows().score_batch(data.targets)
-    return h_matrix_between(l, scores, data.targets, scores, data.targets)
-
-
-def _gram_and_dataset(k_gram: np.ndarray, data) -> tuple[np.ndarray, Dataset]:
-    """The shared prologue of the statistic-matrix producers."""
-    data = as_dataset(data)
-    k_gram = np.asarray(k_gram, dtype=float)
-    n = len(data)
-    if k_gram.shape != (n, n):
-        raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
-    return k_gram, data
-
-
-def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
-    k(p_i, p_j) h_ij, with a zero diagonal.
-
-    The Stein terms are formed a row block at a time and multiplied into the same
-    rows of ``out``, which may be ``k_gram`` itself; without ``out`` the result is
-    a new array and ``k_gram`` is left as it was.
-    """
-    k_gram, data = _gram_and_dataset(k_gram, data)
+def _stein_pair_rows(l: ScalarKernel, data: Dataset):
+    """The Stein terms of a dataset above the diagonal on demand: a function
+    ``rows(start, stop)`` that forms the block of rows [start, stop) and columns
+    [start, n), as :func:`_bracket_rows` does for SKCE."""
     scores = data.models.rows().score_batch(data.targets)
     rows = _stein_rows(l, scores, data.targets, scores, data.targets)
-    entries = np.empty_like(k_gram) if out is None else out
-    for start, stop in row_blocks(*k_gram.shape):
-        np.multiply(k_gram[start:stop], rows(start, stop), out=entries[start:stop])
+    return lambda start, stop: rows(start, stop, start)
+
+
+def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
+    """The (n, n) statistic matrix of entries k(p_i, p_j) t_ij, with a zero diagonal,
+    from the row blocks above the diagonal that a test streams, mirrored: so each
+    unordered pair is formed once and the matrix is exactly symmetric.
+    ``pair_rows(data)`` makes the pair-row function of the pair terms t once the
+    Gram's shape is checked, so a mismatch raises before any sampling."""
+    data = as_dataset(data)
+    n = len(data)
+    k_gram = np.asarray(k_gram, dtype=float)
+    if k_gram.shape != (n, n):
+        raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
+    rows = pair_rows(data)
+    entries = np.empty((n, n))
+    for start, stop in row_blocks(n, n):
+        np.multiply(k_gram[start:stop, start:], rows(start, stop),
+                    out=entries[start:stop, start:])
+    mirror_upper(entries)
     np.fill_diagonal(entries, 0.0)
     return entries
+
+
+def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
+    """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
+    k(p_i, p_j) h_ij, with a zero diagonal (see :func:`_statistic_matrix`)."""
+    return _statistic_matrix(k_gram, data, lambda data: _stein_pair_rows(l, data))
 
 
 def _statistic_entries(matrix) -> np.ndarray:
@@ -280,25 +279,12 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
 
 def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
                      strategy: ExpectationStrategy,
-                     stream: Optional[RandomStream] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair.
-
-    Each unordered pair is evaluated once, by the row blocks above the diagonal that a
-    test streams, and mirrored, so the (n, n) matrix stays symmetric, with a zero
-    diagonal, and each sampled term unbiased. The result is written into ``out`` if
-    given, which may be ``k_gram`` itself; otherwise it is a new array and ``k_gram`` is
-    left as it was.
-    """
-    k_gram, data = _gram_and_dataset(k_gram, data)
-    rows = _bracket_rows(l, data, strategy, stream)
-    entries = np.empty_like(k_gram) if out is None else out
-    for start, stop in row_blocks(*k_gram.shape):
-        np.multiply(k_gram[start:stop, start:], rows(start, stop),
-                    out=entries[start:stop, start:])
-    mirror_upper(entries)
-    np.fill_diagonal(entries, 0.0)
-    return entries
+                     stream: Optional[RandomStream] = None) -> np.ndarray:
+    """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair, with a
+    zero diagonal (see :func:`_statistic_matrix`); each pair's sampled terms are drawn
+    once, so each is unbiased."""
+    return _statistic_matrix(k_gram, data,
+                             lambda data: _bracket_rows(l, data, strategy, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +377,12 @@ def _statistic_blocks(distances: DistanceBlocks, sigma: float, pair_rows):
     """Row blocks of a statistic matrix k(p_i, p_j) t_ij above the diagonal, as
     :func:`_upper_bootstrap` reads them. ``pair_rows(start, stop)`` forms the pair terms
     t of rows [start, stop) and columns [start, n): the Stein terms of KCCSD or the
-    bracket of SKCE. Each unordered pair is formed once, from its term, its squared
-    distance and ``exp(-d^2 / (2 sigma^2))``, and nothing larger than a row block is
-    held."""
+    bracket of SKCE. Each unordered pair is formed once, from its term and the weight
+    of its squared distance (:func:`steincal.kernels.distance_weights`), and nothing
+    larger than a row block is held."""
     for start, stop in row_blocks(distances.n, distances.n):
         block = pair_rows(start, stop)
-        weights = require_finite(distances.block(start, stop), "squared distance")
-        np.divide(weights, -2.0 * sigma ** 2, out=weights)
-        block *= np.exp(weights, out=weights)
-        del weights
+        block *= distance_weights(distances.block(start, stop), sigma)
         yield start, stop, require_finite(_zero_lower(block), "statistic matrix")
         del block  # before the next block is formed
 
@@ -461,11 +444,7 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
     distances = dist_kernel.distance_blocks(data.models, stream.derive("base"))
     sigma = dist_kernel.bandwidth(distances)
     if isinstance(statistic, KCCSD):
-        scores = data.models.rows().score_batch(data.targets)
-        stein = _stein_rows(target_kernel, scores, data.targets, scores, data.targets)
-
-        def pair_rows(start, stop):
-            return stein(start, stop, start)
+        pair_rows = _stein_pair_rows(target_kernel, data)
     else:
         label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
         pair_rows = _bracket_rows(target_kernel, data, statistic.strategy, stream.derive(label))

@@ -21,6 +21,7 @@ from steincal.models import (
     NumericalError,
     ScoredDensity,
     SyntheticSetup,
+    as_dataset,
     sample_setup,
 )
 from steincal.sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -31,8 +32,8 @@ from steincal.statistics import (
     ExactSampler,
     MalaSampler,
     _bracket_rows,
+    _stein_pair_rows,
     _strategy_batches,
-    h_matrix,
     h_matrix_between,
     kccsd_stat_matrix,
     run_calibration_test,
@@ -63,6 +64,13 @@ def h_term(l, p, y, q, y2):
     y, y2 = np.atleast_1d(y), np.atleast_1d(y2)
     return h_matrix_between(l, p.score(y)[None, :], y[None, :], q.score(y2)[None, :],
                             y2[None, :])[0, 0]
+
+
+def stein_matrix(l, pairs):
+    """Stein terms of every ordered pair of a dataset, diagonal included."""
+    data = as_dataset(pairs)
+    scores = data.models.rows().score_batch(data.targets)
+    return h_matrix_between(l, scores, data.targets, scores, data.targets)
 
 
 def skce_pair(k, l, p, y, q, y2, strategy, stream=None):
@@ -116,7 +124,7 @@ class TestHTerm:
         rng = np.random.default_rng(3)
         pairs = random_dataset(rng, 3, 2)
         l = IMQKernel(1.0)
-        matrix = h_matrix(l, pairs)
+        matrix = stein_matrix(l, pairs)
         for i, (p, y) in enumerate(pairs):
             for j, (q, y2) in enumerate(pairs):
                 assert matrix[i, j] == pytest.approx(h_term(l, p, y, q, y2))
@@ -233,7 +241,7 @@ class TestStatMatrix:
         pairs = random_dataset(rng, 5, 2)
         l = GaussianKernel(1.0)
         matrix = kccsd_stat_matrix(np.ones((5, 5)), l, pairs)
-        want = h_matrix(l, pairs)
+        want = stein_matrix(l, pairs)
         np.fill_diagonal(want, 0.0)
         assert matrix == pytest.approx(want)
 
@@ -277,17 +285,6 @@ class TestPeakMemory:
         peak = self.traced_peak_floats(
             lambda: kccsd_stat_matrix(k_gram, GaussianKernel(1.0), data))
         assert peak <= 1.5 * n * n
-
-    def test_kccsd_matrix_over_the_gram_holds_a_few_row_blocks(self):
-        # the output block and two more between steps, and a kernel derivative's
-        # temporary while it is formed: about 4.5 blocks of 96 rows
-        n = 1024
-        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(60).derive("d"))
-        k_gram = np.ones((n, n))
-        (start, stop), *_ = kernels.row_blocks(n, n)
-        peak = self.traced_peak_floats(
-            lambda: kccsd_stat_matrix(k_gram, GaussianKernel(1.0), data, out=k_gram))
-        assert peak <= 5 * (stop - start) * n
 
     def test_sampled_bracket_never_holds_the_cross_gram(self):
         n, m = 1024, 5
@@ -334,8 +331,8 @@ class TestPeakMemory:
 
 
 class TestStatMatrixOut:
-    """The statistic matrices written over the Gram are the ones returned as new arrays.
-    Blocks of 48 rows end inside the matrices."""
+    """The statistic matrices are the Gram times the pair-row blocks that a test streams,
+    mirrored. Blocks of 48 rows end inside the matrices."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -347,34 +344,20 @@ class TestStatMatrixOut:
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
         return kernel.gram(data.models, RandomStream(71)), data
 
-    def test_kccsd_matrix_over_the_gram_equals_the_new_array(self):
+    def test_kccsd_matrix_mirrors_the_upper_triangle(self):
         k_gram, data = self.gram_and_data()
-        assert len(kernels.row_blocks(len(data), len(data))) > 1
-        before = k_gram.copy()
         l = GaussianKernel(2.0)
-        fresh = kccsd_stat_matrix(k_gram, l, data)
-        assert np.array_equal(k_gram, before)
-        assert not np.shares_memory(fresh, k_gram)
-        into = np.full_like(k_gram, np.nan)
-        assert kccsd_stat_matrix(k_gram, l, data, out=into) is into
-        assert np.array_equal(into.view(np.int64), fresh.view(np.int64))
-        assert np.array_equal(k_gram, before)
-        for out in (k_gram[:], k_gram):  # a view of the Gram, then the Gram itself
-            np.copyto(k_gram, before)
-            assert kccsd_stat_matrix(k_gram, l, data, out=out) is out
-            assert np.array_equal(k_gram.view(np.int64), fresh.view(np.int64))
-
-    @pytest.mark.parametrize("strategy", [ClosedFormGaussian(), ExactSampler(3)],
-                             ids=["closed_form", "exact_sampler"])
-    def test_skce_matrix_over_the_gram_equals_the_new_array(self, strategy):
-        k_gram, data = self.gram_and_data()
+        n = len(data)
+        assert len(kernels.row_blocks(n, n)) > 1
+        rows = _stein_pair_rows(l, data)
+        stein = np.zeros((n, n))
+        for start, stop in kernels.row_blocks(n, n):
+            stein[start:stop, start:] = rows(start, stop)
         before = k_gram.copy()
-        l = GaussianKernel(2.0)
-        fresh = skce_stat_matrix(k_gram, l, data, strategy, RandomStream(72))
-        assert np.array_equal(k_gram, before)
-        got = skce_stat_matrix(k_gram, l, data, strategy, RandomStream(72), out=k_gram)
-        assert got is k_gram
-        assert np.array_equal(got.view(np.int64), fresh.view(np.int64))
+        matrix = kccsd_stat_matrix(k_gram, l, data)
+        assert np.array_equal(k_gram, before)  # the Gram is only read
+        assert np.array_equal(matrix, dense_mirrored_upper(k_gram * stein))
+        assert np.array_equal(matrix, matrix.T)
 
     def test_skce_matrix_mirrors_the_upper_triangle(self):
         k_gram, data = self.gram_and_data()
@@ -714,9 +697,10 @@ _STREAMED_KERNELS = {
 
 class TestTileStreamedKCCSD:
     """run_calibration_test forms the KCCSD statistic a row block above the diagonal at a
-    time, straight into the bootstrap sums. Against the dense pipeline (the Gram,
-    kccsd_stat_matrix and the whole-matrix bootstrap oracle) it agrees to rounding with
-    the same p-value and verdict. Blocks of 48 rows end inside the matrix."""
+    time, straight into the bootstrap sums. It reads the bytes of the dense pipeline's
+    matrix (the Gram and kccsd_stat_matrix). Against the whole-matrix bootstrap oracle it
+    agrees to rounding with the same p-value and verdict. Blocks of 48 rows end inside
+    the matrix."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -730,6 +714,8 @@ class TestTileStreamedKCCSD:
         stream = RandomStream(81)
         got = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, stream)
         matrix = kccsd_stat_matrix(kernel.gram(data.models, stream.derive("base")), l, data)
+        assert (got.statistic, got.quantile, got.p_value) == wild_bootstrap(
+            matrix, 200, 0.05, stream.derive("bootstrap"))
         statistic, quantile, p_value = dense_wild_bootstrap(
             matrix, 200, 0.05, stream.derive("bootstrap").generator())
         tol = 1e-12 * abs(quantile)
@@ -838,14 +824,9 @@ class TestRunCalibrationTest:
         result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 150, stream)
         k_gram = kernel.gram(data.models, stream.derive("base"))
         matrix = kccsd_stat_matrix(k_gram, l, data)
-        statistic, quantile, p_value = wild_bootstrap(matrix, 150, 0.05,
-                                                      stream.derive("bootstrap"))
-        # the test forms each pair once, the dense pipeline averages the two rounded
-        # Stein terms of a pair: they agree to rounding, with the same verdict
+        assert (result.statistic, result.quantile, result.p_value) == wild_bootstrap(
+            matrix, 150, 0.05, stream.derive("bootstrap"))
         assert result.statistic == pytest.approx(u_statistic(matrix))
-        assert result.statistic == pytest.approx(statistic, rel=0, abs=1e-12 * abs(quantile))
-        assert result.quantile == pytest.approx(quantile, rel=0, abs=1e-12 * abs(quantile))
-        assert result.p_value == p_value
 
     def test_skce_path_runs(self):
         data = self._dataset(24, seed=6)
