@@ -73,53 +73,32 @@ class ScalarKernel(ABC):
         sq = squared_distance_matrix(points, points2)
         return self._f(sq, out=sq)
 
-    def mean_gram(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l]),
-        written into ``out`` if given.
-
-        That is the (n1 m, n2 m2) Gram averaged over its m x m2 blocks, with the same
-        bytes as averaging the whole Gram. It is assembled from all the tiles of
-        :meth:`mean_gram_tiles`.
-        """
-        out = np.empty((len(points) // m, len(points2) // m2)) if out is None else out
-        for rows, columns, means in self.mean_gram_tiles(points, m, points2, m2)():
-            out[rows, columns] = means
-        return out
-
     def mean_gram_tiles(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int):
-        """Tiles of :meth:`mean_gram` on demand: a generator function
-        ``tiles(start=0, stop=None, first=0, last=None, upper=False, lower=False)`` over
-        the block of groups [start, stop) of ``points`` against groups [first, last) of
-        ``points2``, all of them by default. It yields ``(rows, columns, means)``: the
-        slices of the block that a tile covers and the tile's means.
+        """The matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l])
+        in tiles on demand: a generator function ``means(start=0, stop=None, first=0,
+        last=None, upper=False, lower=False)`` over the block of groups [start, stop) of
+        ``points`` against groups [first, last) of ``points2``, all of them by default. It
+        yields ``(rows, columns, tile)``: the slices of the block that a tile covers and
+        its means, which hold the bytes of the whole (n1 m, n2 m2) Gram averaged over its
+        m x m2 blocks.
 
         The Gram comes from one :func:`squared_distance_rows` of the whole stacks and is
-        formed a tile of whole groups at a time, of about ``_ROW_BLOCK_ELEMENTS`` floats,
-        each tile averaged as soon as it is formed. With ``upper`` (and ``first`` at most
-        ``start``) each run of m-row groups forms its columns from its own first group on,
-        so only the entries [i, j] with j >= i, counted in groups from 0 in both stacks,
-        are sure to be covered. With ``lower`` it forms its columns up to its own last
-        group, so only the entries with j <= i are.
+        formed a tile of :func:`tiles` at a time (``height`` m, ``depth`` m2, the same
+        ``upper`` and ``lower``), each tile averaged as soon as it is formed.
         """
         rows_of = squared_distance_rows(points, points2)
         n1, n2 = len(points) // m, len(points2) // m2
 
-        def tiles(start=0, stop=None, first=0, last=None, upper=False, lower=False):
+        def means(start=0, stop=None, first=0, last=None, upper=False, lower=False):
             stop = n1 if stop is None else stop
             last = n2 if last is None else last
-            for lo, hi in row_blocks((stop - start) * m, (last - first) * m2, multiple=m):
-                col = max(start + lo // m, first) if upper else first
-                end = min(start + hi // m, last) if lower else last
-                # wide rows are cut into column ranges of whole groups as well
-                for c0, c1 in column_blocks(end - col, hi - lo, m2):
-                    c0, c1 = col + c0, col + c1
-                    block = rows_of(start * m + lo, start * m + hi, c0 * m2, c1 * m2)
-                    self._f(block, out=block)
-                    means = block.reshape(-1, m, c1 - c0, m2).mean(axis=(1, 3))
-                    del block
-                    yield slice(lo // m, hi // m), slice(c0 - first, c1 - first), means
-        return tiles
+            for i0, i1, j0, j1 in tiles(start, stop, first, last, m, m2, upper, lower):
+                block = rows_of(i0 * m, i1 * m, j0 * m2, j1 * m2)
+                self._f(block, out=block)
+                tile = block.reshape(-1, m, j1 - j0, m2).mean(axis=(1, 3))
+                del block
+                yield slice(i0 - start, i1 - start), slice(j0 - first, j1 - first), tile
+        return means
 
 
 class GaussianKernel(ScalarKernel):
@@ -295,13 +274,26 @@ def row_blocks(n1: int, n2: int, multiple: int = 1) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-def column_blocks(n2: int, rows: int, depth: int = 1) -> list[tuple[int, int]]:
-    """Column ranges [first, last) that cut ``rows`` rows of an (n1, n2) matrix, whose
-    entries take ``depth`` floats each while they are formed, into tiles of at most about
-    ``_ROW_BLOCK_ELEMENTS`` floats. Every range but the last is a multiple of
-    ``_ROW_TILE`` columns wide."""
-    cols = _ROW_TILE * max(1, _ROW_BLOCK_ELEMENTS // (rows * depth * _ROW_TILE))
-    return [(first, min(first + cols, n2)) for first in range(0, n2, cols)]
+def tiles(start: int, stop: int, first: int, last: int, height: int = 1, depth: int = 1,
+          upper: bool = False, lower: bool = False):
+    """Tiles (i0, i1, j0, j1) of the rows [start, stop) and columns [first, last) of a
+    matrix whose rows stand for ``height`` rows each of the product that forms them, and
+    whose entries take ``depth`` floats each while they are formed.
+
+    The rows are cut by ``row_blocks((stop - start) height, (last - first) depth,
+    multiple=height)``, and each row block's columns into ranges of a multiple of
+    ``_ROW_TILE`` columns, so that a tile takes at most about ``_ROW_BLOCK_ELEMENTS``
+    floats. With ``upper`` a row block's columns start at its first row (or at ``first``
+    if that is later), so only the entries [i, j] with j >= i are sure to be covered;
+    with ``lower`` they stop at its last row, so only the entries with j <= i are.
+    """
+    for lo, hi in row_blocks((stop - start) * height, (last - first) * depth, multiple=height):
+        i0, i1 = start + lo // height, start + hi // height
+        j0 = max(i0, first) if upper else first
+        j1 = min(i1, last) if lower else last
+        width = _ROW_TILE * max(1, _ROW_BLOCK_ELEMENTS // ((hi - lo) * depth * _ROW_TILE))
+        for column in range(j0, j1, width):
+            yield i0, i1, column, min(column + width, j1)
 
 
 def mirror_upper(x: np.ndarray) -> np.ndarray:
@@ -319,20 +311,22 @@ def mirror_upper(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def mirrored_rows(n: int, fill) -> np.ndarray:
+    """The exactly symmetric (n, n) matrix with a zero diagonal whose row blocks above
+    the diagonal ``fill(start, stop, out)`` writes into ``out``: the rows [start, stop)
+    and columns [start, n) for each block of ``row_blocks(n, n)``, then mirrored
+    (:func:`mirror_upper`)."""
+    out = np.empty((n, n))
+    for start, stop in row_blocks(n, n):
+        fill(start, stop, out[start:stop, start:])
+    mirror_upper(out)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
-
-def deep_tiles(n1: int, n2: int, d: int, upper: bool = False):
-    """Tiles (start, stop, first, last) of an (n1, n2) matrix whose entries are formed
-    through (rows, columns, d) temporaries: the row blocks of ``row_blocks(n1, n2 d)``,
-    each cut by :func:`column_blocks`. With ``upper`` each row block's columns start at
-    its first row, so only the entries [i, j] with j >= i are sure to be covered."""
-    for start, stop in row_blocks(n1, n2 * d):
-        col = start if upper else 0
-        for first, last in column_blocks(n2 - col, stop - start, d):
-            yield start, stop, col + first, col + last
-
 
 def single_expectation_gram(means, variances, points, gamma,
                             out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -340,9 +334,9 @@ def single_expectation_gram(means, variances, points, gamma,
     written into ``out`` if given.
 
     Entry [i, j] is exp of -sum_a (mu_ia - y_ja)^2 / (2 (g^2 + v_ia)) - sum_a log(1 +
-    v_ia / g^2) / 2. It is formed a tile at a time (:func:`deep_tiles`), each through
-    one (rows, columns, d) temporary, and every entry holds the same bytes whichever
-    tile it falls in.
+    v_ia / g^2) / 2. It is formed a tile of ``tiles(0, n1, 0, n2, depth=d)`` at a time,
+    each through one (rows, columns, d) temporary, and every entry holds the same bytes
+    whichever tile it falls in.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
@@ -352,7 +346,7 @@ def single_expectation_gram(means, variances, points, gamma,
     logs = np.sum(0.5 * np.log1p(variances / g2), axis=-1)
     n1, (n2, d) = len(means), points.shape
     out = np.empty((n1, n2)) if out is None else out
-    for start, stop, first, last in deep_tiles(n1, n2, d):
+    for start, stop, first, last in tiles(0, n1, 0, n2, depth=d):
         quad = means[start:stop, None, :] - points[None, first:last, :]
         np.square(quad, out=quad)
         quad /= twice_denom[start:stop, None, :]
@@ -395,7 +389,7 @@ def double_expectation_gram(means, variances, gamma, means2=None, variances2=Non
     the models (means, variances) and (means2, variances2), or the first set against
     itself; written into ``out`` if given.
 
-    It is formed a tile at a time (:func:`deep_tiles`), each through two
+    It is formed a tile of ``tiles(0, n1, 0, n2, depth=d)`` at a time, each through two
     (rows, columns, d) temporaries of about ``_ROW_BLOCK_ELEMENTS`` floats, and every
     entry holds the same bytes whichever tile it falls in.
     """
@@ -405,7 +399,7 @@ def double_expectation_gram(means, variances, gamma, means2=None, variances2=Non
     variances2 = variances if variances2 is None else np.asarray(variances2, float)
     n1, (n2, d) = len(means), means2.shape
     out = np.empty((n1, n2)) if out is None else out
-    for start, stop, first, last in deep_tiles(n1, n2, d):
+    for start, stop, first, last in tiles(0, n1, 0, n2, depth=d):
         _double_expectation(means[start:stop, None, :], variances[start:stop, None, :],
                             means2[first:last], variances2[first:last], gamma ** 2,
                             out=out[start:stop, first:last])
@@ -499,11 +493,13 @@ class DistanceBlocks:
         """Rows [start, stop) and columns [start, n), into ``out`` if given; entries on
         and below the diagonal unspecified."""
         rows, n = stop - start, self.n
-        if out is None:
-            if self._whole is not None:
-                whole, self._whole = self._whole, None
+        whole, self._whole = self._whole, None
+        if whole is not None:  # the one block (0, n), kept by median_sigma
+            if out is None:
                 return whole
-            out = np.empty((rows, n - start))
+            out[...] = whole
+            return out
+        out = np.empty((rows, n - start)) if out is None else out
         self._tile(start, stop, start, stop, out=out[:, :rows])
         if stop < n:
             self._tile(start, stop, stop, n, out=out[:, rows:])
@@ -511,29 +507,26 @@ class DistanceBlocks:
 
     def median_sigma(self) -> float:
         """The lower median of the pairwise distances, selected on a packed copy of the
-        strict upper triangle that is freed on return. A one-block matrix keeps its
-        block for the next :meth:`block` call."""
+        strict upper triangle that is freed on return: the one median selection of the
+        package, for ``sigma`` and for :func:`median_heuristic`. A non-finite distance
+        raises :class:`~steincal.models.NumericalError`, a zero median
+        :class:`DegenerateBandwidthError`. A one-block matrix keeps its block for the
+        next :meth:`block` call."""
         packed, diagonal = _packed_upper(self.n, self._tile)
         if len(diagonal) == self.n:
             self._whole = diagonal
         # squared distances are >= 0 or NaN: their maximum is finite exactly when all are
         require_finite(packed.max(), "squared distance")
+        median = _lower_median(packed)
+        if median <= 0.0:
+            raise DegenerateBandwidthError("median pairwise distance is zero")
         # sqrt is monotone: the lower median of the distances themselves
-        return math.sqrt(_positive_median(packed))
+        return math.sqrt(median)
 
     def dense(self) -> np.ndarray:
         """The whole exactly symmetric matrix with a zero diagonal: the row blocks above
-        the diagonal, mirrored."""
-        n = self.n
-        if self._whole is not None:
-            out = self.block(0, n)
-        else:
-            out = np.empty((n, n))
-            for start, stop in row_blocks(n, n):
-                self.block(start, stop, out=out[start:stop, start:])
-        mirror_upper(out)
-        np.fill_diagonal(out, 0.0)
-        return out
+        the diagonal, mirrored (:func:`mirrored_rows`)."""
+        return mirrored_rows(self.n, self.block)
 
 
 def distance_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
@@ -729,13 +722,18 @@ class ExpMMDKernel(DistributionKernel):
             raise ValueError("sampled MMD needs a random stream")
         n, m = len(models), self.num_samples
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
+        means = self.ground.mean_gram_tiles(draws, m, draws, m)
 
         def inner(i0, i1, j0, j1, out=None):
-            return self.ground.mean_gram(draws[i0 * m:i1 * m], m, draws[j0 * m:j1 * m], m,
-                                         out=out)
-        # each model's mean Gram with itself, read off diagonal tiles of 8 models
-        diag = np.concatenate([np.diagonal(inner(i, min(i + 8, n), i, min(i + 8, n)))
-                               for i in range(0, n, 8)])
+            out = np.empty((i1 - i0, j1 - j0)) if out is None else out
+            for rows, columns, tile in means(i0, i1, j0, j1):
+                out[rows, columns] = tile
+            return out
+        # each model's mean Gram with itself, read off the tiles that cover the diagonal
+        diag = np.empty(n)
+        for rows, columns, tile in means(upper=True, lower=True):
+            k0, k1 = columns.start, columns.stop  # within the tile's rows: its diagonal part
+            diag[k0:k1] = np.diagonal(tile[k0 - rows.start:k1 - rows.start])
         return _tiles_from_inner(inner, diag)
 
 
@@ -781,23 +779,14 @@ def _lower_median(values: np.ndarray) -> float:
     return float(values[k])
 
 
-def _positive_median(sq: np.ndarray) -> float:
-    """Lower median of a flat array of pairwise squared distances, partitioned in
-    place; zero is a degenerate bandwidth."""
-    value = _lower_median(sq)
-    if value <= 0.0:
-        raise DegenerateBandwidthError("median pairwise distance is zero")
-    return value
-
-
 def median_heuristic(points: np.ndarray) -> float:
     """Lower median of the pairwise Euclidean distances of a point set.
 
-    Accepts an (n, d) stack of vectors or a flat length-n array of scalars.
-    The squared distances of the pairs i < j are formed by
-    :func:`squared_differences` a row block at a time, straight into one packed
-    array, and the square root is taken of their lower median, which is the
-    lower median of the distances themselves.
+    Accepts an (n, d) stack of vectors or a flat length-n array of scalars. The
+    squared distances of the pairs i < j are formed by :func:`squared_differences`
+    and selected as the distribution kernels' are, by
+    :meth:`DistanceBlocks.median_sigma`: a non-finite distance raises
+    :class:`~steincal.models.NumericalError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -807,7 +796,7 @@ def median_heuristic(points: np.ndarray) -> float:
 
     def tile(i0, i1, j0, j1, out=None):
         return squared_differences(points[i0:i1], points[j0:j1], out)
-    return math.sqrt(_positive_median(_packed_upper(len(points), tile)[0]))
+    return DistanceBlocks(len(points), tile).median_sigma()
 
 
 def second_order_median_heuristic(models, samples_per_pair: int = 10,

@@ -18,13 +18,13 @@ from .kernels import (
     GaussianKernel,
     ScalarKernel,
     UnsupportedKernelError,
-    deep_tiles,
     distance_weights,
     double_expectation_gram,
-    mirror_upper,
+    mirrored_rows,
     row_blocks,
     single_expectation_gram,
     squared_distance_rows,
+    tiles,
 )
 from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -110,8 +110,9 @@ def _stein_pair_rows(l: ScalarKernel, data: Dataset):
 
 def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
     """The (n, n) statistic matrix of entries k(p_i, p_j) t_ij, with a zero diagonal,
-    from the row blocks above the diagonal that a test streams, mirrored: so each
-    unordered pair is formed once and the matrix is exactly symmetric.
+    from the row blocks above the diagonal that a test streams, mirrored
+    (:func:`steincal.kernels.mirrored_rows`): so each unordered pair is formed once and
+    the matrix is exactly symmetric.
     ``pair_rows(data)`` makes the pair-row function of the pair terms t once the
     Gram's shape is checked, so a mismatch raises before any sampling."""
     data = as_dataset(data)
@@ -120,13 +121,8 @@ def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
     if k_gram.shape != (n, n):
         raise ValueError(f"gram matrix shape {k_gram.shape} does not match {n} pairs")
     rows = pair_rows(data)
-    entries = np.empty((n, n))
-    for start, stop in row_blocks(n, n):
-        np.multiply(k_gram[start:stop, start:], rows(start, stop),
-                    out=entries[start:stop, start:])
-    mirror_upper(entries)
-    np.fill_diagonal(entries, 0.0)
-    return entries
+    return mirrored_rows(n, lambda start, stop, out: np.multiply(
+        k_gram[start:stop, start:], rows(start, stop), out=out))
 
 
 def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
@@ -223,11 +219,11 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
     diagonal are finite but hold no pair's bracket.
 
     The sample batches, or the models' parameters, are fixed once. Each expectation
-    term is formed a tile at a time, for the block's pairs only: each run of rows of a
-    term forms its columns on its side of the diagonal only (``upper`` and ``lower`` in
-    :meth:`ScalarKernel.mean_gram_tiles`, ``upper`` in
-    :func:`steincal.kernels.deep_tiles`), and each tile is combined into the block in
-    the order of the bracket as soon as it is formed.
+    term is formed a tile of :func:`steincal.kernels.tiles` at a time, for the block's
+    pairs only: each run of rows of a term forms its columns on its side of the diagonal
+    only (``upper``, or ``lower`` for the term formed with B's models as rows), and each
+    tile is combined into the block in the order of the bracket as soon as it is
+    formed.
     """
     targets = data.targets
     n = len(targets)
@@ -241,9 +237,10 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
         means, variances, gamma = models.means, models.variances, l.bandwidth
 
         def expectations(start, stop, value):
-            for r0, r1, c0, c1 in deep_tiles(stop - start, n - start, means.shape[1], upper=True):
-                rows, columns = slice(start + r0, start + r1), slice(start + c0, start + c1)
-                tile = value[r0:r1, c0:c1]
+            for i0, i1, j0, j1 in tiles(start, stop, start, n, depth=means.shape[1],
+                                        upper=True):
+                rows, columns = slice(i0, i1), slice(j0, j1)
+                tile = value[i0 - start:i1 - start, j0 - start:j1 - start]
                 tile -= single_expectation_gram(means[rows], variances[rows], targets[columns],
                                                 gamma)
                 tile -= single_expectation_gram(means[columns], variances[columns],

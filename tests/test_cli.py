@@ -244,6 +244,20 @@ def test_tiny_variance_overflowing_the_scores_exits_two(count, var, config, mess
     assert "Traceback" not in err
 
 
+def test_overflowing_target_distances_exit_two_at_the_bandwidth(test_config, tmp_path, capsys):
+    # finite targets i * 1e200 of distinct models: the target median's squared
+    # distances overflow before any Gram or statistic is formed
+    data = tmp_path / "huge.jsonl"
+    data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [1.0]}}, "y": [{i}e200]}}\n'
+                            for i in range(6)))
+    with np.errstate(over="ignore"):
+        code = cli(["test", "--config", str(test_config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical failure: squared distance is not finite" in err
+    assert "Traceback" not in err
+
+
 _NON_FINITE_MODELS = [
     '{"model": {"mean": [NaN], "var": [1.0]}, "y": [0.5]}',
     '{"model": {"mean": [0.0], "var": [Infinity]}, "y": [0.5]}',

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from steincal.kernels import (
     squared_distance_matrix,
     squared_distance_rows,
 )
-from steincal.models import DiagonalGaussian, GaussianBatch, ScoredDensity
+from steincal.models import DiagonalGaussian, GaussianBatch, NumericalError, ScoredDensity
 from steincal.sampling import CapabilityError, RandomStream
 from steincal.statistics import h_matrix_between
 
@@ -216,14 +219,15 @@ class TestRowBlocks:
         a, b = rng.normal(size=(30 * 4, d)), rng.normal(size=(25 * 4, d))
         kernel = GaussianKernel(1.2)
         for m2 in (1, 2, 4):
-            assert np.array_equal(kernel.mean_gram(a, 4, b, m2),
-                                  dense_mean_gram(kernel._f, a, 4, b, m2))
-        assert np.array_equal(kernel.mean_gram(a, 4, a, 4),
+            got = self.assembled(kernel.mean_gram_tiles(a, 4, b, m2)(), (30, len(b) // m2))
+            assert np.array_equal(got, dense_mean_gram(kernel._f, a, 4, b, m2))
+        assert np.array_equal(self.assembled(kernel.mean_gram_tiles(a, 4, a, 4)(), (30, 30)),
                               dense_mean_gram(kernel._f, a, 4, None, 4))
 
-    def test_column_blocks_cut_wide_rows_at_tile_multiples(self):
-        assert kernels.column_blocks(130, 48) == [(0, 48), (48, 96), (96, 130)]
-        assert kernels.column_blocks(40, 48, depth=5) == [(0, 40)]
+    def test_tiles_cut_wide_rows_at_tile_multiples(self):
+        assert list(kernels.tiles(0, 48, 0, 130)) == [(0, 48, 0, 48), (0, 48, 48, 96),
+                                                       (0, 48, 96, 130)]
+        assert list(kernels.tiles(0, 48, 0, 40, depth=5)) == [(0, 48, 0, 40)]
 
     @staticmethod
     def assembled(tiles, shape, fill=np.nan):
@@ -279,12 +283,13 @@ class TestRowBlocks:
         assert np.array_equal(~np.isnan(got), formed)
         assert not formed.all()
 
-    def test_deep_tiles_upper_cut_starts_each_row_block_at_its_first_row(self):
+    def test_tiles_upper_cut_starts_each_row_block_at_its_first_row(self):
         # each entry is covered once, and with upper only the rows' own upper part
         for n1, n2, d in ((130, 130, 5), (130, 100, 3), (300, 300, 1)):
             for upper in (False, True):
                 count = np.zeros((n1, n2), dtype=int)
-                for start, stop, first, last in kernels.deep_tiles(n1, n2, d, upper=upper):
+                for start, stop, first, last in kernels.tiles(0, n1, 0, n2, depth=d,
+                                                              upper=upper):
                     count[start:stop, first:last] += 1
                 assert count.max() == 1
                 assert count[np.triu(np.ones((n1, n2), dtype=bool))].min() == 1
@@ -299,8 +304,8 @@ class TestRowBlocks:
         a = np.random.default_rng(47).normal(size=(110 * 3, 5))
         kernel = GaussianKernel(1.2)
         want = dense_mean_gram(kernel._f, a, 3, None, 3)
-        assert np.allclose(kernel.mean_gram(a, 3, a, 3), want, rtol=1e-13, atol=0.0)
         tiles = kernel.mean_gram_tiles(a, 3, a, 3)
+        assert np.allclose(self.assembled(tiles(), (110, 110)), want, rtol=1e-13, atol=0.0)
         assert np.allclose(self.assembled(tiles(40, 110, 20), (70, 90)), want[40:, 20:],
                            rtol=1e-13, atol=0.0)
         assert np.allclose(self.assembled(tiles(10, 60, 50, 110), (50, 60)),
@@ -397,6 +402,19 @@ class TestRowBlocks:
         assert sigma > 0.0
         assert np.array_equal(ExpGFDKernel(None, base).gram(models),
                               ExpGFDKernel(sigma, base).gram(models))
+
+
+def test_tiles_yield_the_recorded_cuts():
+    # integers recorded from deep_tiles and mean_gram_tiles before kernels.tiles
+    # replaced both; rows cross the 48-row and the half-block tail rules
+    with open(Path(__file__).resolve().parent / "golden" / "tile_cuts.json") as fh:
+        cases = json.load(fh)["cases"]
+    assert {(c["height"], c["depth"]) for c in cases} >= {(1, 1), (1, 5), (1, 20), (5, 5),
+                                                         (10, 1), (10, 10)}
+    for case in cases:
+        got = kernels.tiles(*case["args"], case["height"], case["depth"], case["upper"],
+                            case["lower"])
+        assert [list(tile) for tile in got] == case["tiles"], case["args"]
 
 
 _DIST_KERNELS = {
@@ -673,6 +691,23 @@ class TestExpMMD:
         got = pair_value(sampled_kernel, p, q, RandomStream(41).derive("mmd"))
         assert abs(got - closed) <= 3.0 / np.sqrt(m)
 
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_sampled_mode_matches_the_dense_mean_gram_of_its_draws(self, d):
+        # 700 models of three draws each: many row blocks of whole groups
+        n, m = 700, 3
+        rng = np.random.default_rng(70 + d)
+        models = GaussianBatch(rng.normal(size=(n, d)), rng.uniform(0.5, 2.0, size=(n, d)))
+        kernel = ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled", num_samples=m)
+        stream = RandomStream(17)
+        got = kernel.squared_distances(models, stream)
+        draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, d)
+        inner = dense_mean_gram(kernel.ground._f, draws, m, None, m)
+        want = dense_mirrored_upper(dense_distances_from_inner(inner, np.diagonal(inner)))
+        if d == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
     def test_sampled_mode_requires_sampler(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
         kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled", num_samples=4)
@@ -755,6 +790,12 @@ class TestMedianHeuristic:
 
     def test_flat_array_is_read_as_scalar_points(self):
         assert median_heuristic(np.array([0.0, 1.0, 3.0])) == 2.0
+
+    def test_overflowing_distances_raise_as_the_distribution_median_does(self):
+        # the squares of differences near 1e200 overflow to inf
+        with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                       match="squared distance is not finite"):
+            median_heuristic(np.array([0.0, 1e200, 2e200, 3e200]))
 
 
 class TestSecondOrderMedianHeuristic:
