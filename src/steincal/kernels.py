@@ -19,8 +19,11 @@ from .models import GaussianBatch, ModelBatch, as_batch, require_finite
 from .sampling import CapabilityError, RandomStream
 
 # Model pairs per chunk of the second-order heuristic. The chunk size and the order of
-# the draws within a chunk fix its stream layout: changing either changes its output.
+# the draws within a chunk (its uniforms, then its normals) fix its stream layout:
+# changing either changes its output. A chunk is formed _PAIR_SUB_CHUNK pairs at a
+# time in buffers made once per call; the sub-chunk size does not change the output.
 _PAIR_CHUNK = 8192
+_PAIR_SUB_CHUNK = 1024
 _ROW_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n2) block of a pairwise matrix
 _ROW_TILE = 48  # a block's first row is a multiple of this; see row_blocks
 _MIRROR_TILE = 128  # edge of the square tiles that mirror_upper copies
@@ -807,6 +810,13 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     equal-weight two-component mixture, takes the lower median of their
     pairwise distances, and returns the lower median over all pairs. The
     models must be diagonal Gaussians, as a batch or a list.
+
+    Pairs are drawn in chunks of ``_PAIR_CHUNK``: all of a chunk's (count, s)
+    uniforms, then its (count, s, d) normals. The normals are drawn, and the
+    distances formed and sorted, ``_PAIR_SUB_CHUNK`` pairs at a time in buffers made
+    once per call, so besides the n(n - 1)/2 per-pair medians the working set does
+    not grow with n. A non-finite sample distance raises
+    :class:`~steincal.models.NumericalError`.
     """
     models = as_batch(models)
     if len(models) < 2:
@@ -823,29 +833,60 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # flat offset of pair (i, i + 1)
     rng = stream.generator()
     s = samples_per_pair
-    med_col = (s * (s - 1) // 2 - 1) // 2
+    lags = s * (s - 1) // 2
+    med_col = (lags - 1) // 2
 
+    # one buffer per stage; a sub-chunk of m pairs uses the front of each
+    sub = min(_PAIR_SUB_CHUNK, total)
+    uniforms = np.empty((min(_PAIR_CHUNK, total), s))
+    normals, gathered, points = (np.empty(sub * s * d) for _ in range(3))
+    picks = np.empty(s * sub, dtype=bool)
+    comp = np.empty(s * sub, dtype=np.intp)
+    diff = np.empty(lags * sub * d)
+    summed = np.empty(lags * sub) if d > 1 else None
+    rows = np.empty(sub * lags)
     per_pair = np.empty(total)
-    for start in range(0, total, _PAIR_CHUNK):
-        count = min(_PAIR_CHUNK, total - start)
-        flat = np.arange(start, start + count)
-        ii = np.searchsorted(row_start, flat, side="right") - 1
-        jj = flat - row_start[ii] + ii + 1
-        pick_first = rng.random((count, s)) < 0.5
-        xi = rng.standard_normal((count, s, d))
-        # sample-major points: comp[a, r] is the component of sample a of pair r
-        comp = pick_first.T.astype(np.intp) * (ii - jj) + jj
-        pts = (sd[comp] * xi.transpose(1, 0, 2) + means[comp]).reshape(s, count * d)
-        # samples a and a + k differ by one slice per lag k; the median ignores pair order
-        diff = np.empty((s * (s - 1) // 2, count * d))
-        for k in range(1, s):
-            row = (k - 1) * (2 * s - k) // 2
-            np.subtract(pts[k:], pts[:-k], out=diff[row:row + s - k])
-        np.square(diff, out=diff)
-        sq = diff if d == 1 else diff.reshape(-1, count, d).sum(axis=-1)
-        sq = sq.T.copy()
-        sq.sort(axis=1)
-        per_pair[start:start + count] = sq[:, med_col]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the sorted rows
+        for start in range(0, total, _PAIR_CHUNK):
+            count = min(_PAIR_CHUNK, total - start)
+            rng.random(out=uniforms[:count])
+            for lo in range(start, start + count, sub):
+                m = min(sub, start + count - lo)
+                flat = np.arange(lo, lo + m)
+                ii = np.searchsorted(row_start, flat, side="right") - 1
+                jj = flat - row_start[ii] + ii + 1
+                xi = normals[:m * s * d].reshape(m, s, d)
+                rng.standard_normal(out=xi)
+                # sample-major points: c[a, r] is the component of sample a of pair r
+                pick = picks[:s * m].reshape(s, m)
+                np.less(uniforms[lo - start:lo - start + m].T, 0.5, out=pick)
+                c = comp[:s * m].reshape(s, m)
+                np.multiply(pick, ii - jj, out=c)
+                c += jj
+                g = gathered[:s * m * d].reshape(s, m, d)
+                pts = points[:s * m * d].reshape(s, m, d)
+                # mode="clip" writes straight into out; the indices are in range
+                np.take(sd, c, axis=0, out=g, mode="clip")
+                np.multiply(g, xi.transpose(1, 0, 2), out=pts)
+                np.take(means, c, axis=0, out=g, mode="clip")
+                pts += g
+                pts = pts.reshape(s, m * d)
+                # samples a and a + k differ by one slice per lag k; the median ignores
+                # pair order
+                sq = diff[:lags * m * d].reshape(lags, m * d)
+                for k in range(1, s):
+                    row = (k - 1) * (2 * s - k) // 2
+                    np.subtract(pts[k:], pts[:-k], out=sq[row:row + s - k])
+                np.square(sq, out=sq)
+                if d > 1:
+                    sq = np.add.reduce(sq.reshape(lags, m, d), axis=-1,
+                                       out=summed[:lags * m].reshape(lags, m))
+                pair_rows = rows[:m * lags].reshape(m, lags)
+                np.copyto(pair_rows, sq.T)
+                pair_rows.sort(axis=1)
+                # NaN sorts last, so the last column is finite exactly when the row is
+                require_finite(pair_rows[:, -1], "second-order sample distance")
+                per_pair[lo:lo + m] = pair_rows[:, med_col]
 
     # sqrt is monotone, so the median of squared distances is the squared median
     value = math.sqrt(_lower_median(per_pair))

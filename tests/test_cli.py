@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steincal
 from steincal.cli import cli
 from steincal.harness import read_csv, write_dataset
 from steincal.models import Dataset, GaussianBatch, ScoredDensity, SyntheticSetup, sample_setup
@@ -256,6 +259,28 @@ def test_overflowing_target_distances_exit_two_at_the_bandwidth(test_config, tmp
     assert code == 2
     assert "numerical failure: squared distance is not finite" in err
     assert "Traceback" not in err
+
+
+
+def test_overflowing_second_order_sample_distances_exit_two(tmp_path):
+    # models of variance near the largest float: their mixture samples differ by more
+    # than its square root, so the ground bandwidth's sample distances overflow
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({
+        "statistic": {"name": "kccsd"},
+        "dist_kernel": {"variant": "exp_kgfd",
+                        "ground": {"family": "gaussian", "bandwidth": "second_order_median"}},
+    }))
+    data = tmp_path / "huge_variances.jsonl"
+    data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [1.7e308]}}, "y": [{i}.5]}}\n'
+                            for i in range(6)))
+    env = dict(os.environ, PYTHONPATH=str(Path(steincal.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "steincal.cli", "test", "--config", str(config),
+                           "--data", str(data)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "numerical failure: second-order sample distance is not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _NON_FINITE_MODELS = [

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -829,6 +831,12 @@ class TestSecondOrderMedianHeuristic:
         want = sorted(per_pair)[(len(per_pair) - 1) // 2]
         assert got == pytest.approx(want, rel=1e-12)
 
+    @staticmethod
+    def recorded_models(n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        return GaussianBatch(rng.normal(scale=2.0, size=(n, d)),
+                             rng.uniform(0.5, 2.5, size=(n, d)))
+
     # Recorded at the implementation that gathered every sample pair through
     # np.triu_indices and sorted the square-rooted distances of each model pair.
     # 130 models make 8385 pairs (two chunks), 300 make 44850 (six chunks).
@@ -843,12 +851,58 @@ class TestSecondOrderMedianHeuristic:
 
     @pytest.mark.parametrize("n, d", sorted(RECORDED))
     def test_recorded_values_across_chunk_boundaries(self, n, d):
-        rng = np.random.default_rng(1000 * n + d)
-        models = GaussianBatch(rng.normal(scale=2.0, size=(n, d)),
-                               rng.uniform(0.5, 2.5, size=(n, d)))
+        models = self.recorded_models(n, d)
         got = tuple(second_order_median_heuristic(models, s, RandomStream(13).derive("bw", n))
                     for s in (2, 3, 10))
         assert got == self.RECORDED[(n, d)]
+
+    # Recorded at s = 10 at the implementation that formed each 8192-pair chunk in fresh
+    # arrays. 1024 models (the kccsd-lgm-kgfd benchmark's shape) make 64 chunks, 400 make
+    # ten, the last of 6072 pairs: neither last chunk is a whole number of sub-chunks.
+    RECORDED_S10 = {(1024, 1): 1.6071196066890732, (400, 5): 5.068937207308466}
+
+    @pytest.mark.parametrize("n, d", sorted(RECORDED_S10))
+    def test_recorded_values_at_benchmark_sizes(self, n, d):
+        got = second_order_median_heuristic(self.recorded_models(n, d), 10,
+                                            RandomStream(13).derive("bw", n))
+        assert got == self.RECORDED_S10[(n, d)]
+
+    @pytest.mark.parametrize("n, d, extra", [(1024, 1, 2 ** 19), (400, 5, 2 ** 20)])
+    def test_working_set_beyond_the_per_pair_medians_is_fixed(self, n, d, extra):
+        models = self.recorded_models(n, d)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            second_order_median_heuristic(models, 10, RandomStream(13).derive("bw", n))
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 8.0
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * (n - 1) // 2 + extra
+
+    def test_normals_drawn_in_pieces_match_one_draw(self):
+        # the stream layout a chunk relies on: its uniforms, then its normals, which
+        # may be drawn in consecutive pieces; the stream then goes on alike
+        count, s, d, piece = 6072, 10, 3, kernels._PAIR_SUB_CHUNK
+        one = RandomStream(14).derive("bw").generator()
+        uniforms, normals = one.random((count, s)), one.standard_normal((count, s, d))
+        pieces = RandomStream(14).derive("bw").generator()
+        uniforms_out, normals_out = np.empty((count, s)), np.empty((count, s, d))
+        pieces.random(out=uniforms_out)
+        for lo in range(0, count, piece):
+            pieces.standard_normal(out=normals_out[lo:lo + piece])
+        np.testing.assert_array_equal(uniforms_out, uniforms)
+        np.testing.assert_array_equal(normals_out, normals)
+        assert pieces.random() == one.random()
+
+    def test_overflowing_sample_distances_raise_without_a_warning(self):
+        # samples of spread near 1e154 differ by more than the square root of the
+        # largest float
+        models = [g1(float(i), 1.7e308) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="second-order sample distance is not finite"):
+                second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
 
     def test_single_pair_converges_to_true_mixture_median(self):
         models = [g1(0.0, 1.0), g1(2.0, 1.0)]
