@@ -6,8 +6,9 @@ Subcommands:
   gram        print the distribution-kernel Gram matrix of a model file
 
 Exit codes: 0 success, 1 configuration or input validation error (NaN or
-Infinity in a dataset, a score of the wrong shape), 2 runtime numerical
-failure (a degenerate bandwidth, non-finite scores or distances).
+Infinity in a dataset, a score of the wrong shape) or not enough memory, 2
+runtime numerical failure (a degenerate or out-of-range bandwidth, non-finite
+scores or distances).
 """
 from __future__ import annotations
 
@@ -144,6 +145,9 @@ def cli(argv) -> int:
     except (ConfigError, DatasetFormatError, CapabilityError,
             UnsupportedKernelError, ScoreShapeError, FileNotFoundError) as exc:
         print(f"steincal: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"steincal: error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except (DegenerateBandwidthError, FloatingPointError, ArithmeticError) as exc:
         print(f"steincal: numerical failure: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ one matrix is estimated against a single shared set of base samples.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,22 @@ _MIRROR_TILE = 128  # edge of the square tiles that mirror_upper copies
 
 
 class DegenerateBandwidthError(ValueError):
-    """A bandwidth heuristic collapsed to zero."""
+    """A bandwidth heuristic collapsed to zero, or a bandwidth's power that a kernel
+    divides by is not a positive, finite, normal float."""
+
+
+def _require_normal_power(name: str, value: float, power: int) -> None:
+    """Raise :class:`DegenerateBandwidthError` unless ``value ** power`` is a positive,
+    finite, normal float: a kernel that divides by an overflowed or underflowed power
+    gives infinities, NaN or a silently wrong statistic."""
+    try:
+        raised = value ** power
+    except OverflowError:  # Python floats raise here where numpy would give inf
+        raised = math.inf
+    if not sys.float_info.min <= raised < math.inf:  # NaN fails both comparisons
+        raise DegenerateBandwidthError(
+            f"{name} {value!r} is out of range: {value!r}**{power} is not a positive, "
+            "finite, normal float")
 
 
 class UnsupportedKernelError(ValueError):
@@ -46,6 +62,7 @@ class ScalarKernel(ABC):
 
     Subclasses give the profile f and its first two derivatives; the Stein
     terms of :func:`steincal.statistics.h_matrix_between` are assembled from them.
+    They divide by the bandwidth's fourth power, which is range-checked here.
     """
 
     name: str
@@ -54,6 +71,7 @@ class ScalarKernel(ABC):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
         self.bandwidth = float(bandwidth)
+        _require_normal_power(f"{self.name} kernel bandwidth", self.bandwidth, 4)
 
     @abstractmethod
     def _f(self, sq: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -565,8 +583,11 @@ class DistributionKernel(ABC):
         it needs from ``stream`` once and fixes every per-model array it reads."""
 
     def bandwidth(self, distances: DistanceBlocks) -> float:
-        """``sigma``, or the median heuristic on the distances when it is None."""
-        return self.sigma if self.sigma is not None else distances.median_sigma()
+        """``sigma``, or the median heuristic on the distances when it is None; either
+        way ``sigma^2``, which the weights divide by, must be a normal float."""
+        sigma = self.sigma if self.sigma is not None else distances.median_sigma()
+        _require_normal_power("sigma", sigma, 2)
+        return sigma
 
     def squared_distances(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         """Estimated squared Hilbertian distances: an exactly symmetric,

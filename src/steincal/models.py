@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .sampling import CapabilityError, RandomStream
 
@@ -362,7 +361,13 @@ def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> Dataset
 
 
 def chi_square_quantile(dof: int, prob: float) -> float:
-    """Quantile of the chi-square law via the inverse regularised incomplete gamma."""
+    """Quantile of the chi-square law via the inverse regularised incomplete gamma.
+
+    scipy.special is imported on the first call, not with the package: nothing
+    else in steincal uses it, and its import would be most of the start-up time
+    and memory of every process (README, "Start-up")."""
+    from scipy import special
+
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
     if not 0.0 < prob < 1.0:

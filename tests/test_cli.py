@@ -14,6 +14,8 @@ from steincal.harness import read_csv, write_dataset
 from steincal.models import Dataset, GaussianBatch, ScoredDensity, SyntheticSetup, sample_setup
 from steincal.sampling import RandomStream
 
+from oracles import chi_square_quantile_bisect
+
 
 @pytest.fixture
 def experiment_config(tmp_path):
@@ -274,13 +276,112 @@ def test_overflowing_second_order_sample_distances_exit_two(tmp_path):
     data = tmp_path / "huge_variances.jsonl"
     data.write_text("".join(f'{{"model": {{"mean": [{i}.0], "var": [1.7e308]}}, "y": [{i}.5]}}\n'
                             for i in range(6)))
-    env = dict(os.environ, PYTHONPATH=str(Path(steincal.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "steincal.cli", "test", "--config", str(config),
-                           "--data", str(data)], capture_output=True, text=True, env=env)
+    proc = _run_steincal("test", "--config", str(config), "--data", str(data))
     assert proc.returncode == 2
     assert "numerical failure: second-order sample distance is not finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _run_steincal(*args, code=None):
+    """``python -m steincal.cli *args``, or ``python -c code *args``, in a fresh interpreter
+    on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(steincal.__file__).parents[1]))
+    command = ["-c", code] if code is not None else ["-m", "steincal.cli"]
+    return subprocess.run([sys.executable, *command, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def _gaussian_rows(means, targets):
+    return "".join(json.dumps({"model": {"mean": [m], "var": [1.0]}, "y": [y]}) + "\n"
+                   for m, y in zip(means, targets))
+
+
+_HUGE_TARGETS = _gaussian_rows([float(i) for i in range(6)], [i * 1e100 for i in range(6)])
+_PLAIN_TARGETS = _gaussian_rows([float(i) for i in range(6)], [i + 0.5 for i in range(6)])
+
+
+@pytest.mark.parametrize("rows, config, message", [
+    # the target median is 2e100, whose fourth power overflows
+    (_HUGE_TARGETS, {"dist_kernel": {"variant": "exp_gfd", "sigma": "median"}},
+     "gaussian kernel bandwidth 2e+100 is out of range"),
+    (_PLAIN_TARGETS, {"dist_kernel": {"variant": "exp_gfd"}, "target_kernel": {"bandwidth": 1e80}},
+     "gaussian kernel bandwidth 1e+80 is out of range"),
+    (_PLAIN_TARGETS, {"dist_kernel": {"variant": "exp_gfd", "sigma": 1e200}},
+     "sigma 1e+200 is out of range"),
+    # sigma^2 underflows to 0, which would divide the distances into -inf
+    (_PLAIN_TARGETS, {"dist_kernel": {"variant": "exp_gfd", "sigma": 1e-200}},
+     "sigma 1e-200 is out of range"),
+    (_PLAIN_TARGETS, {"dist_kernel": {"variant": "exp_kgfd", "ground": {"bandwidth": 1e200}}},
+     "gaussian kernel bandwidth 1e+200 is out of range"),
+], ids=["target-median", "target-fixed", "sigma-overflow", "sigma-underflow", "ground-fixed"])
+def test_bandwidth_power_out_of_float_range_exits_two(rows, config, message, tmp_path):
+    data, path = tmp_path / "data.jsonl", tmp_path / "t.json"
+    data.write_text(rows)
+    path.write_text(json.dumps({"statistic": {"name": "kccsd"}, "bootstrap": 20, **config}))
+    proc = _run_steincal("test", "--config", str(path), "--data", str(data))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"steincal: numerical failure: {message}: ")
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# 10^17 floats are 711 PiB, beyond the address space a 64-bit process is given, so every
+# host refuses the allocation at once whatever its overcommit policy
+@pytest.mark.parametrize("config", [
+    {"dist_kernel": {"variant": "exp_gfd"}, "bootstrap": 10 ** 17},
+    {"dist_kernel": {"variant": "exp_gfd", "base_samples": 10 ** 17}},
+], ids=["bootstrap", "base_samples"])
+def test_refused_allocation_exits_one_without_a_traceback(config, dataset_file, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"statistic": {"name": "kccsd"}, **config}))
+    proc = _run_steincal("test", "--config", str(path), "--data", str(dataset_file))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("steincal: error: not enough memory: Unable to allocate")
+    assert "Traceback" not in proc.stderr
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+from steincal.cli import cli
+from steincal.models import chi_square_quantile
+for argv in json.loads(sys.argv[1]):
+    assert cli(argv) == 0, argv
+assert "scipy.special" not in sys.modules, "a CLI command imported scipy.special"
+print(json.dumps(chi_square_quantile(3, 0.95)))
+"""
+
+
+def test_cli_commands_never_import_scipy_special(dataset_file, tmp_path):
+    # only chi_square_quantile needs scipy.special; it costs every process start-up time and
+    # memory when imported with the package. A fresh interpreter is needed because the
+    # test oracles import scipy into this one.
+    def config(name, **fields):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fields))
+        return str(path)
+
+    kccsd, gfd = {"name": "kccsd"}, {"variant": "exp_gfd"}
+    tests = [config("gfd", statistic=kccsd, dist_kernel=gfd, bootstrap=20),
+             config("kgfd", statistic=kccsd, dist_kernel={"variant": "exp_kgfd"}, bootstrap=20),
+             config("exact", statistic={"name": "skce", "strategy": {
+                 "mode": "exact_sampler", "samples": 3}}, dist_kernel=gfd, bootstrap=20),
+             config("mala", statistic={"name": "skce", "strategy": {
+                 "mode": "mala", "samples": 3, "steps": 2}}, dist_kernel=gfd, bootstrap=20)]
+    sweep = config("sweep", setup={"family": "lgm"}, n_grid=[8], repetitions=2,
+                   statistic=kccsd, dist_kernel=gfd, bootstrap=20)
+    gram = config("gram", dist_kernel=gfd)
+    out = str(tmp_path / "out")
+    calls = [["test", "--config", c, "--data", str(dataset_file), "--out", out] for c in tests]
+    calls += [["experiment", "--config", sweep, "--out", out],
+              ["gram", "--config", gram, "--data", str(dataset_file), "--out", out]]
+    proc = _run_steincal(json.dumps(calls), code=_NO_SCIPY_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == pytest.approx(chi_square_quantile_bisect(3, 0.95), rel=1e-9)
 
 
 _NON_FINITE_MODELS = [

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -187,6 +188,39 @@ class TestScalarGram:
         points = np.random.default_rng(4).normal(size=(30, 1))
         assert np.array_equal(squared_distance_matrix(points),
                               squared_distances_by_differences(points, points))
+
+
+class TestBandwidthRange:
+    """The power of a bandwidth that a kernel divides by, gamma^4 or sigma^2, must be a
+    positive, finite, normal float; otherwise it is a named DegenerateBandwidthError."""
+
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    @pytest.mark.parametrize("bandwidth", [1e80, 1e200, 1e-80, 1e-200, float("nan")])
+    def test_scalar_kernel_rejects_a_fourth_power_out_of_range(self, kernel_cls, bandwidth):
+        message = f"{kernel_cls.name} kernel bandwidth {bandwidth!r} is out of range"
+        with pytest.raises(DegenerateBandwidthError, match=re.escape(message)):
+            kernel_cls(bandwidth)
+
+    @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
+    @pytest.mark.parametrize("bandwidth", [1e76, 1e-76])
+    def test_scalar_kernel_accepts_a_normal_fourth_power(self, kernel_cls, bandwidth):
+        assert kernel_cls(bandwidth).bandwidth == bandwidth
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e-160])
+    def test_fixed_sigma_is_checked_when_resolved(self, sigma):
+        kernel = ExpWassersteinKernel(sigma)
+        models = GaussianBatch(np.array([[0.0], [1.0]]), np.ones((2, 1)))
+        with pytest.raises(DegenerateBandwidthError,
+                           match=re.escape(f"sigma {sigma!r} is out of range")):
+            kernel.gram(models)
+
+    def test_median_sigma_whose_square_underflows_raises(self):
+        # squared distances of about 1e-320 are positive but subnormal
+        models = GaussianBatch(np.array([[0.0], [1e-160], [2e-160]]), np.ones((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateBandwidthError, match="sigma .* is out of range"):
+                ExpWassersteinKernel(None).gram(models)
 
 
 class TestRowBlocks:
