@@ -36,9 +36,6 @@ from .models import (
     as_batch,
     as_dataset,
     as_scored,
-    chi_square_quantile,
-    coverage_rate,
-    hdr_contains,
     sample_setup,
 )
 from .sampling import (

@@ -24,6 +24,7 @@ from .kernels import (
     ExpKGFDKernel,
     ExpMMDKernel,
     ExpWassersteinKernel,
+    SAMPLED_PAIRS,
     ScalarKernel,
     median_heuristic,
     scalar_kernel,
@@ -43,6 +44,10 @@ from .statistics import (
 )
 
 DIST_KERNEL_VARIANTS = ("exp_gfd", "exp_kgfd", "exp_mmd", "exp_wasserstein")
+# Ground-bandwidth tokens, each with the pair budget of its second-order heuristic
+# (None: every model pair)
+GROUND_BANDWIDTH_TOKENS = {"second_order_median_sampled": SAMPLED_PAIRS,
+                           "second_order_median": None}
 
 _STRATEGY_MODES = {ClosedFormGaussian: "closed_form", ExactSampler: "exact_sampler",
                    MalaSampler: "mala"}
@@ -64,16 +69,17 @@ def _format_bandwidth(value: Union[float, str]) -> str:
     return value if isinstance(value, str) else format(value, ".17g")
 
 
-def _check_bandwidth(value: Union[float, str], token: str, label: str) -> None:
-    if (value != token) if isinstance(value, str) else not value > 0:
-        raise ConfigError(f"{label}: must be a number > 0 or {token!r}")
+def _check_bandwidth(value: Union[float, str], tokens: Sequence[str], label: str) -> None:
+    if (value not in tokens) if isinstance(value, str) else not value > 0:
+        raise ConfigError(f"{label}: must be a number > 0 or "
+                          + " or ".join(repr(token) for token in tokens))
 
 
-def _check_scalar_kernel(family: str, bandwidth: Union[float, str], token: str,
+def _check_scalar_kernel(family: str, bandwidth: Union[float, str], tokens: Sequence[str],
                          where: str) -> None:
     if family not in ("gaussian", "imq"):
         raise ConfigError(f"{where}family: must be 'gaussian' or 'imq'")
-    _check_bandwidth(bandwidth, token, where + "bandwidth")
+    _check_bandwidth(bandwidth, tokens, where + "bandwidth")
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class TargetKernelSpec:
     bandwidth: Union[float, str] = "median"  # explicit value or "median"
 
     def __post_init__(self):
-        _check_scalar_kernel(self.family, self.bandwidth, "median", "target_kernel.")
+        _check_scalar_kernel(self.family, self.bandwidth, ("median",), "target_kernel.")
 
     def describe(self) -> str:
         return f"{self.family}(bandwidth={_format_bandwidth(self.bandwidth)})"
@@ -98,16 +104,16 @@ class DistKernelSpec:
     sigma: Union[float, str] = "median"  # explicit value or "median"
     base_samples: int = 10
     ground_family: str = "gaussian"
-    ground_bandwidth: Union[float, str] = "second_order_median"
+    ground_bandwidth: Union[float, str] = "second_order_median_sampled"  # value or token
     mmd_mode: str = "closed_form"
     mmd_samples: int = 10
 
     def __post_init__(self):
         if self.variant not in DIST_KERNEL_VARIANTS:
             raise ConfigError(f"dist_kernel.variant: must be one of {DIST_KERNEL_VARIANTS}")
-        _check_bandwidth(self.sigma, "median", "dist_kernel.sigma")
-        _check_scalar_kernel(self.ground_family, self.ground_bandwidth, "second_order_median",
-                             "dist_kernel.ground.")
+        _check_bandwidth(self.sigma, ("median",), "dist_kernel.sigma")
+        _check_scalar_kernel(self.ground_family, self.ground_bandwidth,
+                             tuple(GROUND_BANDWIDTH_TOKENS), "dist_kernel.ground.")
         if self.mmd_mode not in ("closed_form", "sampled"):
             raise ConfigError("dist_kernel.mode: must be 'closed_form' or 'sampled'")
 
@@ -384,9 +390,11 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: ModelBatch,
         return ExpGFDKernel(sigma, base, spec.base_samples)
     if isinstance(spec.ground_bandwidth, str):
         if len(models) < 2:
-            raise ConfigError("dist_kernel.ground.bandwidth: 'second_order_median' needs "
-                              "at least two models")
-        ground_bw = second_order_median_heuristic(models, stream=bandwidth_stream)
+            raise ConfigError(f"dist_kernel.ground.bandwidth: {spec.ground_bandwidth!r} "
+                              "needs at least two models")
+        ground_bw = second_order_median_heuristic(
+            models, stream=bandwidth_stream,
+            pair_budget=GROUND_BANDWIDTH_TOKENS[spec.ground_bandwidth])
     else:
         ground_bw = spec.ground_bandwidth
     ground = scalar_kernel(spec.ground_family, ground_bw)

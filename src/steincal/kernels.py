@@ -25,6 +25,8 @@ from .sampling import CapabilityError, RandomStream
 # time in buffers made once per call; the sub-chunk size does not change the output.
 _PAIR_CHUNK = 8192
 _PAIR_SUB_CHUNK = 1024
+# Model pairs that the sampled second-order heuristic draws when a batch has more
+SAMPLED_PAIRS = 4096
 _ROW_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n2) block of a pairwise matrix
 _ROW_TILE = 48  # a block's first row is a multiple of this; see row_blocks
 _MIRROR_TILE = 128  # edge of the square tiles that mirror_upper copies
@@ -824,7 +826,8 @@ def median_heuristic(points: np.ndarray) -> float:
 
 
 def second_order_median_heuristic(models, samples_per_pair: int = 10,
-                                  stream: Optional[RandomStream] = None) -> float:
+                                  stream: Optional[RandomStream] = None,
+                                  pair_budget: Optional[int] = None) -> float:
     """Median over model pairs of the median sample distance in their mixture.
 
     For every unordered model pair, draws ``samples_per_pair`` points from the
@@ -832,11 +835,17 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     pairwise distances, and returns the lower median over all pairs. The
     models must be diagonal Gaussians, as a batch or a list.
 
+    With a ``pair_budget`` P (the sampled heuristic passes :data:`SAMPLED_PAIRS`)
+    and more than P pairs, P pairs are drawn uniformly, with replacement, as one
+    ``integers(0, n(n - 1)/2, P)`` call before any chunk draw, then sorted, and the
+    median is over them alone. With at most P pairs every pair is taken, and the
+    value is the exact heuristic's.
+
     Pairs are drawn in chunks of ``_PAIR_CHUNK``: all of a chunk's (count, s)
     uniforms, then its (count, s, d) normals. The normals are drawn, and the
     distances formed and sorted, ``_PAIR_SUB_CHUNK`` pairs at a time in buffers made
-    once per call, so besides the n(n - 1)/2 per-pair medians the working set does
-    not grow with n. A non-finite sample distance raises
+    once per call, so besides the per-pair medians (n(n - 1)/2 of them, or at most
+    P) the working set does not grow with n. A non-finite sample distance raises
     :class:`~steincal.models.NumericalError`.
     """
     models = as_batch(models)
@@ -844,6 +853,8 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
         raise ValueError("second-order heuristic needs at least two models")
     if samples_per_pair < 2:
         raise ValueError("samples_per_pair must be >= 2")
+    if pair_budget is not None and pair_budget < 1:
+        raise ValueError("pair_budget must be >= 1")
     if stream is None:
         raise ValueError("second-order heuristic needs a random stream")
     if not isinstance(models, GaussianBatch):
@@ -853,6 +864,10 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     total = n * (n - 1) // 2
     row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # flat offset of pair (i, i + 1)
     rng = stream.generator()
+    chosen = None  # flat indices of the pairs taken, when not all of them
+    if pair_budget is not None and total > pair_budget:
+        chosen = np.sort(rng.integers(0, total, pair_budget))
+        total = pair_budget
     s = samples_per_pair
     lags = s * (s - 1) // 2
     med_col = (lags - 1) // 2
@@ -873,7 +888,7 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
             rng.random(out=uniforms[:count])
             for lo in range(start, start + count, sub):
                 m = min(sub, start + count - lo)
-                flat = np.arange(lo, lo + m)
+                flat = np.arange(lo, lo + m) if chosen is None else chosen[lo:lo + m]
                 ii = np.searchsorted(row_start, flat, side="right") - 1
                 jj = flat - row_start[ii] + ii + 1
                 xi = normals[:m * s * d].reshape(m, s, d)

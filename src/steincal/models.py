@@ -359,40 +359,3 @@ def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> Dataset
 
     return Dataset(GaussianBatch(means, variances), y)
 
-
-def chi_square_quantile(dof: int, prob: float) -> float:
-    """Quantile of the chi-square law via the inverse regularised incomplete gamma.
-
-    scipy.special is imported on the first call, not with the package: nothing
-    else in steincal uses it, and its import would be most of the start-up time
-    and memory of every process (README, "Start-up")."""
-    from scipy import special
-
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    if not 0.0 < prob < 1.0:
-        raise ValueError(f"prob must lie in (0, 1), got {prob}")
-    return 2.0 * float(special.gammaincinv(dof / 2.0, prob))
-
-
-def hdr_contains(g: DiagonalGaussian, y: np.ndarray, alpha: float) -> bool:
-    """Whether y lies in the (1 - alpha) highest-density region of g: a
-    one-pair view of :func:`coverage_rate`."""
-    return coverage_rate([(g, y)], alpha) == 1.0
-
-
-def coverage_rate(data, alpha: float) -> float:
-    """Fraction of (model, target) pairs whose target falls in the model HDR.
-
-    For a Gaussian the HDR is the ellipsoid where the squared Mahalanobis
-    distance is below the (1 - alpha) chi-square quantile with dim degrees
-    of freedom.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    data = as_dataset(data)
-    models = data.models
-    if not isinstance(models, GaussianBatch):
-        raise CapabilityError("HDR coverage needs diagonal Gaussian models")
-    mahal = np.sum((data.targets - models.means) ** 2 / models.variances, axis=1)
-    return float(np.mean(mahal <= chi_square_quantile(models.dim, 1.0 - alpha)))

@@ -281,6 +281,35 @@ def chi_square_quantile_bisect(dof, prob, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def chi_square_quantile(dof, prob):
+    """Chi-square quantile from scipy's inverse regularised incomplete gamma."""
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    if not 0.0 < prob < 1.0:
+        raise ValueError(f"prob must lie in (0, 1), got {prob}")
+    return 2.0 * float(special.gammaincinv(dof / 2.0, prob))
+
+
+def coverage_rate(means, variances, targets, alpha):
+    """Fraction of diagonal Gaussian models (rows of ``means`` and ``variances``) whose
+    target falls in their (1 - alpha) highest-density region: the ellipsoid where the
+    squared Mahalanobis distance is below the (1 - alpha) chi-square quantile with dim
+    degrees of freedom."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    means, variances, targets = (np.atleast_2d(np.asarray(a, dtype=float))
+                                 for a in (means, variances, targets))
+    if len(means) == 0:
+        raise ValueError("coverage needs at least one model")
+    mahal = np.sum((targets - means) ** 2 / variances, axis=1)
+    return float(np.mean(mahal <= chi_square_quantile(means.shape[1], 1.0 - alpha)))
+
+
+def hdr_contains(mean, var, y, alpha):
+    """Whether y lies in the (1 - alpha) highest-density region of N(mean, diag(var))."""
+    return coverage_rate(mean, var, y, alpha) == 1.0
+
+
 def mixture_distance_median(mean1, mean2, var, tol=1e-10):
     """Median distance between two draws of an equal-weight 1-d Gaussian mixture.
 

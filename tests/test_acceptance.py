@@ -31,7 +31,6 @@ from steincal.kernels import (
 from steincal.models import (
     DiagonalGaussian,
     SyntheticSetup,
-    coverage_rate,
     sample_setup,
 )
 from steincal.sampling import MalaConfig, RandomStream
@@ -46,6 +45,7 @@ from steincal.statistics import (
 )
 
 from oracles import (
+    coverage_rate,
     fd_stein_terms,
     gfd_gaussian_closed,
     mc_gaussian_kernel_double,
@@ -262,7 +262,7 @@ def test_criterion_10_calibrated_models_are_conservative():
     details = []
     ok = True
     for alpha in (0.05, 0.1, 0.5):
-        rate = coverage_rate(data, alpha)
+        rate = coverage_rate(data.models.means, data.models.variances, data.targets, alpha)
         band = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
         passed = abs(rate - (1.0 - alpha)) <= band
         ok = ok and passed

@@ -14,8 +14,6 @@ from steincal.harness import read_csv, write_dataset
 from steincal.models import Dataset, GaussianBatch, ScoredDensity, SyntheticSetup, sample_setup
 from steincal.sampling import RandomStream
 
-from oracles import chi_square_quantile_bisect
-
 
 @pytest.fixture
 def experiment_config(tmp_path):
@@ -348,18 +346,17 @@ def test_refused_allocation_exits_one_without_a_traceback(config, dataset_file, 
 _NO_SCIPY_CHILD = """
 import json, sys
 from steincal.cli import cli
-from steincal.models import chi_square_quantile
 for argv in json.loads(sys.argv[1]):
     assert cli(argv) == 0, argv
-assert "scipy.special" not in sys.modules, "a CLI command imported scipy.special"
-print(json.dumps(chi_square_quantile(3, 0.95)))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"a steincal command imported {loaded}"
 """
 
 
-def test_cli_commands_never_import_scipy_special(dataset_file, tmp_path):
-    # only chi_square_quantile needs scipy.special; it costs every process start-up time and
-    # memory when imported with the package. A fresh interpreter is needed because the
-    # test oracles import scipy into this one.
+def test_cli_commands_never_import_scipy(dataset_file, tmp_path):
+    # steincal depends on numpy alone; scipy would cost every process start-up time and
+    # memory. A fresh interpreter is needed because the test oracles import scipy into the
+    # test process.
     def config(name, **fields):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(fields))
@@ -381,7 +378,6 @@ def test_cli_commands_never_import_scipy_special(dataset_file, tmp_path):
               ["gram", "--config", gram, "--data", str(dataset_file), "--out", out]]
     proc = _run_steincal(json.dumps(calls), code=_NO_SCIPY_CHILD)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == pytest.approx(chi_square_quantile_bisect(3, 0.95), rel=1e-9)
 
 
 _NON_FINITE_MODELS = [
@@ -472,14 +468,39 @@ def test_gram_of_one_model_with_a_second_order_ground_exits_one(variant, tmp_pat
     code = cli(["gram", "--config", str(config), "--data", str(data)])
     err = capsys.readouterr().err
     assert code == 1
-    assert ("error: dist_kernel.ground.bandwidth: 'second_order_median' needs at least "
-            "two models") in err
+    assert ("error: dist_kernel.ground.bandwidth: 'second_order_median_sampled' needs at "
+            "least two models") in err
     assert "Traceback" not in err
     # with an explicit ground bandwidth the one-model Gram is the 1 x 1 matrix of ones
     config.write_text(json.dumps({"dist_kernel": {"variant": variant,
                                                   "ground": {"bandwidth": 1.0}}}))
     assert cli(["gram", "--config", str(config), "--data", str(data)]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("token", ["second_order_median_sampled", "second_order_median"])
+def test_one_model_error_names_the_configured_ground_token(token, gram_config, tmp_path,
+                                                           capsys):
+    data = tmp_path / "one.jsonl"
+    data.write_text('{"mean": [0.5], "var": [1.0]}\n')
+    gram_config.write_text(json.dumps({"variant": "exp_kgfd", "ground": {"bandwidth": token}}))
+    code = cli(["gram", "--config", str(gram_config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"steincal: error: dist_kernel.ground.bandwidth: {token!r} needs at least "
+                   "two models\n")
+
+
+@pytest.mark.parametrize("bandwidth", ["median", "second_order_median_exact", 0.0])
+def test_bad_ground_bandwidth_exits_one_listing_both_tokens(bandwidth, test_config,
+                                                            dataset_file, capsys):
+    test_config.write_text(json.dumps({"statistic": {"name": "kccsd"}, "dist_kernel": {
+        "variant": "exp_mmd", "ground": {"bandwidth": bandwidth}}}))
+    code = cli(["test", "--config", str(test_config), "--data", str(dataset_file)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("steincal: error: dist_kernel.ground.bandwidth: must be a number > 0 or "
+                   "'second_order_median_sampled' or 'second_order_median'\n")
 
 
 def test_alpha_and_seed_overrides_reach_the_test_result(test_config, dataset_file, capsys):

