@@ -8,6 +8,7 @@ one matrix is estimated against a single shared set of base samples.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from abc import ABC, abstractmethod
@@ -98,30 +99,19 @@ class ScalarKernel(ABC):
 
     def mean_gram_tiles(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int):
         """The matrix [i, j] = mean over k < m, l < m2 of l(points[i m + k], points2[j m2 + l])
-        in tiles on demand: a generator function ``means(start=0, stop=None, first=0,
-        last=None, upper=False, lower=False)`` over the block of groups [start, stop) of
-        ``points`` against groups [first, last) of ``points2``, all of them by default. It
-        yields ``(rows, columns, tile)``: the slices of the block that a tile covers and
-        its means, which hold the bytes of the whole (n1 m, n2 m2) Gram averaged over its
-        m x m2 blocks.
-
-        The Gram comes from one :func:`squared_distance_rows` of the whole stacks and is
-        formed a tile of :func:`tiles` at a time (``height`` m, ``depth`` m2, the same
-        ``upper`` and ``lower``), each tile averaged as soon as it is formed.
+        in tiles on demand (:func:`_tile_source`, rows and columns being groups of m and m2
+        points). Each tile holds the bytes of the whole (n1 m, n2 m2) Gram averaged over
+        its m x m2 blocks: the Gram comes from one :func:`squared_distance_rows` of the
+        whole stacks and is formed a tile (``height`` m, ``depth`` m2) at a time, each tile
+        averaged as soon as it is formed.
         """
         rows_of = squared_distance_rows(points, points2)
-        n1, n2 = len(points) // m, len(points2) // m2
 
-        def means(start=0, stop=None, first=0, last=None, upper=False, lower=False):
-            stop = n1 if stop is None else stop
-            last = n2 if last is None else last
-            for i0, i1, j0, j1 in tiles(start, stop, first, last, m, m2, upper, lower):
-                block = rows_of(i0 * m, i1 * m, j0 * m2, j1 * m2)
-                self._f(block, out=block)
-                tile = block.reshape(-1, m, j1 - j0, m2).mean(axis=(1, 3))
-                del block
-                yield slice(i0 - start, i1 - start), slice(j0 - first, j1 - first), tile
-        return means
+        def form(i0, i1, j0, j1):
+            block = rows_of(i0 * m, i1 * m, j0 * m2, j1 * m2)
+            self._f(block, out=block)
+            return block.reshape(-1, m, j1 - j0, m2).mean(axis=(1, 3))
+        return _tile_source(len(points) // m, len(points2) // m2, m, m2, form)
 
 
 class GaussianKernel(ScalarKernel):
@@ -199,12 +189,8 @@ def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = No
     same = points2 is None or points2 is points
     points, points2 = _point_stacks(points, points if same else points2)
     if points.shape[1] == 1:
-        x, y = points[:, 0], points2[:, 0]
-
-        def outer_rows(start=0, stop=None, first=0, last=None):
-            out = np.subtract.outer(x[start:stop], y[first:last])
-            return np.square(out, out=out)
-        return outer_rows
+        return lambda start=0, stop=None, first=0, last=None: squared_differences(
+            points[start:stop], points2[first:last])
     center = points.mean(axis=0)
     a = points - center
     b = a if same else points2 - center
@@ -231,48 +217,18 @@ def squared_differences(points: np.ndarray, points2: np.ndarray,
     """Matrix [i, j] = sum_k (points[i, k] - points2[j, k])^2 by explicit differences,
     written into ``out`` if given, with no (n1, n2, d) tensor.
 
-    The (n1, n2) squares are added coordinate by coordinate in the order in which
-    numpy sums a contiguous last axis: one after another below 8 terms, in eight
-    interleaved partial sums up to 128, and split in two halves (the first a
-    multiple of 8) above that. Every entry therefore holds the bytes of
-    ``np.sum((points[:, None] - points2[None]) ** 2, axis=-1)``.
+    The (n1, n2) squares are added coordinate by coordinate, in order, each formed in
+    one spare array. Below 8 coordinates numpy sums a contiguous last axis in that
+    order too, so every entry holds the bytes of
+    ``np.sum((points[:, None] - points2[None]) ** 2, axis=-1)``; from 8 on numpy sums
+    in interleaved partial sums, and the last bits can differ.
     """
-    shape = (len(points), len(points2))
-    spare = np.empty(shape) if points.shape[1] > 1 else None
-    return _summed_squares(points, points2, 0, points.shape[1],
-                           np.empty(shape) if out is None else out, spare)
-
-
-def _summed_squares(points, points2, lo, count, out, spare):
-    """Coordinates [lo, lo + count) of :func:`squared_differences`, summed into ``out``;
-    each term is formed in ``spare`` before it is added."""
-    def term(k, into):
-        np.subtract.outer(points[:, k], points2[:, k], out=into)
-        return np.square(into, out=into)
-
-    if count < 8:
-        term(lo, out)
-        for k in range(lo + 1, lo + count):
-            out += term(k, spare)
-        return out
-    if count <= 128:
-        acc = [term(lo, out)] + [term(lo + j, np.empty_like(out)) for j in range(1, 8)]
-        body = count - count % 8
-        for i in range(8, body, 8):
-            for j in range(8):
-                acc[j] += term(lo + i + j, spare)
-        for j in (0, 2, 4, 6):
-            acc[j] += acc[j + 1]
-        acc[0] += acc[2]
-        acc[4] += acc[6]
-        acc[0] += acc[4]
-        for k in range(lo + body, lo + count):
-            out += term(k, spare)
-        return out
-    half = count // 2 - (count // 2) % 8
-    _summed_squares(points, points2, lo, half, out, spare)
-    out += _summed_squares(points, points2, lo + half, count - half, np.empty_like(out),
-                           spare)
+    out = np.subtract.outer(points[:, 0], points2[:, 0], out=out)
+    np.square(out, out=out)
+    spare = np.empty_like(out) if points.shape[1] > 1 else None
+    for k in range(1, points.shape[1]):
+        np.subtract.outer(points[:, k], points2[:, k], out=spare)
+        out += np.square(spare, out=spare)
     return out
 
 
@@ -319,6 +275,36 @@ def tiles(start: int, stop: int, first: int, last: int, height: int = 1, depth: 
             yield i0, i1, column, min(column + width, j1)
 
 
+def _tile_source(n1: int, n2: int, height: int, depth: int, form):
+    """An (n1, n2) matrix in tiles on demand: a generator function ``source(start=0,
+    stop=None, first=0, last=None, upper=False, lower=False)`` over its block of rows
+    [start, stop) and columns [first, last), all of them by default. For each tile of
+    :func:`tiles` (``height``, ``depth``, ``upper`` and ``lower`` passed on) it yields
+    ``(rows, columns, form(i0, i1, j0, j1))``: the slices of the block that the tile
+    covers and its entries, formed as it is reached."""
+    def source(start=0, stop=None, first=0, last=None, upper=False, lower=False):
+        stop = n1 if stop is None else stop
+        last = n2 if last is None else last
+        for i0, i1, j0, j1 in tiles(start, stop, first, last, height, depth, upper, lower):
+            yield (slice(i0 - start, i1 - start), slice(j0 - first, j1 - first),
+                   form(i0, i1, j0, j1))
+    return source
+
+
+def _filled(source, start: int, stop: int, first: int, last: int,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The block [start, stop) x [first, last) of a tile source, assembled into ``out``
+    if given; ``out`` is returned. Without ``out``, a block that one tile covers is that
+    tile itself: a copy would add a block-sized temporary, whose page faults small n pay."""
+    shape = (stop - start, last - first)
+    for rows, columns, tile in source(start, stop, first, last):
+        if out is None and tile.shape == shape:
+            return tile
+        out = np.empty(shape) if out is None else out
+        out[rows, columns] = tile
+    return np.empty(shape) if out is None else out
+
+
 def mirror_upper(x: np.ndarray) -> np.ndarray:
     """The strict upper triangle of the square matrix x written over its strict lower
     one, one square tile at a time, so that the transposed reads stay within a tile;
@@ -351,42 +337,24 @@ def mirrored_rows(n: int, fill) -> np.ndarray:
 # Closed-form Gaussian expectations of the Gaussian kernel
 # ---------------------------------------------------------------------------
 
-def single_expectation_gram(means, variances, points, gamma,
-                            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l,
-    written into ``out`` if given.
-
-    Entry [i, j] is exp of -sum_a (mu_ia - y_ja)^2 / (2 (g^2 + v_ia)) - sum_a log(1 +
-    v_ia / g^2) / 2. It is formed a tile of ``tiles(0, n1, 0, n2, depth=d)`` at a time,
-    each through one (rows, columns, d) temporary, and every entry holds the same bytes
-    whichever tile it falls in.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    means, variances, points = (np.asarray(a, float) for a in (means, variances, points))
-    g2 = gamma ** 2
-    twice_denom = 2.0 * (g2 + variances)  # (n1, d)
-    logs = np.sum(0.5 * np.log1p(variances / g2), axis=-1)
-    n1, (n2, d) = len(means), points.shape
-    out = np.empty((n1, n2)) if out is None else out
-    for start, stop, first, last in tiles(0, n1, 0, n2, depth=d):
-        quad = means[start:stop, None, :] - points[None, first:last, :]
-        np.square(quad, out=quad)
-        quad /= twice_denom[start:stop, None, :]
-        total = np.sum(quad, axis=-1, out=out[start:stop, first:last])
-        del quad
-        # -a - b is -(a + b) exactly
-        total += logs[start:stop, None]
-        np.negative(total, out=total)
-        np.exp(total, out=total)
-    return out
+def _single_expectation(means, variances, points, g2) -> np.ndarray:
+    """[i, j] = E l(z, points[j]) for z ~ N(means[i], variances[i]) and Gaussian l of
+    squared bandwidth g2: exp of -sum_a (mu_ia - y_ja)^2 / (2 (g^2 + v_ia)) - sum_a
+    log(1 + v_ia / g^2) / 2, through one (rows, columns, d) temporary."""
+    quad = means[:, None, :] - points[None, :, :]
+    np.square(quad, out=quad)
+    quad /= (2.0 * (g2 + variances))[:, None, :]
+    total = np.sum(quad, axis=-1)
+    del quad
+    # -a - b is -(a + b) exactly
+    total += np.sum(0.5 * np.log1p(variances / g2), axis=-1)[:, None]
+    np.negative(total, out=total)
+    return np.exp(total, out=total)
 
 
-def _double_expectation(means, variances, means2, variances2, g2,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
+def _double_expectation(means, variances, means2, variances2, g2) -> np.ndarray:
     """E l(z, z') for z ~ N(means, variances), z' ~ N(means2, variances2) and Gaussian l
-    of squared bandwidth g2, broadcast over the leading axes; the last is summed, into
-    ``out`` if given.
+    of squared bandwidth g2, broadcast over the leading axes; the last is summed.
 
     That is exp of -sum (mu - mu')^2 / (2 D) - sum log(D / g^2) / 2 with
     D = (g^2 + v) + v', through two broadcast temporaries: 2 D is formed as
@@ -402,31 +370,48 @@ def _double_expectation(means, variances, means2, variances2, g2,
     logs *= 0.5
     quad += logs
     del logs, twice_denom
-    total = np.sum(quad, axis=-1, out=out)
+    total = np.sum(quad, axis=-1)
     return np.exp(np.negative(total, out=total), out=total)
 
 
-def double_expectation_gram(means, variances, gamma, means2=None, variances2=None,
-                            out: Optional[np.ndarray] = None) -> np.ndarray:
+def expectation_tiles(means, variances, gamma, means2, variances2=None):
+    """Closed-form expectations of the Gaussian kernel of a positive, finite bandwidth
+    ``gamma`` under the diagonal Gaussian models (means, variances), in tiles on demand
+    (:func:`_tile_source`, ``depth`` d) as :meth:`ScalarKernel.mean_gram_tiles` gives
+    sample means: [i, j] is E l(z, means2[j]) for z ~ model i, or with ``variances2``
+    E l(z, z') for z' ~ N(means2[j], variances2[j]) too. Every entry holds the same bytes
+    whichever tile it falls in.
+    """
+    if not 0.0 < gamma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
+    means, variances, means2 = (np.asarray(a, float) for a in (means, variances, means2))
+    variances2 = None if variances2 is None else np.asarray(variances2, float)
+    g2 = gamma ** 2
+
+    def form(i0, i1, j0, j1):
+        if variances2 is None:
+            return _single_expectation(means[i0:i1], variances[i0:i1], means2[j0:j1], g2)
+        return _double_expectation(means[i0:i1, None, :], variances[i0:i1, None, :],
+                                   means2[j0:j1], variances2[j0:j1], g2)
+    return _tile_source(len(means), len(means2), 1, means2.shape[1], form)
+
+
+def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
+    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l:
+    the tiles of :func:`expectation_tiles`, assembled."""
+    return _filled(expectation_tiles(means, variances, gamma, points),
+                   0, len(means), 0, len(points))
+
+
+def double_expectation_gram(means, variances, gamma, means2=None,
+                            variances2=None) -> np.ndarray:
     """Matrix [i, j] = E_{z ~ model i, z' ~ model2 j} l(z, z') for Gaussian l, between
     the models (means, variances) and (means2, variances2), or the first set against
-    itself; written into ``out`` if given.
-
-    It is formed a tile of ``tiles(0, n1, 0, n2, depth=d)`` at a time, each through two
-    (rows, columns, d) temporaries of about ``_ROW_BLOCK_ELEMENTS`` floats, and every
-    entry holds the same bytes whichever tile it falls in.
-    """
-    means = np.asarray(means, float)
-    variances = np.asarray(variances, float)
-    means2 = means if means2 is None else np.asarray(means2, float)
-    variances2 = variances if variances2 is None else np.asarray(variances2, float)
-    n1, (n2, d) = len(means), means2.shape
-    out = np.empty((n1, n2)) if out is None else out
-    for start, stop, first, last in tiles(0, n1, 0, n2, depth=d):
-        _double_expectation(means[start:stop, None, :], variances[start:stop, None, :],
-                            means2[first:last], variances2[first:last], gamma ** 2,
-                            out=out[start:stop, first:last])
-    return out
+    itself: the tiles of :func:`expectation_tiles`, assembled."""
+    means2 = means if means2 is None else means2
+    variances2 = variances if variances2 is None else variances2
+    return _filled(expectation_tiles(means, variances, gamma, means2, variances2),
+                   0, len(means), 0, len(means2))
 
 
 # ---------------------------------------------------------------------------
@@ -666,40 +651,36 @@ class ExpGFDKernel(DistributionKernel):
         self.base = base
         self.num_base_samples = num_base_samples
 
+    def _smoothed(self, scores: np.ndarray, features: np.ndarray, z: np.ndarray):
+        """The left operand of the inner products and the divergence's scale: the very
+        ``features`` object (so :func:`_product_tiles` copies a diagonal tile's), and m."""
+        return features, len(z)
+
     def _tiles(self, models, stream):
         z = self.base.draw(self.num_base_samples, stream)
         scores = models.score_tensor(z)
         n, m, d = scores.shape
         features = scores.reshape(n, m * d)
-        return _tiles_from_inner(_product_tiles(features, features),
-                                 np.einsum("ia,ia->i", features, features), m,
+        smoothed, scale = self._smoothed(scores, features, z)
+        return _tiles_from_inner(_product_tiles(smoothed, features),
+                                 np.einsum("ia,ia->i", smoothed, features), scale,
                                  _equal_row_labels(features))
 
 
-class ExpKGFDKernel(DistributionKernel):
+class ExpKGFDKernel(ExpGFDKernel):
     """exp(-KGFD/(2 sigma^2)); score differences smoothed by a ground kernel."""
 
     name = "exp_kgfd"
 
     def __init__(self, sigma: Optional[float], base: BaseMeasure, ground: ScalarKernel,
                  num_base_samples: int = 10):
-        super().__init__(sigma)
-        if num_base_samples < 1:
-            raise ValueError(f"num_base_samples must be >= 1, got {num_base_samples}")
-        self.base = base
+        super().__init__(sigma, base, num_base_samples)
         self.ground = ground
-        self.num_base_samples = num_base_samples
 
-    def _tiles(self, models, stream):
-        z = self.base.draw(self.num_base_samples, stream)
-        m = z.shape[0]
-        scores = models.score_tensor(z)
+    def _smoothed(self, scores, features, z):
+        """The scores smoothed over the base samples by the ground Gram, and m^2."""
         smoothed = np.einsum("ikd,kl->ild", scores, self.ground.gram(z))
-        n, _, d = scores.shape
-        features, smoothed = scores.reshape(n, m * d), smoothed.reshape(n, m * d)
-        return _tiles_from_inner(_product_tiles(smoothed, features),
-                                 np.einsum("ia,ia->i", smoothed, features), m ** 2,
-                                 _equal_row_labels(features))
+        return smoothed.reshape(features.shape), len(z) ** 2
 
 
 class ExpMMDKernel(DistributionKernel):
@@ -725,42 +706,28 @@ class ExpMMDKernel(DistributionKernel):
         self.num_samples = num_samples
 
     def _tiles(self, models, stream):
+        n, labels = len(models), None
         if self.mode == "closed_form":
-            return self._closed_form(models)
-        return self._sampled(models, stream)
-
-    def _closed_form(self, models):
-        if not isinstance(self.ground, GaussianKernel):
-            raise UnsupportedKernelError("closed-form MMD needs a Gaussian ground kernel")
-        if not isinstance(models, GaussianBatch):
-            raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
-        means, variances, gamma = models.means, models.variances, self.ground.bandwidth
-
-        def inner(i0, i1, j0, j1, out=None):
-            return double_expectation_gram(means[i0:i1], variances[i0:i1], gamma,
-                                           means[j0:j1], variances[j0:j1], out=out)
-        diag = _double_expectation(means, variances, means, variances, gamma ** 2)
-        return _tiles_from_inner(inner, diag, labels=_equal_row_labels(
-            np.hstack([means, variances])))
-
-    def _sampled(self, models, stream):
-        if stream is None:
-            raise ValueError("sampled MMD needs a random stream")
-        n, m = len(models), self.num_samples
-        draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
-        means = self.ground.mean_gram_tiles(draws, m, draws, m)
-
-        def inner(i0, i1, j0, j1, out=None):
-            out = np.empty((i1 - i0, j1 - j0)) if out is None else out
-            for rows, columns, tile in means(i0, i1, j0, j1):
-                out[rows, columns] = tile
-            return out
-        # each model's mean Gram with itself, read off the tiles that cover the diagonal
+            if not isinstance(self.ground, GaussianKernel):
+                raise UnsupportedKernelError("closed-form MMD needs a Gaussian ground kernel")
+            if not isinstance(models, GaussianBatch):
+                raise UnsupportedKernelError("closed-form MMD needs diagonal Gaussian models")
+            means, variances = models.means, models.variances
+            source = expectation_tiles(means, variances, self.ground.bandwidth, means, variances)
+            labels = _equal_row_labels(np.hstack([means, variances]))
+        else:
+            if stream is None:
+                raise ValueError("sampled MMD needs a random stream")
+            m = self.num_samples
+            draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
+            source = self.ground.mean_gram_tiles(draws, m, draws, m)
+        # each model's inner product with itself: the square tiles of _ROW_TILE-model runs
         diag = np.empty(n)
-        for rows, columns, tile in means(upper=True, lower=True):
-            k0, k1 = columns.start, columns.stop  # within the tile's rows: its diagonal part
-            diag[k0:k1] = np.diagonal(tile[k0 - rows.start:k1 - rows.start])
-        return _tiles_from_inner(inner, diag)
+        for start in range(0, n, _ROW_TILE):
+            stop = min(start + _ROW_TILE, n)
+            for rows, _, tile in source(start, stop, start, stop, upper=True, lower=True):
+                diag[start + rows.start:start + rows.stop] = np.diagonal(tile)
+        return _tiles_from_inner(functools.partial(_filled, source), diag, labels=labels)
 
 
 class ExpWassersteinKernel(DistributionKernel):

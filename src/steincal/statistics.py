@@ -19,12 +19,10 @@ from .kernels import (
     ScalarKernel,
     UnsupportedKernelError,
     distance_weights,
-    double_expectation_gram,
+    expectation_tiles,
     mirrored_rows,
     row_blocks,
-    single_expectation_gram,
     squared_distance_rows,
-    tiles,
 )
 from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -219,11 +217,12 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
     diagonal are finite but hold no pair's bracket.
 
     The sample batches, or the models' parameters, are fixed once. Each expectation
-    term is formed a tile of :func:`steincal.kernels.tiles` at a time, for the block's
-    pairs only: each run of rows of a term forms its columns on its side of the diagonal
-    only (``upper``, or ``lower`` for the term formed with B's models as rows), and each
-    tile is combined into the block in the order of the bracket as soon as it is
-    formed.
+    term is a tile source (:meth:`~steincal.kernels.ScalarKernel.mean_gram_tiles` of the
+    batches, or :func:`steincal.kernels.expectation_tiles` in closed form, where terms 2
+    and 3 are both E l(z, y)), formed a tile at a time for the block's pairs only: each
+    run of rows of a term forms its columns on its side of the diagonal only (``upper``,
+    or ``lower`` for the term formed with B's models as rows), and each tile is combined
+    into the block in the order of the bracket as soon as it is formed.
     """
     targets = data.targets
     n = len(targets)
@@ -234,44 +233,31 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
         models = data.models
         if not isinstance(models, GaussianBatch):
             raise CapabilityError("closed-form expectations need diagonal Gaussian models")
-        means, variances, gamma = models.means, models.variances, l.bandwidth
-
-        def expectations(start, stop, value):
-            for i0, i1, j0, j1 in tiles(start, stop, start, n, depth=means.shape[1],
-                                        upper=True):
-                rows, columns = slice(i0, i1), slice(j0, j1)
-                tile = value[i0 - start:i1 - start, j0 - start:j1 - start]
-                tile -= single_expectation_gram(means[rows], variances[rows], targets[columns],
-                                                gamma)
-                tile -= single_expectation_gram(means[columns], variances[columns],
-                                                targets[rows], gamma).T
-                tile += double_expectation_gram(means[rows], variances[rows], gamma,
-                                                means[columns], variances[columns])
-            return value
+        means, variances = models.means, models.variances
+        term2 = term3 = expectation_tiles(means, variances, l.bandwidth, targets)
+        term4 = expectation_tiles(means, variances, l.bandwidth, means, variances)
     else:
         if stream is None:
             raise ValueError("sampled expectation strategies need a random stream")
         batch_a, batch_b, batch_c, batch_d = _strategy_batches(data.models, strategy, stream)
         m, d = batch_a.shape[1:]
-        # term2[i, j] = mean_k l(A_i^k, y_j); term3[i, j] = mean_k l(y_i, B_j^k), formed
-        # with B's models as rows, through value.T
         term2 = l.mean_gram_tiles(batch_a.reshape(n * m, d), m, targets, 1)
         term3 = l.mean_gram_tiles(batch_b.reshape(n * m, d), m, targets, 1)
         term4 = l.mean_gram_tiles(batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
 
-        def expectations(start, stop, value):
-            for rows, columns, term in term2(start, stop, start, upper=True):
-                value[rows, columns] -= term
-            for rows, columns, term in term3(start, n, start, stop, lower=True):
-                value.T[rows, columns] -= term
-            for rows, columns, term in term4(start, stop, start, upper=True):
-                value[rows, columns] += term
-            return value
-
-    def rows(start, stop):
+    def bracket(start, stop):
         sq = target_rows(start, stop, start)
-        return expectations(start, stop, l._f(sq, out=sq))
-    return rows
+        value = l._f(sq, out=sq)
+        # term2[i, j] = E l(z_i, y_j); term3[i, j] = E l(y_i, z'_j), formed with B's
+        # models as rows, through value.T
+        for rows, columns, term in term2(start, stop, start, upper=True):
+            value[rows, columns] -= term
+        for rows, columns, term in term3(start, n, start, stop, lower=True):
+            value.T[rows, columns] -= term
+        for rows, columns, term in term4(start, stop, start, upper=True):
+            value[rows, columns] += term
+        return value
+    return bracket
 
 
 def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,

@@ -200,6 +200,16 @@ def squared_distances_by_differences(points, points2):
     return np.sum(diff ** 2, axis=-1)
 
 
+def squared_distances_in_order(points, points2):
+    """Matrix [i, j] = ||points[i] - points2[j]||^2 from the explicit (n1, n2, d) squared
+    differences, added one coordinate after another, first to last."""
+    squares = (np.asarray(points, float)[:, None, :] - np.asarray(points2, float)[None]) ** 2
+    total = squares[..., 0].copy()
+    for k in range(1, squares.shape[-1]):
+        total += squares[..., k]
+    return total
+
+
 def mc_gaussian_kernel_single(mean, var, y, gamma, n, rng):
     """Monte-Carlo estimate of E_{z ~ N(mean, diag var)} exp(-||z-y||^2/(2 g^2))."""
     mean = np.atleast_1d(np.asarray(mean, float))

@@ -37,7 +37,8 @@ def test_runs_that_cannot_be_paired_differ():
 
 def test_the_working_tree_is_identical_to_itself():
     patterns = ["mgm-40/test/kccsd/exp_mmd_sampled", "lgm-40/test/skce/mala",
-                "mgm-40/gram/exp_kgfd", "lgm-40/gram/exp_mmd_exact_ground"]
+                "mgm-40/gram/exp_kgfd", "lgm-40/gram/exp_mmd_exact_ground",
+                "wide-40/gram/exp_wasserstein"]
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"),
                            "--parent", str(ROOT), "--change", str(ROOT),
                            *[arg for p in patterns for arg in ("--case", p)]],

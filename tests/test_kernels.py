@@ -52,6 +52,7 @@ from oracles import (
     mc_gaussian_kernel_single,
     mixture_distance_median,
     squared_distances_by_differences,
+    squared_distances_in_order,
 )
 
 
@@ -364,20 +365,35 @@ class TestRowBlocks:
         points = rng.normal(size=(110, d))
         want = dense_single_expectation(means, variances, points, 0.8)
         assert np.array_equal(single_expectation_gram(means, variances, points, 0.8), want)
-        # into a transposed view, as the bracket writes E l(y_i, z'_j)
-        out = np.full((60, 70), 2.0)
-        got = single_expectation_gram(means[40:110], variances[40:110], points[50:], 0.8,
-                                      out=out.T)
-        assert got.base is out
-        assert np.array_equal(out.T, want[40:110, 50:])
+        assert np.array_equal(single_expectation_gram(means[40:110], variances[40:110],
+                                                      points[50:], 0.8), want[40:110, 50:])
+        assert single_expectation_gram(means, variances, points[:0], 0.8).shape == (130, 0)
 
-    def test_double_expectation_gram_writes_into_out(self):
-        rng = np.random.default_rng(58)
-        means, variances = rng.normal(size=(130, 3)), rng.uniform(0.5, 2.0, size=(130, 3))
-        want = dense_double_expectation(means, variances, 0.8)
-        out = np.full((130, 130), 1.5)
-        assert double_expectation_gram(means, variances, 0.8, out=out) is out
-        assert np.array_equal(out, want)
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_expectation_tiles_hold_the_dense_bytes(self, d):
+        # unequal variances, so the order of g^2 + v_i + v_j shows
+        rng = np.random.default_rng(60 + d)
+        means, variances = rng.normal(size=(130, d)), rng.uniform(0.5, 2.0, size=(130, d))
+        points = rng.normal(size=(130, d))
+        upper = np.triu(np.ones((90, 110), dtype=bool), k=20)
+        lower = np.tril(np.ones((90, 60), dtype=bool))
+        for tiles, want in (
+                (kernels.expectation_tiles(means, variances, 0.8, points),
+                 dense_single_expectation(means, variances, points, 0.8)),
+                (kernels.expectation_tiles(means, variances, 0.8, means, variances),
+                 dense_double_expectation(means, variances, 0.8))):
+            assert np.array_equal(self.assembled(tiles(), (130, 130)), want)
+            assert np.array_equal(self.assembled(tiles(40, 90, 30, 100), (50, 70)),
+                                  want[40:90, 30:100])
+            got = self.assembled(tiles(40, 130, 20, upper=True), (90, 110))
+            assert np.array_equal(got[upper], want[40:, 20:][upper])
+            got = self.assembled(tiles(40, 130, 40, 100, lower=True), (90, 60))
+            assert np.array_equal(got[lower], want[40:, 40:100][lower])
+            # through a transposed view, as the bracket subtracts E l(y_i, z'_j)
+            out = np.full((60, 90), np.nan)
+            for rows, columns, tile in tiles(40, 130, 40, 100, lower=True):
+                out.T[rows, columns] = tile
+            assert np.array_equal(out.T[lower], want[40:, 40:100][lower])
 
     def test_tiles_from_inner_read_only_the_upper_triangle(self):
         a = np.random.default_rng(7).normal(size=(130, 7))
@@ -409,14 +425,21 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 63, 127, 128, 129, 136, 257, 300])
     def test_squared_differences_hold_the_bytes_of_the_summed_tensor(self, d):
+        # the squares are added in order; numpy sums the tensor's last axis in that
+        # order below 8 terms and in interleaved partial sums from 8 on
         rng = np.random.default_rng(d)
         a = rng.normal(size=(23, d)) * rng.uniform(0.1, 100.0, size=d)
         b = rng.normal(size=(19, d)) * rng.uniform(0.1, 100.0, size=d)
-        want = squared_distances_by_differences(a, b)
+        want = squared_distances_in_order(a, b)
         assert np.array_equal(kernels.squared_differences(a, b), want)
         out = np.full((23, 19), np.nan)
         assert kernels.squared_differences(a, b, out) is out
         assert np.array_equal(out, want)
+        summed = squared_distances_by_differences(a, b)
+        if d < 8:
+            assert np.array_equal(want, summed)
+        else:
+            assert np.max(np.abs(want - summed) / summed) <= 1e-14
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_double_expectation_gram_blocks_hold_the_dense_bytes(self, d):
@@ -513,6 +536,14 @@ class TestDistanceBlocks:
 
 
 class TestGaussianExpectations:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("gram", [single_expectation_gram, double_expectation_gram])
+    def test_gamma_must_be_positive_and_finite(self, gram, gamma):
+        means, variances = np.zeros((3, 2)), np.ones((3, 2))
+        args = (means, variances, means, gamma) if gram is single_expectation_gram else (
+            means, variances, gamma)
+        with pytest.raises(ValueError, match="gamma must be > 0 and finite"):
+            gram(*args)
     def test_point_mass_limit_reduces_to_plain_kernel(self):
         g = g1([0.7], [1e-14])
         kernel = GaussianKernel(1.3)

@@ -5,10 +5,10 @@ Run from anywhere, with two checkouts of the repository:
     python tools/compare_outputs.py --parent PARENT_TREE --change CHANGE_TREE
 
 The inputs are JSONL datasets made with plain numpy from fixed seeds, so neither
-tree can change them: isotropic Gaussians with d = 5 ("mgm") and a linear Gaussian
-model with d = 1 ("lgm"), each at n = 40 (one row block) and n = 700 (several).
-Each case runs once per tree, with ``PYTHONPATH=TREE/src`` and
-``OPENBLAS_NUM_THREADS=1``:
+tree can change them: isotropic Gaussians with d = 5 ("mgm") and with d = 12
+("wide"), and a linear Gaussian model with d = 1 ("lgm"), each at n = 40 (one row
+block) and n = 700 (several). Each case runs once per tree, with
+``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - `steincal test` for KCCSD with exp_gfd, exp_kgfd, exp_mmd (closed form and
   sampled) and exp_wasserstein, and for SKCE with the closed form, the exact
@@ -18,6 +18,10 @@ Each case runs once per tree, with ``PYTHONPATH=TREE/src`` and
   bandwidth ``"second_order_median"`` named in the config (the ``*_exact_ground``
   cases); the other exp_kgfd and exp_mmd cases take the default, sampled ground
   bandwidth;
+- on "wide" only the `test` and `gram` cases of exp_gfd and exp_wasserstein: they
+  sum squared differences of 12 coordinates (the median heuristic of the targets,
+  and the Wasserstein distance of the means), past the 8 below which numpy adds a
+  row's terms one after another;
 - one `steincal experiment` (two threads, timings off).
 
 For each case it prints "identical" when both trees exit alike and write the same
@@ -52,6 +56,7 @@ _KERNELS = {
     "exp_mmd_exact_ground": {"variant": "exp_mmd", "mode": "closed_form",
                              "ground": {"bandwidth": "second_order_median"}},
 }
+_WIDE_KERNELS = ("exp_gfd", "exp_wasserstein")
 _STRATEGIES = {
     "closed_form": {"mode": "closed_form"},
     "exact_sampler": {"mode": "exact_sampler", "samples": 10},
@@ -67,11 +72,12 @@ _FLOAT = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan)")
 def dataset_lines(family: str, n: int) -> str:
     """The JSONL dataset of one family and size, from a fixed numpy seed."""
     rng = np.random.default_rng([7, n, len(family)])
-    if family == "mgm":
-        means = rng.normal(size=(n, 5))
+    if family in ("mgm", "wide"):
+        d = 5 if family == "mgm" else 12
+        means = rng.normal(size=(n, d))
         scales = rng.uniform(0.5, 1.5, size=(n, 1))
-        variances = np.repeat(scales ** 2, 5, axis=1)
-        targets = means + 1.2 * scales * rng.normal(size=(n, 5))
+        variances = np.repeat(scales ** 2, d, axis=1)
+        targets = means + 1.2 * scales * rng.normal(size=(n, d))
     else:
         x = rng.uniform(-1.0, 1.0, size=(n, 1))
         means, variances = 2.0 * x, np.ones((n, 1))
@@ -90,11 +96,14 @@ def cases(workdir: Path) -> dict:
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(obj))
         return str(path)
-    for family in ("mgm", "lgm"):
+    for family in ("mgm", "lgm", "wide"):
+        wide = family == "wide"
         for n in SIZES:
             data = workdir / f"{family}-{n}.jsonl"
             data.write_text(dataset_lines(family, n))
             for name, kernel in _KERNELS.items():
+                if wide and name not in _WIDE_KERNELS:
+                    continue
                 test = config(f"kccsd-{name}", {"statistic": {"name": "kccsd"},
                                                 "dist_kernel": kernel, "seed": 5})
                 out[f"{family}-{n}/test/kccsd/{name}"] = ["test", "--config", test,
@@ -102,7 +111,7 @@ def cases(workdir: Path) -> dict:
                 out[f"{family}-{n}/gram/{name}"] = ["gram", "--config",
                                                     config(f"gram-{name}", kernel),
                                                     "--data", str(data), "--seed", "5"]
-            for name, strategy in _STRATEGIES.items():
+            for name, strategy in ({} if wide else _STRATEGIES).items():
                 test = config(f"skce-{name}", {"statistic": {"name": "skce",
                                                              "strategy": strategy},
                                                "dist_kernel": _KERNELS["exp_gfd"],
