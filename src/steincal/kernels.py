@@ -407,9 +407,12 @@ def double_expectation_gram(means, variances, gamma, means2=None,
                             variances2=None) -> np.ndarray:
     """Matrix [i, j] = E_{z ~ model i, z' ~ model2 j} l(z, z') for Gaussian l, between
     the models (means, variances) and (means2, variances2), or the first set against
-    itself: the tiles of :func:`expectation_tiles`, assembled."""
-    means2 = means if means2 is None else means2
-    variances2 = variances if variances2 is None else variances2
+    itself: the tiles of :func:`expectation_tiles`, assembled. ``means2`` and
+    ``variances2`` are given both or neither."""
+    if (means2 is None) != (variances2 is None):
+        raise ValueError("give both means2 and variances2, or neither")
+    if means2 is None:
+        means2, variances2 = means, variances
     return _filled(expectation_tiles(means, variances, gamma, means2, variances2),
                    0, len(means), 0, len(means2))
 
@@ -454,29 +457,49 @@ class BaseMeasure:
         return stream.generator().standard_normal((m, self.dim))
 
 
-def _packed_upper(n: int, tile) -> tuple[np.ndarray, np.ndarray]:
-    """The n(n - 1)/2 entries above the diagonal of a matrix given by its tile function,
-    as one new flat array filled a row block at a time: the strict upper triangle of
-    the block's diagonal tile, then the rectangle to its right, formed straight into
-    the array. The last diagonal tile is returned too: when the matrix is one block,
-    it is the whole matrix. The array is made after the first diagonal tile, so that
-    freeing it leaves no hole below a diagonal tile that is kept."""
-    packed = None
-    filled = 0
-    for start, stop in row_blocks(n, n):
-        rows = stop - start
-        diagonal = tile(start, stop, start, stop)
-        if packed is None:
-            packed = np.empty(n * (n - 1) // 2)
-        upper = rows * (rows - 1) // 2
-        np.compress(~np.tri(rows, dtype=bool).ravel(), diagonal.ravel(),
-                    out=packed[filled:filled + upper])
-        filled += upper
-        if stop < n:
-            right = packed[filled:filled + rows * (n - stop)].reshape(rows, n - stop)
-            tile(start, stop, stop, n, out=right)
-            filled += right.size
-    return packed, diagonal
+def _bit_pattern(value) -> int:
+    """The IEEE-754 bits of a float >= 0 as an integer: such floats order like their bit
+    patterns. Adding 0.0 maps -0.0, whose sign bit is set, to +0.0."""
+    return int(np.float64(value + 0.0).view(np.int64))
+
+
+def _from_bit_pattern(bits: int) -> float:
+    """The float whose IEEE-754 bits are ``bits``: the inverse of :func:`_bit_pattern`."""
+    return float(np.int64(bits).view(np.float64))
+
+
+def _bracket_pass(parts, lo: float, hi: float, gathered: np.ndarray):
+    """One pass over flat arrays of squared distances for finite 0 <= lo <= hi:
+    ``(below, inside, peak, counts, shift)``, the numbers of entries below lo and in
+    [lo, hi] and the maximum (NaN if an entry is NaN). The entries in [lo, hi] are
+    gathered into the front of ``gathered`` while they fit, and ``counts`` is None;
+    past that they are counted instead, in 2^16 buckets of their bit patterns, entry x
+    in bucket (bits(x) - bits(lo)) >> shift."""
+    below = inside = shift = 0
+    peak, counts = 0.0, None
+
+    def buckets(values):
+        bits = (values + 0.0).view(np.int64)
+        return np.bincount((bits - base) >> shift, minlength=1 << 16)
+    for x in parts:
+        less = x < lo
+        within = x <= hi
+        within ^= less  # lo <= x <= hi: x < lo implies x <= hi, and NaN is in neither
+        below += np.count_nonzero(less)
+        chosen = x[within]
+        top = x.max()  # NaN if x holds one
+        if top > peak or top != top:  # a NaN peak stays
+            peak = top
+        if counts is None and inside + chosen.size <= gathered.size:
+            gathered[inside:inside + chosen.size] = chosen
+        else:
+            if counts is None:  # the first part past the room: count what it gathered
+                base = _bit_pattern(lo)
+                shift = max(0, (_bit_pattern(hi) - base).bit_length() - 16)
+                counts = buckets(gathered[:inside])
+            counts += buckets(chosen)
+        inside += chosen.size
+    return below, inside, peak, counts, shift
 
 
 class DistanceBlocks:
@@ -514,18 +537,88 @@ class DistanceBlocks:
         return out
 
     def median_sigma(self) -> float:
-        """The lower median of the pairwise distances, selected on a packed copy of the
-        strict upper triangle that is freed on return: the one median selection of the
-        package, for ``sigma`` and for :func:`median_heuristic`. A non-finite distance
-        raises :class:`~steincal.models.NumericalError`, a zero median
+        """The lower median of the pairwise distances, selected exactly over tiles formed
+        on demand: the one median selection of the package, for ``sigma`` and for
+        :func:`median_heuristic`. A non-finite distance raises
+        :class:`~steincal.models.NumericalError`, a zero median
         :class:`DegenerateBandwidthError`. A one-block matrix keeps its block for the
-        next :meth:`block` call."""
-        packed, diagonal = _packed_upper(self.n, self._tile)
-        if len(diagonal) == self.n:
+        next :meth:`block` call.
+
+        The diagonal tiles are formed first, into one reused buffer, and the strict upper
+        triangles of all of them kept as a sample. Its quantiles 4 standard errors (with
+        the finite-population correction, so a sample of every pair gives the exact
+        entry) either side of the median's share bracket it: [lo, hi]. A pass over the
+        sample and the rectangles right of the diagonal tiles, formed into the same
+        buffer, counts the entries below lo, gathers those in [lo, hi] and takes the
+        maximum; a partition of the gathered entries then selects the median. At most
+        twice the bracket's expected share of the pairs are gathered: past that a pass
+        counts the entries in [lo, hi] in 2^16 buckets of their bit patterns instead
+        (non-negative floats order like their bit patterns), and the next pass takes
+        the bucket that holds the median. When the median lies outside [lo, hi], the
+        next pass takes the side that holds it. So after the first pass each pass
+        selects or cuts the range's span of bit patterns (under 2^63) by 2^16: six
+        passes at most. Each pass forms the rectangles again; the sample is formed once.
+        """
+        n, blocks = self.n, row_blocks(self.n, self.n)
+        pairs = n * (n - 1) // 2
+        rank = (pairs - 1) // 2
+        buffer = np.empty(max((stop - start) * (n - start) for start, stop in blocks))
+        sample = np.empty(sum((stop - start) * (stop - start - 1) // 2 for start, stop in blocks))
+        filled = 0
+        for start, stop in blocks:
+            rows = stop - start
+            diagonal = self._tile(start, stop, start, stop,
+                                  out=buffer[:rows * rows].reshape(rows, rows))
+            # boolean indexing: np.compress is several times slower
+            upper = diagonal.ravel()[~np.tri(rows, dtype=bool).ravel()]
+            sample[filled:filled + upper.size] = upper
+            filled += upper.size
+        if len(blocks) == 1:
             self._whole = diagonal
-        # squared distances are >= 0 or NaN: their maximum is finite exactly when all are
-        require_finite(packed.max(), "squared distance")
-        median = _lower_median(packed)
+
+        def parts():
+            yield sample
+            for start, stop in blocks[:-1]:  # the last block ends at column n
+                rows = stop - start
+                right = buffer[:rows * (n - stop)].reshape(rows, n - stop)
+                yield self._tile(start, stop, stop, n, out=right).ravel()
+
+        size = sample.size
+        share = rank / pairs
+        spread = 4.0 * math.sqrt(size * share * (1.0 - share) * (pairs - size)
+                                 / max(pairs - 1, 1))
+        centre = rank * size / pairs
+        low = max(0, math.floor(centre - spread))
+        high = min(size - 1, math.ceil(centre + spread))
+        # one kth at a time (numpy is slower with two); the passes only count the sample
+        sample.partition(high)
+        if low < high:
+            sample[:high].partition(low)
+        lo, hi = float(sample[low]), float(sample[high])
+        # NaN sorts last: a finite hi leaves lo <= hi finite, and the pass checks the rest
+        require_finite(hi, "squared distance")
+        gathered = np.empty(2 * math.ceil((high - low + 1) * pairs / size))
+        while True:
+            below, inside, peak, counts, shift = _bracket_pass(parts(), lo, hi, gathered)
+            require_finite(peak, "squared distance")
+            at = rank - below
+            if at < 0:
+                lo, hi = 0.0, float(np.nextafter(lo, -math.inf))
+            elif at >= inside:
+                lo, hi = float(np.nextafter(hi, math.inf)), float(peak)
+            elif lo == hi:
+                median = lo
+                break
+            elif counts is None:
+                candidates = gathered[:inside]
+                candidates.partition(at)
+                median = float(candidates[at])
+                break
+            else:
+                bucket = int(np.searchsorted(np.cumsum(counts), at, side="right"))
+                first = _bit_pattern(lo) + (bucket << shift)
+                lo, hi = (_from_bit_pattern(first),
+                          _from_bit_pattern(min(_bit_pattern(hi), first + (1 << shift) - 1)))
         if median <= 0.0:
             raise DegenerateBandwidthError("median pairwise distance is zero")
         # sqrt is monotone: the lower median of the distances themselves

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steincal import kernels
 from steincal.kernels import (
@@ -414,15 +416,6 @@ class TestRowBlocks:
         assert got is x
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [2, 47, 130])
-    def test_packed_upper_holds_the_entries_above_the_diagonal(self, n):
-        x = np.random.default_rng(n).normal(size=(n, n))
-        x[np.tril_indices(n)] = np.nan  # read nowhere
-        got, diagonal = kernels._packed_upper(n, tiles_of(x))
-        assert np.array_equal(np.sort(got), np.sort(x[np.triu_indices(n, k=1)]))
-        start, stop = kernels.row_blocks(n, n)[-1]
-        assert np.array_equal(diagonal, x[start:stop, start:stop], equal_nan=True)
-
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 63, 127, 128, 129, 136, 257, 300])
     def test_squared_differences_hold_the_bytes_of_the_summed_tensor(self, d):
         # the squares are added in order; numpy sums the tensor's last axis in that
@@ -455,7 +448,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n, distinct", [(2, 2), (47, 47), (130, 130), (777, 777),
                                              (130, 3), (777, 4), (300, 7)])
-    def test_median_sigma_on_the_packed_triangle_equals_the_whole_matrix_selection(
+    def test_median_sigma_over_tiles_equals_the_whole_matrix_selection(
             self, n, distinct):
         # distinct < n draws the models from a few, so most distances are exact ties
         rng = np.random.default_rng(n + distinct)
@@ -535,6 +528,125 @@ class TestDistanceBlocks:
             assert np.all(block[~same & above] > 0.0)
 
 
+def counting_tiles(points, calls):
+    """The tile function of median_heuristic on ``points``, recording the first row and
+    column of each call in ``calls``."""
+    def tile(i0, i1, j0, j1, out=None):
+        calls.append((i0, j0))
+        return kernels.squared_differences(points[i0:i1], points[j0:j1], out)
+    return tile
+
+
+class TestMedianSelection:
+    """``DistanceBlocks.median_sigma``, the one median selection, against the lower median
+    of the whole matrix (``oracles.dense_median_sigma``), with one-block and multi-block
+    matrices: ``_ROW_BLOCK_ELEMENTS`` of 1 cuts blocks of 48 rows."""
+
+    @staticmethod
+    def selected(points, elements):
+        """The median and the number of passes over the rectangles right of the diagonal
+        tiles (0 for a one-block matrix, which has none), with blocks of ``elements``
+        floats."""
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", elements)
+            blocks = len(kernels.row_blocks(len(points), len(points)))
+            value = kernels.DistanceBlocks(len(points), counting_tiles(points, calls)).median_sigma()
+        rectangles = sum(i0 != j0 for i0, j0 in calls)
+        return value, rectangles // max(1, blocks - 1)
+
+    @staticmethod
+    def check(points, elements):
+        want = dense_median_sigma(squared_distances_by_differences(points, points))
+        if want == 0.0:
+            with pytest.raises(DegenerateBandwidthError):
+                TestMedianSelection.selected(points, elements)
+            return None
+        value, passes = TestMedianSelection.selected(points, elements)
+        assert value == want
+        return passes
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 700), d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           distinct=st.sampled_from([None, 1, 2, 7]), step=st.sampled_from([0.0, 0.5]),
+           order=st.sampled_from(["shuffled", "sorted", "reversed"]),
+           elements=st.sampled_from([1, 1 << 12, 1 << 17]))
+    def test_equals_the_whole_matrix_selection(self, n, d, seed, distinct, step, order,
+                                               elements):
+        # few distinct rows give zero distances, a grid step ties, and sorted orders
+        # put unlike pairs in the diagonal tiles that the bracket is taken from
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, d))
+        if distinct is not None:
+            points = points[rng.integers(0, min(distinct, n), size=n)]
+        if step:
+            points = np.round(points / step) * step
+        if order != "shuffled":
+            points = points[np.argsort(points[:, 0], kind="stable")]
+            points = points[::-1] if order == "reversed" else points
+        self.check(points, elements)
+
+    @pytest.mark.parametrize("n, elements", [(130, 1), (300, 1), (500, 1 << 17),
+                                             (777, 1 << 17)])
+    def test_shuffled_points_take_one_pass(self, n, elements):
+        points = np.random.default_rng(n).normal(size=(n, 2))
+        assert self.check(points, elements) == 1
+
+    @pytest.mark.parametrize("n, elements", [(700, 1 << 17), (300, 1)])
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_sorted_points_defeat_the_bracket_and_stay_exact(self, n, elements, order):
+        # neighbours in the order are close, so the diagonal tiles hold the shortest
+        # distances and the bracket misses the median
+        points = np.sort(np.random.default_rng(n).normal(size=(n, 1)), axis=0)
+        points = points[::-1] if order == "reversed" else points
+        assert self.check(points, elements) > 1
+
+    @pytest.mark.parametrize("elements", [1, 1 << 17])
+    def test_ties_at_the_median(self, elements):
+        # integer points: a few hundred distances equal the median
+        points = np.random.default_rng(5).integers(0, 12, size=(400, 2)).astype(float)
+        sq = squared_distances_by_differences(points, points)
+        upper = np.sort(sq[np.triu_indices(400, k=1)])
+        median = upper[(upper.size - 1) // 2]
+        assert np.count_nonzero(upper == median) > 100
+        assert self.check(points, elements) is not None
+
+    @pytest.mark.parametrize("elements", [1, 1 << 17])
+    @pytest.mark.parametrize("copies, degenerate", [(100, False), (300, True)])
+    def test_duplicate_rows(self, elements, copies, degenerate):
+        # rows that are copies of one another are exactly 0 apart
+        points = np.random.default_rng(copies).normal(size=(400, 3))
+        points[:copies] = points[0]
+        assert (self.check(points, elements) is None) == degenerate
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(3, 20), (3, 100), (60, 129)],
+                             ids=["diagonal_tile", "right_rectangle", "last_rectangle"])
+    def test_a_non_finite_distance_raises(self, monkeypatch, value, where):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
+        x = squared_distances_by_differences(*[np.random.default_rng(4).normal(size=(130, 2))] * 2)
+        x[where] = value
+        with pytest.raises(NumericalError, match="squared distance is not finite"):
+            kernels.DistanceBlocks(130, tiles_of(x)).median_sigma()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_bracket_on_non_finite_distances_raises(self, value):
+        # most pairs non-finite: the bracket's own upper end is NaN or inf
+        x = np.full((6, 6), value)
+        x[0, 1] = 1.0
+        with pytest.raises(NumericalError, match="squared distance is not finite"):
+            kernels.DistanceBlocks(6, tiles_of(x)).median_sigma()
+
+    @pytest.mark.parametrize("elements", [1, 1 << 17])
+    def test_entries_on_and_below_the_diagonal_are_never_read(self, elements, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", elements)
+        points = np.random.default_rng(8).normal(size=(130, 2))
+        x = squared_distances_by_differences(points, points)
+        want = dense_median_sigma(x)
+        x[np.tril_indices(130)] = np.nan
+        assert kernels.DistanceBlocks(130, tiles_of(x)).median_sigma() == want
+
+
 class TestGaussianExpectations:
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("gram", [single_expectation_gram, double_expectation_gram])
@@ -544,6 +656,22 @@ class TestGaussianExpectations:
             means, variances, gamma)
         with pytest.raises(ValueError, match="gamma must be > 0 and finite"):
             gram(*args)
+
+    @pytest.mark.parametrize("rows2", [2, 5])
+    def test_second_set_needs_both_means_and_variances(self, rows2):
+        # without the check, two zero means were paired with the first two variances
+        # (1 and 4), and five failed to broadcast against three
+        means, variances = np.zeros((3, 1)), np.array([[1.0], [4.0], [9.0]])
+        means2 = np.zeros((rows2, 1))
+        with pytest.raises(ValueError, match="both means2 and variances2, or neither"):
+            double_expectation_gram(means, variances, 1.0, means2)
+        with pytest.raises(ValueError, match="both means2 and variances2, or neither"):
+            double_expectation_gram(means, variances, 1.0, variances2=np.ones((rows2, 1)))
+        got = double_expectation_gram(means, variances, 1.0, means2, np.ones((rows2, 1)))
+        # zero means: E l(z, z') = (1 / (1 + v + 1))^(1/2) at gamma = 1
+        want = np.repeat(1.0 / np.sqrt(2.0 + variances), rows2, axis=1)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_point_mass_limit_reduces_to_plain_kernel(self):
         g = g1([0.7], [1e-14])
         kernel = GaussianKernel(1.3)

@@ -300,9 +300,9 @@ class TestPeakMemory:
     @pytest.mark.parametrize("strategy", [ExactSampler(5), ClosedFormGaussian()],
                              ids=["exact_sampler", "closed_form"])
     def test_skce_test_holds_no_square_matrix(self, strategy):
-        # as for KCCSD: the packed upper triangle while the median sigma is selected,
-        # then the signs, a statistic block and tiles of the bracket's terms (each
-        # combined into the block as it is formed) beside the sample batches' rows
+        # the signs, a statistic block and tiles of the bracket's terms (each combined
+        # into the block as it is formed) beside the sample batches' rows; the median
+        # sigma's selection holds less
         n, b = 1024, 100
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(65).derive("d"))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
@@ -313,10 +313,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("sigma", [None, 1.0], ids=["median_sigma", "fixed_sigma"])
     def test_kccsd_test_holds_no_square_matrix(self, sigma):
-        # the median sigma is selected on the packed upper triangle, n(n - 1)/2 floats,
-        # which is freed before the bootstrap. Then the test holds the (B + 1, n) signs,
-        # a statistic block and the Stein terms' temporaries (three blocks), and the
-        # score features and per-row arrays (under one more block)
+        # the (B + 1, n) signs, a statistic block and the Stein terms' temporaries (three
+        # blocks), and the score features and per-row arrays (under one more block); the
+        # median sigma's selection, freed before the bootstrap, holds less
         n, b = 1024, 100
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(63).derive("d"))
         (start, stop), *_ = kernels.row_blocks(n, n)
@@ -324,10 +323,24 @@ class TestPeakMemory:
         kernel = ExpGFDKernel(sigma, BaseMeasure.standard_gaussian(5))
         peak = self.traced_peak_floats(lambda: run_calibration_test(
             data, kernel, GaussianKernel(1.0), KCCSD(), 0.05, b, RandomStream(64)))
-        if sigma is None:
-            assert peak <= 0.6 * n * n
-        else:
-            assert peak <= (b + 1) * n + 5 * (stop - start) * n
+        assert peak <= (b + 1) * n + 5 * (stop - start) * n
+
+    def test_kccsd_test_with_both_medians_holds_what_it_holds_with_both_fixed(self):
+        # the medians of sigma and gamma are selected over tiles formed on demand, each
+        # in a few row blocks' worth of floats; a packed upper triangle would hold
+        # n(n - 1)/2 = 8.4M floats here, against the test's (B + 1) n signs and blocks
+        n, b = 4096, 100
+        data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(67).derive("d"))
+        base = BaseMeasure.standard_gaussian(5)
+
+        def kccsd(sigma, gamma):
+            def call():
+                bandwidth = median_heuristic(data.targets) if gamma is None else gamma
+                run_calibration_test(data, ExpGFDKernel(sigma, base), GaussianKernel(bandwidth),
+                                     KCCSD(), 0.05, b, RandomStream(68))
+            return call
+        fixed = self.traced_peak_floats(kccsd(1.0, 1.0))
+        assert self.traced_peak_floats(kccsd(None, None)) <= 1.5 * fixed
 
 
 class TestStatMatrixOut:
