@@ -2,7 +2,6 @@
 generative setups, and HDR coverage."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,10 +27,8 @@ class ScoreShapeError(ValueError):
 
 
 def require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    """Return ``values`` unchanged, or raise :class:`NumericalError` naming ``what``. A
-    float (a NumPy float64 too) is checked by ``math.isfinite``, without a ufunc call."""
-    finite = math.isfinite(values) if isinstance(values, float) else np.all(np.isfinite(values))
-    if not finite:
+    """Return ``values`` unchanged, or raise :class:`NumericalError` naming ``what``."""
+    if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} is not finite")
     return values
 
