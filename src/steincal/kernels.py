@@ -64,7 +64,7 @@ class ScalarKernel(ABC):
     """Radial kernel l(y, y') = f(||y - y'||^2) with analytic derivatives.
 
     Subclasses give the profile f and its first two derivatives; the Stein
-    terms of :func:`steincal.statistics.h_matrix_between` are assembled from them.
+    rows of :func:`steincal.statistics._stein_rows` are assembled from them.
     They divide by the bandwidth's fourth power, which is range-checked here.
     """
 
@@ -94,7 +94,7 @@ class ScalarKernel(ABC):
         return float(self.gram(y, y2)[0, 0])
 
     def gram(self, points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
-        sq = squared_distance_matrix(points, points2)
+        sq = squared_distance_rows(points, points2)()
         return self._f(sq, out=sq)
 
     def mean_gram_tiles(self, points: np.ndarray, m: int, points2: np.ndarray, m2: int):
@@ -164,23 +164,16 @@ def _point_stacks(points, points2) -> tuple[np.ndarray, np.ndarray]:
     return points, points2
 
 
-def squared_distance_matrix(points: np.ndarray, points2: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix [i, j] = ||points[i] - points2[j]||^2, formed from (n1, n2) products only.
+def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = None):
+    """Matrix [i, j] = ||points[i] - points2[j]||^2 on demand, formed from products
+    only: a function ``rows(start, stop, first, last)`` that returns the block of rows
+    [start, stop) and columns [first, last), all rows and columns by default.
 
     In one dimension it is the squared outer difference, which is exact.
     Otherwise it is ||a||^2 + ||b||^2 - 2 <a, b> with both stacks centred at
     the mean of ``points``, which keeps the cancellation small, and clamped at
-    0. Without ``points2`` (or with ``points2 is points``) the diagonal is
-    exactly 0. It is the one-block case of :func:`squared_distance_rows`.
-    """
-    return squared_distance_rows(points, points2)()
-
-
-def squared_distance_rows(points: np.ndarray, points2: Optional[np.ndarray] = None):
-    """Rows of :func:`squared_distance_matrix` on demand: a function
-    ``rows(start, stop, first, last)`` that returns the block of rows [start, stop) and
-    columns [first, last), all rows and columns by default; for a set against itself
-    the diagonal entries inside the block are exact zeros.
+    0. Without ``points2`` (or with ``points2 is points``) the diagonal entries
+    inside the block are exact zeros.
 
     The centre (the mean of all of ``points``), the squared norms and the operand
     that takes the -2 are fixed from the whole stacks, so every block holds the
@@ -292,17 +285,12 @@ def _tile_source(n1: int, n2: int, height: int, depth: int, form):
 
 
 def _filled(source, start: int, stop: int, first: int, last: int,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The block [start, stop) x [first, last) of a tile source, assembled into ``out``
-    if given; ``out`` is returned. Without ``out``, a block that one tile covers is that
-    tile itself: a copy would add a block-sized temporary, whose page faults small n pay."""
-    shape = (stop - start, last - first)
+            out: np.ndarray) -> np.ndarray:
+    """The block [start, stop) x [first, last) of a tile source, assembled into ``out``;
+    ``out`` is returned."""
     for rows, columns, tile in source(start, stop, first, last):
-        if out is None and tile.shape == shape:
-            return tile
-        out = np.empty(shape) if out is None else out
         out[rows, columns] = tile
-    return np.empty(shape) if out is None else out
+    return out
 
 
 def mirror_upper(x: np.ndarray) -> np.ndarray:
@@ -394,27 +382,6 @@ def expectation_tiles(means, variances, gamma, means2, variances2=None):
         return _double_expectation(means[i0:i1, None, :], variances[i0:i1, None, :],
                                    means2[j0:j1], variances2[j0:j1], g2)
     return _tile_source(len(means), len(means2), 1, means2.shape[1], form)
-
-
-def single_expectation_gram(means, variances, points, gamma) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ N(means[i], variances[i])} l(z, points[j]) for Gaussian l:
-    the tiles of :func:`expectation_tiles`, assembled."""
-    return _filled(expectation_tiles(means, variances, gamma, points),
-                   0, len(means), 0, len(points))
-
-
-def double_expectation_gram(means, variances, gamma, means2=None,
-                            variances2=None) -> np.ndarray:
-    """Matrix [i, j] = E_{z ~ model i, z' ~ model2 j} l(z, z') for Gaussian l, between
-    the models (means, variances) and (means2, variances2), or the first set against
-    itself: the tiles of :func:`expectation_tiles`, assembled. ``means2`` and
-    ``variances2`` are given both or neither."""
-    if (means2 is None) != (variances2 is None):
-        raise ValueError("give both means2 and variances2, or neither")
-    if means2 is None:
-        means2, variances2 = means, variances
-    return _filled(expectation_tiles(means, variances, gamma, means2, variances2),
-                   0, len(means), 0, len(means2))
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +635,6 @@ class DistributionKernel(ABC):
         sigma = self.sigma if self.sigma is not None else distances.median_sigma()
         _require_normal_power("sigma", sigma, 2)
         return sigma
-
-    def squared_distances(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
-        """Estimated squared Hilbertian distances: an exactly symmetric,
-        nonnegative matrix with a zero diagonal."""
-        return self.distance_blocks(models, stream).dense()
 
     def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
         models = as_batch(models)

@@ -1,5 +1,5 @@
-"""Predictive densities with scores, model batches and datasets, synthetic
-generative setups, and HDR coverage."""
+"""Predictive densities with scores, model batches and datasets, and synthetic
+generative setups."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field

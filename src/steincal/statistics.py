@@ -32,78 +32,53 @@ from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 # Stein-type pairwise terms
 # ---------------------------------------------------------------------------
 
-def _stein_rows(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
-                scores2: np.ndarray, targets2: np.ndarray):
-    """Rows of :func:`h_matrix_between` on demand: a function
-    ``rows(start, stop, first=0)`` that forms the (stop - start, n2 - first) block of
-    rows [start, stop) and columns [first, n2); ``first`` is at most ``start``.
+def _stein_rows(l: ScalarKernel, scores: np.ndarray, targets: np.ndarray):
+    """The pairwise Stein terms of one stack of (score, target) rows above the diagonal
+    on demand: a function ``rows(start, stop)`` that forms the (stop - start, n - start)
+    block of rows [start, stop) and columns [start, n), as :func:`_bracket_rows` does for
+    SKCE.
 
-    Every term, the score product included, is formed for those rows only, and each
-    block temporary goes as soon as it is used up. The score product is a plain
-    matrix product: ``scores2`` is copied, so numpy never runs it as a symmetric
-    rank-k update when both stacks are one array.
+    Entry [i, j] is ``l(y_i, y_j) <s_i, s_j> + trace + <s_i, grad_{y_j} l>
+    + <s_j, grad_{y_i} l>``, where ``trace`` is the trace of the mixed second derivative
+    of l. For l = f(||y - y'||^2) that is ``f <s_i, s_j> - 4 ||y_i - y_j||^2 f''
+    + 2 f' (<s_j, y_i> - <s_j, y_j> - <s_i, y_i> + <s_i, y_j> - d)``, so every term is a
+    product of the block's rows and columns and no (rows, n, d) tensor is formed. The
+    bracket is invariant to a shift of the targets; they are centred first.
+
+    Each block temporary goes as soon as it is used up. The score product is a plain
+    matrix product: its right operand is a copy of the scores, so numpy never runs it
+    as a symmetric rank-k update.
     """
-    scores1, scores2 = np.asarray(scores1, dtype=float), np.array(scores2, dtype=float)
-    targets1, targets2 = np.asarray(targets1, dtype=float), np.asarray(targets2, dtype=float)
-    n1, n2, d = len(targets1), len(targets2), targets1.shape[1]
-    sq_rows = squared_distance_rows(targets1, targets2)
-    center = targets1.mean(axis=0)
-    y1, y2 = targets1 - center, targets2 - center
-    # 2 (<s_i, y'_j> + <y_i, s'_j> - <s_i, y_i> - d - <s'_j, y'_j>) as one product
-    left = 2.0 * np.hstack([scores1, y1, -(np.einsum("ia,ia->i", scores1, y1) + d)[:, None],
-                            np.ones((n1, 1))])
-    right = np.hstack([y2, scores2, np.ones((n2, 1)),
-                       -np.einsum("ja,ja->j", scores2, y2)[:, None]])
+    scores, targets = np.asarray(scores, dtype=float), np.asarray(targets, dtype=float)
+    other = scores.copy()
+    n, d = targets.shape
+    sq_rows = squared_distance_rows(targets)
+    y = targets - targets.mean(axis=0)
+    # 2 (<s_i, y_j> + <y_i, s_j> - <s_i, y_i> - d - <s_j, y_j>) as one product
+    inner = np.einsum("ia,ia->i", scores, y)[:, None]
+    left = 2.0 * np.hstack([scores, y, -(inner + d), np.ones((n, 1))])
+    right = np.hstack([y, scores, np.ones((n, 1)), -inner])
 
-    def rows(start, stop, first=0):
+    def rows(start, stop):
         # ordered so that between steps at most three block-sized arrays are alive
-        sq = sq_rows(start, stop, first)
+        sq = sq_rows(start, stop, start)
         value = l._f(sq)
         f2 = l._f2(value)
         f2 *= sq
         f2 *= 4.0
         del sq
-        block = scores1[start:stop] @ scores2[first:].T
+        block = scores[start:stop] @ other[start:].T
         block *= value
         block -= f2
         del f2
         f1 = l._f1(value)
         del value
-        bracket = left[start:stop] @ right[first:].T
+        bracket = left[start:stop] @ right[start:].T
         bracket *= f1
         del f1
         block += bracket
         return block
     return rows
-
-
-def h_matrix_between(l: ScalarKernel, scores1: np.ndarray, targets1: np.ndarray,
-                     scores2: np.ndarray, targets2: np.ndarray) -> np.ndarray:
-    """Pairwise Stein terms between two stacks of (score, target) rows.
-
-    Entry [i, j] is
-    ``l(y_i, y'_j) <s_i, s'_j> + trace + <s_i, grad_y' l> + <s'_j, grad_y l>``,
-    where ``trace`` is the trace of the mixed second derivative of l. For
-    l = f(||y - y'||^2) that is ``f <s_i, s'_j> - 4 ||y_i - y'_j||^2 f''
-    + 2 f' (<s'_j, y_i> - <s'_j, y'_j> - <s_i, y_i> + <s_i, y'_j> - d)``,
-    so every term is an (n1, n2) product and no (n1, n2, d) tensor is formed.
-    The bracket is invariant to a shift of the targets; they are centred first.
-    The terms are formed in row blocks (:func:`steincal.kernels.row_blocks`).
-    """
-    rows = _stein_rows(l, scores1, targets1, scores2, targets2)
-    h = np.empty((len(targets1), len(targets2)))
-    for start, stop in row_blocks(*h.shape):
-        h[start:stop] = rows(start, stop)
-    return h
-
-
-def _stein_pair_rows(l: ScalarKernel, data: Dataset):
-    """The Stein terms of a dataset above the diagonal on demand: a function
-    ``rows(start, stop)`` that forms the block of rows [start, stop) and columns
-    [start, n), as :func:`_bracket_rows` does for SKCE."""
-    scores = data.models.rows().score_batch(data.targets)
-    rows = _stein_rows(l, scores, data.targets, scores, data.targets)
-    return lambda start, stop: rows(start, stop, start)
 
 
 def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
@@ -126,7 +101,8 @@ def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
 def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
     """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
     k(p_i, p_j) h_ij, with a zero diagonal (see :func:`_statistic_matrix`)."""
-    return _statistic_matrix(k_gram, data, lambda data: _stein_pair_rows(l, data))
+    return _statistic_matrix(k_gram, data, lambda data: _stein_rows(
+        l, data.models.rows().score_batch(data.targets), data.targets))
 
 
 def _statistic_entries(matrix) -> np.ndarray:
@@ -427,7 +403,8 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
     distances = dist_kernel.distance_blocks(data.models, stream.derive("base"))
     sigma = dist_kernel.bandwidth(distances)
     if isinstance(statistic, KCCSD):
-        pair_rows = _stein_pair_rows(target_kernel, data)
+        pair_rows = _stein_rows(target_kernel, data.models.rows().score_batch(data.targets),
+                                data.targets)
     else:
         label = "mala" if isinstance(statistic.strategy, MalaSampler) else "sampler"
         pair_rows = _bracket_rows(target_kernel, data, statistic.strategy, stream.derive(label))

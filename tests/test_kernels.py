@@ -20,11 +20,9 @@ from steincal.kernels import (
     GaussianKernel,
     IMQKernel,
     UnsupportedKernelError,
-    double_expectation_gram,
+    expectation_tiles,
     median_heuristic,
     second_order_median_heuristic,
-    single_expectation_gram,
-    squared_distance_matrix,
     squared_distance_rows,
 )
 from steincal.models import (
@@ -36,7 +34,7 @@ from steincal.models import (
     sample_setup,
 )
 from steincal.sampling import CapabilityError, RandomStream
-from steincal.statistics import h_matrix_between
+from steincal.statistics import _stein_rows
 
 from oracles import (
     brute_force_kgfd,
@@ -80,13 +78,15 @@ def random_gaussians(rng, count, dim, spread=2.0):
 
 def bundle_at(kernel, y, y2):
     """Derivative bundle (value, grad_y, grad_y', mixed trace) at one pair of points, read
-    off the Stein terms of the zero score and the unit scores: term [0, 0] is the trace,
+    off the Stein terms of the zero score and the unit scores at y against the same at
+    y2, the off-diagonal block of their joined stack: term [0, 0] is the trace,
     [1 + a, 0] adds grad_y'[a], [0, 1 + b] adds grad_y[b] and [1, 1] adds all of
     value, grad_y'[0] and grad_y[0]."""
     y, y2 = np.atleast_1d(np.asarray(y, float)), np.atleast_1d(np.asarray(y2, float))
     s = np.vstack([np.zeros(y.size), np.eye(y.size)])
-    s2 = np.vstack([np.zeros(y2.size), np.eye(y2.size)])
-    h = h_matrix_between(kernel, s, np.tile(y, (len(s), 1)), s2, np.tile(y2, (len(s2), 1)))
+    n = len(s)
+    targets = np.vstack([np.tile(y, (n, 1)), np.tile(y2, (n, 1))])
+    h = _stein_rows(kernel, np.vstack([s, s]), targets)(0, n)[:, n:]
     trace = h[0, 0]
     gy2, gy = h[1:, 0] - trace, h[0, 1:] - trace
     return h[1, 1] - trace - gy2[0] - gy[0], gy, gy2, trace
@@ -94,12 +94,13 @@ def bundle_at(kernel, y, y2):
 
 def gfd(p, q, z):
     """Score divergence between two models on frozen base samples z."""
-    return ExpGFDKernel(None, BaseMeasure.frozen(z)).squared_distances([p, q])[0, 1]
+    return ExpGFDKernel(None, BaseMeasure.frozen(z)).distance_blocks([p, q]).dense()[0, 1]
 
 
 def kgfd(p, q, z, ground):
     """Kernel-smoothed score divergence between two models on frozen base samples z."""
-    return ExpKGFDKernel(None, BaseMeasure.frozen(z), ground).squared_distances([p, q])[0, 1]
+    kernel = ExpKGFDKernel(None, BaseMeasure.frozen(z), ground)
+    return kernel.distance_blocks([p, q]).dense()[0, 1]
 
 
 def pair_value(kernel, p, q, stream=None):
@@ -107,13 +108,21 @@ def pair_value(kernel, p, q, stream=None):
     return kernel.gram([p, q], stream)[0, 1]
 
 
+def expectation_matrix(means, variances, gamma, means2, variances2=None):
+    """The whole matrix of :func:`expectation_tiles`, assembled from its tiles."""
+    out = np.full((len(means), len(means2)), np.nan)
+    for rows, columns, tile in expectation_tiles(means, variances, gamma, means2, variances2)():
+        out[rows, columns] = tile
+    return out
+
+
 def single_expectation(g, y, gamma):
-    return single_expectation_gram(g.mean[None, :], g.var[None, :], y[None, :], gamma)[0, 0]
+    return expectation_matrix(g.mean[None, :], g.var[None, :], gamma, y[None, :])[0, 0]
 
 
 def double_expectation(g, h, gamma):
-    return double_expectation_gram(np.stack([g.mean, h.mean]), np.stack([g.var, h.var]),
-                                   gamma)[0, 1]
+    means, variances = np.stack([g.mean, h.mean]), np.stack([g.var, h.var])
+    return expectation_matrix(means, variances, gamma, means, variances)[0, 1]
 
 
 class TestScalarBundle:
@@ -154,7 +163,7 @@ class TestScalarBundle:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bundle_at(GaussianKernel(1.0), np.zeros(2), np.zeros(3))
+            _stein_rows(GaussianKernel(1.0), np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -187,8 +196,8 @@ class TestScalarGram:
         y = 1e3 + 10.0 * np.random.default_rng(3).normal(size=(50, d))
         points = np.vstack([y, y + 1e-9])
         kernel = kernel_cls(0.5)
-        for sq in (squared_distance_matrix(points), squared_distance_matrix(points, points.copy())):
-            assert np.all(sq >= 0.0)
+        for rows in (squared_distance_rows(points), squared_distance_rows(points, points.copy())):
+            assert np.all(rows() >= 0.0)
         gram = kernel.gram(points)
         assert np.all(gram <= 1.0)
         assert np.all(np.diag(gram) == 1.0)
@@ -196,7 +205,7 @@ class TestScalarGram:
 
     def test_one_dimension_is_the_exact_difference(self):
         points = np.random.default_rng(4).normal(size=(30, 1))
-        assert np.array_equal(squared_distance_matrix(points),
+        assert np.array_equal(squared_distance_rows(points)(),
                               squared_distances_by_differences(points, points))
 
 
@@ -361,15 +370,15 @@ class TestRowBlocks:
         assert np.allclose(got[upper], want[40:, 20:][upper], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_single_expectation_gram_tiles_hold_the_dense_bytes(self, d):
+    def test_single_expectation_tiles_of_sub_stacks_hold_the_dense_bytes(self, d):
         rng = np.random.default_rng(55 + d)
         means, variances = rng.normal(size=(130, d)), rng.uniform(0.5, 2.0, size=(130, d))
         points = rng.normal(size=(110, d))
         want = dense_single_expectation(means, variances, points, 0.8)
-        assert np.array_equal(single_expectation_gram(means, variances, points, 0.8), want)
-        assert np.array_equal(single_expectation_gram(means[40:110], variances[40:110],
-                                                      points[50:], 0.8), want[40:110, 50:])
-        assert single_expectation_gram(means, variances, points[:0], 0.8).shape == (130, 0)
+        assert np.array_equal(expectation_matrix(means, variances, 0.8, points), want)
+        assert np.array_equal(expectation_matrix(means[40:110], variances[40:110], 0.8,
+                                                 points[50:]), want[40:110, 50:])
+        assert expectation_matrix(means, variances, 0.8, points[:0]).shape == (130, 0)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_expectation_tiles_hold_the_dense_bytes(self, d):
@@ -435,14 +444,13 @@ class TestRowBlocks:
             assert np.max(np.abs(want - summed) / summed) <= 1e-14
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_double_expectation_gram_blocks_hold_the_dense_bytes(self, d):
+    def test_double_expectation_tiles_of_sub_stacks_hold_the_dense_bytes(self, d):
         # unequal variances, so the order of g^2 + v_i + v_j shows
         rng = np.random.default_rng(50 + d)
         means, variances = rng.normal(size=(130, d)), rng.uniform(0.5, 2.0, size=(130, d))
         want = dense_double_expectation(means, variances, 0.8)
-        assert np.array_equal(double_expectation_gram(means, variances, 0.8), want)
-        got = double_expectation_gram(means[40:90], variances[40:90], 0.8,
-                                      means[60:], variances[60:])
+        assert np.array_equal(expectation_matrix(means, variances, 0.8, means, variances), want)
+        got = expectation_matrix(means[40:90], variances[40:90], 0.8, means[60:], variances[60:])
         assert np.array_equal(got, want[40:90, 60:])
 
 
@@ -456,7 +464,7 @@ class TestRowBlocks:
         models = GaussianBatch(rng.normal(size=(distinct, 2))[pick],
                                rng.uniform(0.5, 2.0, size=(distinct, 2))[pick])
         base = BaseMeasure.frozen(rng.normal(size=(5, 2)))
-        sq = ExpGFDKernel(None, base).squared_distances(models)
+        sq = ExpGFDKernel(None, base).distance_blocks(models).dense()
         sigma = dense_median_sigma(sq)
         assert sigma > 0.0
         assert np.array_equal(ExpGFDKernel(None, base).gram(models),
@@ -508,7 +516,7 @@ class TestDistanceBlocks:
     def test_blocks_hold_the_dense_entries_above_the_diagonal(self, name, n):
         models, _ = self.isotropic(np.random.default_rng(n), n)
         kernel = _DIST_KERNELS[name]()
-        dense = kernel.squared_distances(models, RandomStream(5))
+        dense = kernel.distance_blocks(models, RandomStream(5)).dense()
         distances = kernel.distance_blocks(models, RandomStream(5))
         assert distances.median_sigma() == dense_median_sigma(dense)
         for start, stop in kernels.row_blocks(n, n):
@@ -649,28 +657,12 @@ class TestMedianSelection:
 
 class TestGaussianExpectations:
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("gram", [single_expectation_gram, double_expectation_gram])
-    def test_gamma_must_be_positive_and_finite(self, gram, gamma):
+    @pytest.mark.parametrize("second", ["points", "models"])
+    def test_gamma_must_be_positive_and_finite(self, second, gamma):
         means, variances = np.zeros((3, 2)), np.ones((3, 2))
-        args = (means, variances, means, gamma) if gram is single_expectation_gram else (
-            means, variances, gamma)
+        variances2 = variances if second == "models" else None
         with pytest.raises(ValueError, match="gamma must be > 0 and finite"):
-            gram(*args)
-
-    @pytest.mark.parametrize("rows2", [2, 5])
-    def test_second_set_needs_both_means_and_variances(self, rows2):
-        # without the check, two zero means were paired with the first two variances
-        # (1 and 4), and five failed to broadcast against three
-        means, variances = np.zeros((3, 1)), np.array([[1.0], [4.0], [9.0]])
-        means2 = np.zeros((rows2, 1))
-        with pytest.raises(ValueError, match="both means2 and variances2, or neither"):
-            double_expectation_gram(means, variances, 1.0, means2)
-        with pytest.raises(ValueError, match="both means2 and variances2, or neither"):
-            double_expectation_gram(means, variances, 1.0, variances2=np.ones((rows2, 1)))
-        got = double_expectation_gram(means, variances, 1.0, means2, np.ones((rows2, 1)))
-        # zero means: E l(z, z') = (1 / (1 + v + 1))^(1/2) at gamma = 1
-        want = np.repeat(1.0 / np.sqrt(2.0 + variances), rows2, axis=1)
-        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+            expectation_tiles(means, variances, gamma, means, variances2)
 
     def test_point_mass_limit_reduces_to_plain_kernel(self):
         g = g1([0.7], [1e-14])
@@ -782,7 +774,7 @@ class TestExpGFD:
         models = GaussianBatch(np.vstack([mu + rng.normal(size=(4, d)), np.tile(mu, (26, 1))]),
                                np.tile(v, (30, 1)))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(d))
-        sq = kernel.squared_distances(models, RandomStream(0).derive("base"))
+        sq = kernel.distance_blocks(models, RandomStream(0).derive("base")).dense()
         assert np.all(sq[4:, 4:] == 0.0)
         assert np.array_equal(sq, sq.T) and np.all(sq[:4, :4][~np.eye(4, dtype=bool)] > 0.0)
         with pytest.raises(DegenerateBandwidthError):
@@ -901,7 +893,7 @@ class TestExpMMD:
         models = GaussianBatch(rng.normal(size=(n, d)), rng.uniform(0.5, 2.0, size=(n, d)))
         kernel = ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled", num_samples=m)
         stream = RandomStream(17)
-        got = kernel.squared_distances(models, stream)
+        got = kernel.distance_blocks(models, stream).dense()
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, d)
         inner = dense_mean_gram(kernel.ground._f, draws, m, None, m)
         want = dense_mirrored_upper(dense_distances_from_inner(inner, np.diagonal(inner)))
@@ -979,7 +971,7 @@ class TestMedianHeuristic:
     def test_non_dyadic_duplicates_degenerate(self, seed):
         # 136 of the 190 pairs are copies of one row, so the median distance is
         # zero. The differences of equal rows are exact zeros; the product form
-        # ||a||^2 + ||b||^2 - 2 <a, b> of squared_distance_matrix leaves a median of
+        # ||a||^2 + ||b||^2 - 2 <a, b> of squared_distance_rows leaves a median of
         # 7e-9 to 1e-8 at these seeds, which is why the heuristic does not use it
         rng = np.random.default_rng(seed)
         points = np.vstack([np.tile(rng.normal(size=5), (17, 1)), rng.normal(size=(3, 5))])
@@ -1297,7 +1289,7 @@ class TestGram:
         means = rng.normal(size=(distinct, 2))[pick]
         variances = np.repeat(rng.uniform(0.5, 2.0, size=(distinct, 1)), 2, axis=1)[pick]
         models = GaussianBatch(means, variances)
-        sq = make(None).squared_distances(models)
+        sq = make(None).distance_blocks(models).dense()
         upper = sorted(sq[i, j] for i in range(n) for j in range(i + 1, n))
         median = upper[(len(upper) - 1) // 2]
         if median == 0.0:
@@ -1339,7 +1331,7 @@ class TestGram:
                        ExpMMDKernel(None, GaussianKernel(1.0)),
                        ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled"),
                        ExpWassersteinKernel(None)):
-            sq = kernel.squared_distances(iso, stream.derive(kernel.name))
+            sq = kernel.distance_blocks(iso, stream.derive(kernel.name)).dense()
             assert np.array_equal(sq, sq.T), kernel.name
             assert np.all(np.diag(sq) == 0.0) and np.all(sq >= 0.0), kernel.name
 
@@ -1347,7 +1339,7 @@ class TestGram:
         rng = np.random.default_rng(24)
         models = GaussianBatch(rng.normal(size=(41, 2)), rng.uniform(0.5, 2.0, size=(41, 2)))
         base = BaseMeasure.frozen(rng.normal(size=(10, 2)))
-        sq = ExpGFDKernel(None, base).squared_distances(models)
+        sq = ExpGFDKernel(None, base).distance_blocks(models).dense()
         dist = np.sort(np.sqrt(sq[np.triu_indices(41, k=1)]))
         sigma = dist[(dist.size - 1) // 2]
         assert np.array_equal(ExpGFDKernel(None, base).gram(models),

@@ -32,9 +32,8 @@ from steincal.statistics import (
     ExactSampler,
     MalaSampler,
     _bracket_rows,
-    _stein_pair_rows,
+    _stein_rows,
     _strategy_batches,
-    h_matrix_between,
     kccsd_stat_matrix,
     run_calibration_test,
     skce_stat_matrix,
@@ -59,18 +58,49 @@ def g1(mean, var):
                             np.atleast_1d(np.asarray(var, float)))
 
 
+def stein_blocks(l, scores, targets):
+    """The Stein terms of one stack as a test streams them: ``(start, stop, block)`` for
+    each cut of ``row_blocks(n, n)``, the block holding rows [start, stop) and columns
+    [start, n)."""
+    n = len(targets)
+    rows = _stein_rows(l, scores, targets)
+    return [(start, stop, rows(start, stop)) for start, stop in kernels.row_blocks(n, n)]
+
+
+def stein_terms(l, scores, targets):
+    """Stein terms of every ordered pair of one stack, diagonal included: the row blocks
+    above the diagonal, mirrored."""
+    n = len(targets)
+    upper = np.zeros((n, n))
+    for start, stop, block in stein_blocks(l, scores, targets):
+        upper[start:stop, start:] = block
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def stein_between(l, scores1, targets1, scores2, targets2):
+    """Stein terms between two stacks: the off-diagonal block of the joined stack's."""
+    n1 = len(targets1)
+    return stein_terms(l, np.vstack([scores1, scores2]),
+                       np.vstack([targets1, targets2]))[:n1, n1:]
+
+
 def h_term(l, p, y, q, y2):
-    """Stein term between (p, y) and (q, y2), read off one-row stacks."""
+    """Stein term between (p, y) and (q, y2), read off the two-row stack."""
     y, y2 = np.atleast_1d(y), np.atleast_1d(y2)
-    return h_matrix_between(l, p.score(y)[None, :], y[None, :], q.score(y2)[None, :],
-                            y2[None, :])[0, 0]
+    return _stein_rows(l, np.stack([p.score(y), q.score(y2)]), np.stack([y, y2]))(0, 1)[0, 1]
 
 
 def stein_matrix(l, pairs):
     """Stein terms of every ordered pair of a dataset, diagonal included."""
     data = as_dataset(pairs)
-    scores = data.models.rows().score_batch(data.targets)
-    return h_matrix_between(l, scores, data.targets, scores, data.targets)
+    return stein_terms(l, data.models.rows().score_batch(data.targets), data.targets)
+
+
+def stein_against(l, q, y2, p, z):
+    """The Stein terms between draws z_i, scored under p, and one pair (q, y2): row 0 of
+    the stack with (q, y2) first, which by symmetry holds them."""
+    scores = np.vstack([q.score(y2)[None, :], (p.mean[None, :] - z) / p.var[None, :]])
+    return _stein_rows(l, scores, np.vstack([y2[None, :], z]))(0, 1)[0, 1:]
 
 
 def skce_pair(k, l, p, y, q, y2, strategy, stream=None):
@@ -137,25 +167,34 @@ class TestHTerm:
         y1, y2 = 3.0 + rng.normal(size=(30, d)), 3.0 + rng.normal(size=(20, d))
         s1, s2 = rng.normal(size=(30, d)), rng.normal(size=(20, d))
         l = kernel_cls(0.9 * np.sqrt(d))
-        for a, sa, b, sb in ((y1, s1, y2, s2), (y1, s1, y1, s1)):
+        for got, (sa, a, sb, b) in ((stein_between(l, s1, y1, s2, y2), (s1, y1, s2, y2)),
+                                    (stein_terms(l, s1, y1), (s1, y1, s1, y1))):
             want = stein_terms_by_differences(l._f, l._f1, l._f2, sa, a, sb, b)
-            got = h_matrix_between(l, sa, a, sb, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [1, 5])
     @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
-    def test_row_blocks_are_bit_identical_to_the_whole_matrix(self, d, kernel_cls, monkeypatch):
+    def test_row_blocks_match_the_whole_matrix(self, d, kernel_cls, monkeypatch):
         # 48-row blocks ending inside the matrix; the shapes keep every product small
-        # enough that BLAS runs it on one thread (see kernels.row_blocks)
+        # enough that BLAS runs it on one thread (see kernels.row_blocks). The first
+        # block holds whole rows, so it holds the whole matrix's bytes. A later block
+        # holds the columns [start, n) only, and BLAS may round the last columns of that
+        # narrower product otherwise (at n = 207 the last 7, by up to 1.5e-13 relative)
         monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", 1)
         rng = np.random.default_rng(50 + d)
         y1, y2, y3 = (3.0 + rng.normal(size=(n, d)) for n in (130, 77, 110))
         s1, s2, s3 = (rng.normal(size=(n, d)) for n in (130, 77, 110))
         l = kernel_cls(0.9 * np.sqrt(d))
-        for a, sa, b, sb in ((y1, s1, y2, s2), (y3, s3, y1, s1), (y1, s1, y1, s1)):
-            assert len(kernels.row_blocks(len(a), len(b))) > 1
-            want = dense_stein_terms(l._f, l._f1, l._f2, sa, a, sb, b, same=a is b)
-            assert np.array_equal(h_matrix_between(l, sa, a, sb, b), want)
+        for y, s in ((np.vstack([y1, y2]), np.vstack([s1, s2])),
+                     (np.vstack([y3, y1]), np.vstack([s3, s1])), (y1, s1)):
+            assert len(kernels.row_blocks(len(y), len(y))) > 1
+            want = dense_stein_terms(l._f, l._f1, l._f2, s, y, s, y, same=True)
+            blocks = stein_blocks(l, s, y)
+            (_, first_stop, first), *_ = blocks
+            assert np.array_equal(first, want[:first_stop])
+            for start, stop, block in blocks:
+                assert (np.max(np.abs(block - want[start:stop, start:]))
+                        <= 1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("kernel_cls", [GaussianKernel, IMQKernel])
     def test_one_block_of_one_stack_is_a_plain_product(self, kernel_cls):
@@ -166,7 +205,7 @@ class TestHTerm:
         assert len(kernels.row_blocks(130, 130)) == 1
         l = kernel_cls(2.0)
         want = dense_stein_terms(l._f, l._f1, l._f2, s, y, s, y, same=True)
-        assert np.array_equal(h_matrix_between(l, s, y, s, y), want)
+        assert np.array_equal(_stein_rows(l, s, y)(0, 130), want)
 
     def test_stein_identity_mean_zero(self):
         # expectation of the pairwise term over y ~ p vanishes for fixed (p', y')
@@ -177,9 +216,7 @@ class TestHTerm:
         y2 = rng_models.normal(size=1)
         l = GaussianKernel(1.0)
         z = p.sample(draws, RandomStream(44).derive("stein"))
-        scores = (p.mean[None, :] - z) / p.var[None, :]
-        s2 = q.score(y2)[None, :]
-        values = h_matrix_between(l, scores, z, s2, y2[None, :])[:, 0]
+        values = stein_against(l, q, y2, p, z)
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(draws)
 
     def test_correction_terms_vanish_for_the_weighted_kernel(self):
@@ -191,8 +228,7 @@ class TestHTerm:
         l = GaussianKernel(1.1)
         k_value = 0.6  # arbitrary fixed distribution-kernel value
         z = p.sample(draws, RandomStream(45).derive("stein"))
-        scores = (p.mean[None, :] - z) / p.var[None, :]
-        values = k_value * h_matrix_between(l, scores, z, q.score(y2)[None, :], y2[None, :])[:, 0]
+        values = k_value * stein_against(l, q, y2, p, z)
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(draws)
 
 
@@ -362,7 +398,7 @@ class TestStatMatrixOut:
         l = GaussianKernel(2.0)
         n = len(data)
         assert len(kernels.row_blocks(n, n)) > 1
-        rows = _stein_pair_rows(l, data)
+        rows = _stein_rows(l, data.models.rows().score_batch(data.targets), data.targets)
         stein = np.zeros((n, n))
         for start, stop in kernels.row_blocks(n, n):
             stein[start:stop, start:] = rows(start, stop)
