@@ -374,6 +374,8 @@ def expectation_tiles(means, variances, gamma, means2, variances2=None):
         raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
     means, variances, means2 = (np.asarray(a, float) for a in (means, variances, means2))
     variances2 = None if variances2 is None else np.asarray(variances2, float)
+    if variances2 is not None and variances2.shape != means2.shape:
+        raise ValueError(f"variances2 {variances2.shape} must match means2 {means2.shape}")
     g2 = gamma ** 2
 
     def form(i0, i1, j0, j1):

@@ -664,6 +664,23 @@ class TestGaussianExpectations:
         with pytest.raises(ValueError, match="gamma must be > 0 and finite"):
             expectation_tiles(means, variances, gamma, means, variances2)
 
+    @pytest.mark.parametrize("rows2", [2, 5])
+    def test_second_set_needs_both_means_and_variances(self, rows2):
+        # without the check, two zero means were paired with the first two of five
+        # variances, and five means failed to broadcast against two variances
+        means, variances = np.zeros((3, 1)), np.array([[1.0], [4.0], [9.0]])
+        means2 = np.zeros((rows2, 1))
+        with pytest.raises(ValueError, match="must match means2"):
+            expectation_tiles(means, variances, 1.0, means2, np.ones((7 - rows2, 1)))
+        # zero means at gamma = 1: E l(z, z') = (1 / (1 + v + 1))^(1/2) against models,
+        # E l(z, 0) = (1 / (1 + v))^(1/2) against points
+        got = expectation_matrix(means, variances, 1.0, means2, np.ones((rows2, 1)))
+        want = np.repeat(1.0 / np.sqrt(2.0 + variances), rows2, axis=1)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        got = expectation_matrix(means, variances, 1.0, means2)
+        want = np.repeat(1.0 / np.sqrt(1.0 + variances), rows2, axis=1)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_point_mass_limit_reduces_to_plain_kernel(self):
         g = g1([0.7], [1e-14])
         kernel = GaussianKernel(1.3)
