@@ -26,16 +26,13 @@ from .kernels import (
 )
 from .models import (
     Dataset,
-    DiagonalGaussian,
     GaussianBatch,
     ModelBatch,
     NumericalError,
+    ScoredBatch,
     ScoredDensity,
     ScoreShapeError,
     SyntheticSetup,
-    as_batch,
-    as_dataset,
-    as_scored,
     sample_setup,
 )
 from .sampling import (

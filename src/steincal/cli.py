@@ -6,9 +6,9 @@ Subcommands:
   gram        print the distribution-kernel Gram matrix of a model file
 
 Exit codes: 0 success, 1 configuration or input validation error (NaN or
-Infinity in a dataset, a score of the wrong shape) or not enough memory, 2
-runtime numerical failure (a degenerate or out-of-range bandwidth, non-finite
-scores or distances).
+Infinity in a dataset, a score of the wrong shape, a file that cannot be
+opened or decoded) or not enough memory, 2 runtime numerical failure (a
+degenerate or out-of-range bandwidth, non-finite scores or distances).
 """
 from __future__ import annotations
 
@@ -84,11 +84,16 @@ def _override(config: TestConfig, args) -> TestConfig:
 
 
 def _read_data(reader, path: Optional[str]):
-    """Call ``reader`` on the --data file, or on stdin when there is none."""
-    if path is None:
-        return reader(sys.stdin, where="<stdin>")
-    with open(path, "r", encoding="utf-8") as fh:
-        return reader(fh, where=path)
+    """Call ``reader`` on the --data file, or on stdin when there is none; text that
+    does not decode raises :class:`DatasetFormatError` naming the file."""
+    where = "<stdin>" if path is None else path
+    try:
+        if path is None:
+            return reader(sys.stdin, where=where)
+        with open(path, "r", encoding="utf-8") as fh:
+            return reader(fh, where=where)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{where}: not valid text ({exc})") from exc
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -143,7 +148,7 @@ def cli(argv) -> int:
             return _cmd_experiment(args)
         return _cmd_gram(args)
     except (ConfigError, DatasetFormatError, CapabilityError,
-            UnsupportedKernelError, ScoreShapeError, FileNotFoundError) as exc:
+            UnsupportedKernelError, ScoreShapeError, OSError) as exc:
         print(f"steincal: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

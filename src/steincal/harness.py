@@ -30,7 +30,7 @@ from .kernels import (
     scalar_kernel,
     second_order_median_heuristic,
 )
-from .models import Dataset, GaussianBatch, ModelBatch, SyntheticSetup, as_dataset, sample_setup
+from .models import Dataset, GaussianBatch, ModelBatch, SyntheticSetup, sample_setup
 from .sampling import CapabilityError, MalaConfig, RandomStream
 from .statistics import (
     KCCSD,
@@ -363,6 +363,8 @@ def load_json_object(path: str) -> dict:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid text ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return obj
@@ -410,9 +412,9 @@ def _run_test(data: Dataset, config: TestConfig, stream: RandomStream) -> TestRe
                                 config.alpha, config.bootstrap, stream)
 
 
-def run_test_on_dataset(data, config: TestConfig) -> TestResult:
-    """Run the configured calibration test on a dataset or a list of (model, target) pairs."""
-    return _run_test(as_dataset(data), config, RandomStream(config.seed))
+def run_test_on_dataset(data: Dataset, config: TestConfig) -> TestResult:
+    """Run the configured calibration test on a dataset."""
+    return _run_test(data, config, RandomStream(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +506,10 @@ def read_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def write_dataset(data, fh: IO[str]) -> None:
+def write_dataset(data: Dataset, fh: IO[str]) -> None:
     """JSON-lines dataset of diagonal Gaussian models: one
     {"model": {"mean": [...], "var": [...]}, "y": [...]} object per line.
     Other models raise :class:`CapabilityError`: the format holds only diagonal Gaussians."""
-    data = as_dataset(data)
     if not isinstance(data.models, GaussianBatch):
         raise CapabilityError("the JSON-lines dataset format holds only diagonal Gaussian "
                               "models; score-only models cannot be written")
@@ -526,6 +527,18 @@ def read_dataset(fh: IO[str], where: str = "<dataset>") -> Dataset:
 def read_models(fh: IO[str], where: str = "<models>") -> GaussianBatch:
     """Parse models from JSON lines; accepts bare models or dataset rows."""
     return GaussianBatch(*_read_lines(fh, where, with_targets=False))
+
+
+_JSON_NUMBERS = {int, float}
+
+
+def _holds_bool_or_str(value) -> bool:
+    """Whether a parsed JSON value is, or holds in nested lists, a bool or a string
+    (which ``np.asarray(..., dtype=float)`` would read as a number). A list of numbers
+    alone is passed on the set of its entries' types, without a call per entry."""
+    if isinstance(value, list):
+        return not set(map(type, value)) <= _JSON_NUMBERS and any(map(_holds_bool_or_str, value))
+    return isinstance(value, (bool, str))
 
 
 def _read_lines(fh: IO[str], where: str, with_targets: bool) -> list[np.ndarray]:
@@ -549,9 +562,10 @@ def _read_lines(fh: IO[str], where: str, with_targets: bool) -> list[np.ndarray]
             raise DatasetFormatError(f"{at}: expected an object with 'model' and 'y'")
         model = obj["model"] if is_row else obj
         try:
-            row = [np.atleast_1d(np.asarray(model[key], dtype=float)) for key in ("mean", "var")]
-            if with_targets:
-                row.append(np.atleast_1d(np.asarray(obj["y"], dtype=float)))
+            values = [model["mean"], model["var"]] + ([obj["y"]] if with_targets else [])
+            if any(map(_holds_bool_or_str, values)):
+                raise TypeError("a boolean or a string where a number belongs")
+            row = [np.atleast_1d(np.asarray(value, dtype=float)) for value in values]
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{at}: bad model or target ({exc})") from exc
         if row[0].size < 1 or any(a.ndim != 1 or a.size != row[0].size for a in row):

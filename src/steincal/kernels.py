@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GaussianBatch, ModelBatch, as_batch, require_finite
+from .models import GaussianBatch, ModelBatch, require_finite
 from .sampling import CapabilityError, RandomStream
 
 # Model pairs per chunk of the second-order heuristic. The chunk size and the order of
@@ -621,9 +621,9 @@ class DistributionKernel(ABC):
             raise ValueError(f"sigma must be > 0, got {sigma}")
         self.sigma = sigma
 
-    def distance_blocks(self, models, stream: Optional[RandomStream] = None) -> DistanceBlocks:
+    def distance_blocks(self, models: ModelBatch,
+                        stream: Optional[RandomStream] = None) -> DistanceBlocks:
         """The estimated squared Hilbertian distances, formed on demand by row blocks."""
-        models = as_batch(models)
         return DistanceBlocks(len(models), self._tiles(models, stream))
 
     @abstractmethod
@@ -638,8 +638,7 @@ class DistributionKernel(ABC):
         _require_normal_power("sigma", sigma, 2)
         return sigma
 
-    def gram(self, models, stream: Optional[RandomStream] = None) -> np.ndarray:
-        models = as_batch(models)
+    def gram(self, models: ModelBatch, stream: Optional[RandomStream] = None) -> np.ndarray:
         if len(models) == 1:
             return np.ones((1, 1))
         distances = self.distance_blocks(models, stream)
@@ -849,7 +848,7 @@ def median_heuristic(points: np.ndarray) -> float:
     return DistanceBlocks(len(points), tile).median_sigma()
 
 
-def second_order_median_heuristic(models, samples_per_pair: int = 10,
+def second_order_median_heuristic(models: ModelBatch, samples_per_pair: int = 10,
                                   stream: Optional[RandomStream] = None,
                                   pair_budget: Optional[int] = None) -> float:
     """Median over model pairs of the median sample distance in their mixture.
@@ -857,7 +856,7 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     For every unordered model pair, draws ``samples_per_pair`` points from the
     equal-weight two-component mixture, takes the lower median of their
     pairwise distances, and returns the lower median over all pairs. The
-    models must be diagonal Gaussians, as a batch or a list.
+    models must be a :class:`~steincal.models.GaussianBatch`.
 
     With a ``pair_budget`` P (the sampled heuristic passes :data:`SAMPLED_PAIRS`)
     and more than P pairs, P pairs are drawn uniformly, with replacement, as one
@@ -872,7 +871,6 @@ def second_order_median_heuristic(models, samples_per_pair: int = 10,
     P) the working set does not grow with n. A non-finite sample distance raises
     :class:`~steincal.models.NumericalError`.
     """
-    models = as_batch(models)
     if len(models) < 2:
         raise ValueError("second-order heuristic needs at least two models")
     if samples_per_pair < 2:

@@ -2,7 +2,7 @@
 generative setups."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,46 +31,6 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} is not finite")
     return values
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalGaussian:
-    """Gaussian with diagonal covariance: a one-row view of :class:`GaussianBatch`."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    batch: "GaussianBatch" = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        var = np.atleast_1d(np.asarray(self.var, dtype=float))
-        batch = GaussianBatch(mean[None, :], var[None, :])
-        object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "mean", batch.means[0])
-        object.__setattr__(self, "var", batch.variances[0])
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def score(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the log density at a point (d,) or row-wise on a batch (m, d)."""
-        return self._at(self.batch.score, y)
-
-    def log_density(self, y: np.ndarray):
-        """Log density at a point (a float) or row-wise on a batch (an (m,) array)."""
-        return self._at(self.batch.log_density, y)
-
-    def sample(self, n: int, stream: RandomStream) -> np.ndarray:
-        return self.batch.sample(n, stream)[0]
-
-    def _at(self, row_wise, y):
-        # the one-row batch broadcasts against every row of an (m, d) batch
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.ndim > 2 or y.shape[-1] != self.dim:
-            raise ValueError(f"points have shape {y.shape}, model has dimension {self.dim}")
-        out = row_wise(np.atleast_2d(y))
-        return out[0] if y.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,20 +85,6 @@ def _batch_of_shape(values, shape: tuple, what: str) -> np.ndarray:
     if values.shape != shape:
         raise ScoreShapeError(f"{what} returned shape {values.shape}, expected {shape}")
     return values
-
-
-def as_scored(model) -> ScoredDensity:
-    """View a model as a ScoredDensity; diagonal Gaussians get all capabilities."""
-    if isinstance(model, ScoredDensity):
-        return model
-    if isinstance(model, DiagonalGaussian):
-        return ScoredDensity(
-            dim=model.dim,
-            score=model.score,
-            log_unnorm=model.log_density,
-            sampler=model.sample,
-        )
-    raise TypeError(f"cannot interpret {type(model).__name__} as a scored density")
 
 
 class ModelBatch:
@@ -217,9 +163,22 @@ class GaussianBatch(ModelBatch):
 class ScoredBatch(ModelBatch):
     """:class:`ScoredDensity` objects of one dimension as a batch: the one place
     that calls models one at a time, each result checked by its density.
-    Model i samples from ``stream.derive("model", i)``."""
+    Model i samples from ``stream.derive("model", i)``. The batch keeps the
+    densities as a tuple; it must hold at least one."""
 
     densities: tuple
+
+    def __post_init__(self):
+        densities = tuple(self.densities)
+        if not densities:
+            raise ValueError("a model batch needs at least one model")
+        for s in densities:
+            if not isinstance(s, ScoredDensity):
+                raise TypeError(f"cannot interpret {type(s).__name__} as a scored density")
+            if s.dim != densities[0].dim:
+                raise ValueError(f"a batch holds models of one dimension, got dimensions "
+                                 f"{densities[0].dim} and {s.dim}")
+        object.__setattr__(self, "densities", densities)
 
     def __len__(self) -> int:
         return len(self.densities)
@@ -264,6 +223,8 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.models, ModelBatch):
+            raise TypeError(f"models must be a ModelBatch, got {type(self.models).__name__}")
         targets = np.asarray(self.targets, dtype=float)
         if targets.shape != (len(self.models), self.models.dim):
             raise ValueError(f"targets have shape {targets.shape}, not (n, dim) of the models")
@@ -271,28 +232,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.models)
-
-
-def as_batch(models) -> ModelBatch:
-    """A model batch as it is, or a list of models as one: diagonal Gaussians
-    stack into a :class:`GaussianBatch`, any other list into a :class:`ScoredBatch`."""
-    if isinstance(models, ModelBatch):
-        return models
-    models = list(models)
-    if not models:
-        raise ValueError("a model batch needs at least one model")
-    if all(isinstance(g, DiagonalGaussian) for g in models):
-        return GaussianBatch(np.stack([g.mean for g in models]), np.stack([g.var for g in models]))
-    return ScoredBatch(tuple(as_scored(m) for m in models))
-
-
-def as_dataset(data) -> Dataset:
-    """A dataset as it is, or a list of (model, target) pairs as one."""
-    if isinstance(data, Dataset):
-        return data
-    pairs = list(data)
-    models = as_batch([model for model, _ in pairs])
-    return Dataset(models, np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs]))
 
 
 @dataclass(frozen=True)

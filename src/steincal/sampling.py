@@ -62,8 +62,8 @@ class MalaConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.step_size < float("inf"):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.burn_in < 0:

@@ -24,7 +24,7 @@ from .kernels import (
     row_blocks,
     squared_distance_rows,
 )
-from .models import Dataset, GaussianBatch, ModelBatch, as_dataset, require_finite
+from .models import Dataset, GaussianBatch, ModelBatch, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 
 
@@ -81,14 +81,13 @@ def _stein_rows(l: ScalarKernel, scores: np.ndarray, targets: np.ndarray):
     return rows
 
 
-def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
+def _statistic_matrix(k_gram: np.ndarray, data: Dataset, pair_rows) -> np.ndarray:
     """The (n, n) statistic matrix of entries k(p_i, p_j) t_ij, with a zero diagonal,
     from the row blocks above the diagonal that a test streams, mirrored
     (:func:`steincal.kernels.mirrored_rows`): so each unordered pair is formed once and
     the matrix is exactly symmetric.
     ``pair_rows(data)`` makes the pair-row function of the pair terms t once the
     Gram's shape is checked, so a mismatch raises before any sampling."""
-    data = as_dataset(data)
     n = len(data)
     k_gram = np.asarray(k_gram, dtype=float)
     if k_gram.shape != (n, n):
@@ -98,7 +97,7 @@ def _statistic_matrix(k_gram: np.ndarray, data, pair_rows) -> np.ndarray:
         k_gram[start:stop, start:], rows(start, stop), out=out))
 
 
-def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data) -> np.ndarray:
+def kccsd_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data: Dataset) -> np.ndarray:
     """Distribution-kernel-weighted Stein terms: the (n, n) matrix of entries
     k(p_i, p_j) h_ij, with a zero diagonal (see :func:`_statistic_matrix`)."""
     return _statistic_matrix(k_gram, data, lambda data: _stein_rows(
@@ -236,7 +235,7 @@ def _bracket_rows(l: ScalarKernel, data: Dataset, strategy,
     return bracket
 
 
-def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data,
+def skce_stat_matrix(k_gram: np.ndarray, l: ScalarKernel, data: Dataset,
                      strategy: ExpectationStrategy,
                      stream: Optional[RandomStream] = None) -> np.ndarray:
     """Calibration-error terms k(p_i, p_j) [l - E l - E l + E E l] per pair, with a
@@ -381,7 +380,7 @@ class SKCE:
 StatisticSpec = Union[KCCSD, SKCE]
 
 
-def run_calibration_test(data, dist_kernel: DistributionKernel,
+def run_calibration_test(data: Dataset, dist_kernel: DistributionKernel,
                          target_kernel: ScalarKernel, statistic: StatisticSpec,
                          alpha: float, n_bootstrap: int,
                          stream: RandomStream) -> TestResult:
@@ -394,7 +393,6 @@ def run_calibration_test(data, dist_kernel: DistributionKernel,
     row block above the diagonal at a time, after a first pass over the distances
     when ``sigma`` is the median.
     """
-    data = as_dataset(data)
     if len(data) < 2:
         raise ValueError("the calibration test needs at least two pairs")
     _check_bootstrap(n_bootstrap, alpha)

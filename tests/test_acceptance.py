@@ -28,11 +28,7 @@ from steincal.kernels import (
     expectation_tiles,
     median_heuristic,
 )
-from steincal.models import (
-    DiagonalGaussian,
-    SyntheticSetup,
-    sample_setup,
-)
+from steincal.models import SyntheticSetup, sample_setup
 from steincal.sampling import MalaConfig, RandomStream
 from steincal.statistics import (
     KCCSD,
@@ -45,6 +41,7 @@ from steincal.statistics import (
     u_statistic,
 )
 
+from gaussians import g1, stack
 from oracles import (
     coverage_rate,
     fd_stein_terms,
@@ -166,14 +163,14 @@ def test_criterion_07_score_terms_average_to_zero_under_the_model():
     details = []
     for _ in range(5):
         d = int(rng.integers(1, 3))
-        p = DiagonalGaussian(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
-        q = DiagonalGaussian(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+        p = g1(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+        q = g1(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
         y2 = rng.normal(size=d)
         l = GaussianKernel(1.0)
-        z = p.sample(draws, RandomStream(110).derive("stein", int(rng.integers(1 << 30))))
+        z = p.batch.sample(draws, RandomStream(110).derive("stein", int(rng.integers(1 << 30))))[0]
         scores = (p.mean[None, :] - z) / p.var[None, :]
         # row 0 of the stack with (q, y2) first holds h(z_i, y2), by symmetry
-        values = _stein_rows(l, np.vstack([q.score(y2)[None, :], scores]),
+        values = _stein_rows(l, np.vstack([q.batch.score(y2), scores]),
                              np.vstack([y2[None, :], z]))(0, 1)[0, 1:]
         bound = 4.0 * values.std() / np.sqrt(draws)
         ok = ok and abs(values.mean()) <= bound
@@ -188,20 +185,20 @@ def test_criterion_08_kernel_correctness_oracles():
     m = 400
     for seed in range(50):
         rng = np.random.default_rng(3000 + seed)
-        p = DiagonalGaussian(rng.normal(size=2), rng.uniform(0.5, 2.5, size=2))
-        q = DiagonalGaussian(rng.normal(size=2), rng.uniform(0.5, 2.5, size=2))
+        p = g1(rng.normal(size=2), rng.uniform(0.5, 2.5, size=2))
+        q = g1(rng.normal(size=2), rng.uniform(0.5, 2.5, size=2))
         z = RandomStream(3000 + seed).derive("base").generator().standard_normal((m, 2))
-        per_sample = np.sum((np.stack([p.score(x) for x in z])
-                             - np.stack([q.score(x) for x in z])) ** 2, axis=1)
+        per_sample = np.sum((p.batch.score(z) - q.batch.score(z)) ** 2, axis=1)
         tol = 3.0 * per_sample.std() / np.sqrt(m)
-        gfd = ExpGFDKernel(None, BaseMeasure.frozen(z)).distance_blocks([p, q]).dense()[0, 1]
+        kernel = ExpGFDKernel(None, BaseMeasure.frozen(z))
+        gfd = kernel.distance_blocks(stack([p, q])).dense()[0, 1]
         if abs(gfd - gfd_gaussian_closed(p, q)) > tol:
             problems.append(f"gfd seed {seed}")
 
     # closed-form Gaussian kernel expectations vs 1e6-sample MC, 3e-3
     rng = np.random.default_rng(111)
-    g = DiagonalGaussian(np.array([0.4, -0.2]), np.array([1.1, 0.7]))
-    h = DiagonalGaussian(np.array([-0.5, 0.1]), np.array([0.6, 1.8]))
+    g = g1([0.4, -0.2], [1.1, 0.7])
+    h = g1([-0.5, 0.1], [0.6, 1.8])
     y = np.array([0.3, -0.8])
     single = expectation_matrix(g.mean[None], g.var[None], 1.0, y[None])[0, 0]
     if abs(single - mc_gaussian_kernel_single(g.mean, g.var, y, 1.0, 1_000_000, rng)) > 3e-3:
@@ -214,11 +211,10 @@ def test_criterion_08_kernel_correctness_oracles():
 
     # sampled vs closed-form exponentiated MMD, 3 / sqrt(m)
     m_mmd = 400
-    p = DiagonalGaussian(np.array([0.0]), np.array([1.0]))
-    q = DiagonalGaussian(np.array([1.2]), np.array([1.8]))
-    closed = ExpMMDKernel(1.0, GaussianKernel(1.0)).gram([p, q])[0, 1]
+    models = stack([g1(0.0, 1.0), g1(1.2, 1.8)])
+    closed = ExpMMDKernel(1.0, GaussianKernel(1.0)).gram(models)[0, 1]
     sampled = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled",
-                           num_samples=m_mmd).gram([p, q], RandomStream(112).derive("mmd"))[0, 1]
+                           num_samples=m_mmd).gram(models, RandomStream(112).derive("mmd"))[0, 1]
     if abs(sampled - closed) > 3.0 / np.sqrt(m_mmd):
         problems.append("sampled mmd")
 
@@ -243,11 +239,10 @@ def test_criterion_08_kernel_correctness_oracles():
 
 def test_criterion_09_gram_matrices_are_psd():
     rng = np.random.default_rng(114)
-    diagonal = [DiagonalGaussian(rng.normal(scale=2.0, size=2), rng.uniform(0.5, 2.0, size=2))
-                for _ in range(20)]
-    isotropic = [DiagonalGaussian(rng.normal(scale=2.0, size=2),
-                                  np.full(2, rng.uniform(0.5, 2.0)))
-                 for _ in range(20)]
+    diagonal = stack([g1(rng.normal(scale=2.0, size=2), rng.uniform(0.5, 2.0, size=2))
+                      for _ in range(20)])
+    isotropic = stack([g1(rng.normal(scale=2.0, size=2), np.full(2, rng.uniform(0.5, 2.0)))
+                       for _ in range(20)])
     stream = RandomStream(115)
     kernels = {
         "exp_gfd": (ExpGFDKernel(None, BaseMeasure.standard_gaussian(2)), diagonal),

@@ -11,7 +11,14 @@ import pytest
 import steincal
 from steincal.cli import cli
 from steincal.harness import read_csv, write_dataset
-from steincal.models import Dataset, GaussianBatch, ScoredDensity, SyntheticSetup, sample_setup
+from steincal.models import (
+    Dataset,
+    GaussianBatch,
+    ScoredBatch,
+    ScoredDensity,
+    SyntheticSetup,
+    sample_setup,
+)
 from steincal.sampling import RandomStream
 
 
@@ -522,8 +529,8 @@ def test_out_of_range_alpha_override_exits_one(command, test_config, experiment_
 
 
 def _user_density_dataset(score):
-    return lambda fh, where: [(ScoredDensity(dim=1, score=score), np.array([y]))
-                              for y in (-0.4, 0.1, 0.7, 1.3)]
+    return lambda fh, where: Dataset(ScoredBatch([ScoredDensity(dim=1, score=score)] * 4),
+                                     np.array([[-0.4], [0.1], [0.7], [1.3]]))
 
 
 def test_wrong_shape_user_score_exits_one(test_config, dataset_file, monkeypatch, capsys):
@@ -606,3 +613,63 @@ def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "steincal.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+_CONFIG_FIXTURES = {"test": "test_config", "gram": "gram_config",
+                    "experiment": "experiment_config"}
+
+
+@pytest.mark.parametrize("command, fault", [
+    (command, fault) for command in ("test", "gram", "experiment")
+    for fault in ("out-is-a-directory", "config-is-a-directory", "config-is-not-text",
+                  "data-is-a-directory", "data-is-not-text")
+    if command != "experiment" or not fault.startswith("data")])
+def test_files_that_cannot_be_opened_or_decoded_exit_one(command, fault, dataset_file,
+                                                         tmp_path, request, capsys):
+    paths = {"config": request.getfixturevalue(_CONFIG_FIXTURES[command]),
+             "data": dataset_file, "out": tmp_path / "out.txt"}
+    target, problem = fault.split("-is-")
+    if problem == "a-directory":
+        paths[target] = tmp_path
+    else:
+        paths[target] = tmp_path / f"latin1-{target}"
+        paths[target].write_bytes('{"café": 1}\n'.encode("latin-1"))
+    argv = [command, "--config", str(paths["config"]), "--out", str(paths["out"])]
+    if command != "experiment":
+        argv += ["--data", str(paths["data"])]
+    code = cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("steincal: error: ") and str(paths[target]) in err
+
+
+_NOT_NUMBERS = {
+    "bool-mean": '{"model": {"mean": [true], "var": [1]}, "y": [0.5]}',
+    "bool-var": '{"model": {"mean": [0.5], "var": true}, "y": [0.5]}',
+    "string-mean": '{"model": {"mean": ["1.5"], "var": [1]}, "y": [0.5]}',
+    "string-var": '{"model": {"mean": [0.5], "var": "1"}, "y": [0.5]}',
+    "nested-bool": '{"model": {"mean": [[true]], "var": [[1]]}, "y": [[0.5]]}',
+}
+_NOT_NUMBER_TARGETS = {
+    "bool-y": '{"model": {"mean": [0.5], "var": [1]}, "y": [false]}',
+    "string-y": '{"model": {"mean": [0.5], "var": [1]}, "y": "0.5"}',
+}
+
+
+@pytest.mark.parametrize("command, bad_line", [
+    pytest.param(command, line, id=f"{command}-{name}")
+    for command, lines in (("test", {**_NOT_NUMBERS, **_NOT_NUMBER_TARGETS}),
+                           ("gram", _NOT_NUMBERS))
+    for name, line in lines.items()])
+def test_booleans_and_strings_are_not_numbers(command, bad_line, test_config, gram_config,
+                                              tmp_path, capsys):
+    # np.asarray(..., dtype=float) reads true as 1.0 and "1.5" as 1.5
+    good = '{"model": {"mean": [0.0], "var": [1.0]}, "y": [0.25]}\n'
+    data = tmp_path / "not_numbers.jsonl"
+    data.write_text(good + bad_line + "\n" + good)
+    config = gram_config if command == "gram" else test_config
+    code = cli([command, "--config", str(config), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "line 2: bad model or target (a boolean or a string where a number belongs)" in err

@@ -20,7 +20,7 @@ from steincal.harness import (
     write_csv,
     write_dataset,
 )
-from steincal.models import ScoredDensity, SyntheticSetup, sample_setup
+from steincal.models import Dataset, ScoredBatch, ScoredDensity, SyntheticSetup, sample_setup
 from steincal.sampling import CapabilityError, RandomStream
 from steincal.statistics import KCCSD
 
@@ -314,15 +314,32 @@ class TestDatasetIO:
         assert np.array_equal(data.targets, back.targets)
 
     def test_score_only_models_cannot_be_written(self):
-        user = ScoredDensity(dim=1, score=lambda y: -y)
+        user = ScoredBatch([ScoredDensity(dim=1, score=lambda y: -y)] * 2)
         with pytest.raises(CapabilityError, match="only diagonal Gaussian"):
-            write_dataset([(user, np.zeros(1)), (user, np.ones(1))], io.StringIO())
+            write_dataset(Dataset(user, np.array([[0.0], [1.0]])), io.StringIO())
 
     def test_malformed_json_names_the_line(self):
         buffer = io.StringIO('{"model": {"mean": [0], "var": [1]}, "y": [0]}\nnot json\n')
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(buffer, where="data.jsonl")
         assert "data.jsonl: line 2" in str(err.value)
+
+    def test_scalar_numbers_are_one_entry_arrays(self):
+        buffer = io.StringIO('{"model": {"mean": 1.5, "var": 2}, "y": -0.5}\n'
+                             '{"model": {"mean": [0.5], "var": [1.0]}, "y": [1]}\n')
+        data = read_dataset(buffer)
+        assert np.array_equal(data.models.means, [[1.5], [0.5]])
+        assert np.array_equal(data.models.variances, [[2.0], [1.0]])
+        assert np.array_equal(data.targets, [[-0.5], [1.0]])
+
+    @pytest.mark.parametrize("line", [
+        '{"model": {"mean": [true], "var": [1]}, "y": [false]}',
+        '{"model": {"mean": ["1.5"], "var": [1]}, "y": [0]}',
+        '{"model": {"mean": [0], "var": [1]}, "y": [[false]]}',
+    ], ids=["bool", "string", "nested-bool"])
+    def test_booleans_and_strings_are_rejected(self, line):
+        with pytest.raises(DatasetFormatError, match="line 1: bad model or target"):
+            read_dataset(io.StringIO(line + "\n"), where="data.jsonl")
 
     def test_dimension_mismatch_names_the_line(self):
         buffer = io.StringIO('{"model": {"mean": [0, 0], "var": [1, 1]}, "y": [0]}\n')

@@ -26,9 +26,9 @@ from steincal.kernels import (
     squared_distance_rows,
 )
 from steincal.models import (
-    DiagonalGaussian,
     GaussianBatch,
     NumericalError,
+    ScoredBatch,
     ScoredDensity,
     SyntheticSetup,
     sample_setup,
@@ -36,6 +36,7 @@ from steincal.models import (
 from steincal.sampling import CapabilityError, RandomStream
 from steincal.statistics import _stein_rows
 
+from gaussians import g1, stack
 from oracles import (
     brute_force_kgfd,
     dense_distances_from_inner,
@@ -54,11 +55,6 @@ from oracles import (
     squared_distances_by_differences,
     squared_distances_in_order,
 )
-
-
-def g1(mean, var):
-    return DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
-                            np.atleast_1d(np.asarray(var, float)))
 
 
 def tiles_of(matrix):
@@ -92,20 +88,25 @@ def bundle_at(kernel, y, y2):
     return h[1, 1] - trace - gy2[0] - gy[0], gy, gy2, trace
 
 
+def pair(p, q):
+    """Two models as a batch: Gaussians stacked, score-only densities as a ScoredBatch."""
+    return ScoredBatch([p, q]) if isinstance(p, ScoredDensity) else stack([p, q])
+
+
 def gfd(p, q, z):
     """Score divergence between two models on frozen base samples z."""
-    return ExpGFDKernel(None, BaseMeasure.frozen(z)).distance_blocks([p, q]).dense()[0, 1]
+    return ExpGFDKernel(None, BaseMeasure.frozen(z)).distance_blocks(pair(p, q)).dense()[0, 1]
 
 
 def kgfd(p, q, z, ground):
     """Kernel-smoothed score divergence between two models on frozen base samples z."""
     kernel = ExpKGFDKernel(None, BaseMeasure.frozen(z), ground)
-    return kernel.distance_blocks([p, q]).dense()[0, 1]
+    return kernel.distance_blocks(pair(p, q)).dense()[0, 1]
 
 
 def pair_value(kernel, p, q, stream=None):
     """Distribution-kernel value between two models, read off their 2 x 2 Gram matrix."""
-    return kernel.gram([p, q], stream)[0, 1]
+    return kernel.gram(pair(p, q), stream)[0, 1]
 
 
 def expectation_matrix(means, variances, gamma, means2, variances2=None):
@@ -748,8 +749,7 @@ class TestGFD:
         for seed in range(10):
             p, q = random_gaussians(np.random.default_rng(seed), 2, 2)
             z = RandomStream(seed).derive("base").generator().standard_normal((m, 2))
-            per_sample = np.sum((np.stack([p.score(x) for x in z])
-                                 - np.stack([q.score(x) for x in z])) ** 2, axis=1)
+            per_sample = np.sum((p.batch.score(z) - q.batch.score(z)) ** 2, axis=1)
             tol = 3.0 * per_sample.std() / np.sqrt(m)
             assert abs(gfd(p, q, z) - gfd_gaussian_closed(p, q)) <= tol
 
@@ -828,7 +828,7 @@ class TestKGFD:
         p, q = random_gaussians(rng, 2, 2)
         z = rng.normal(size=(5, 2))
         ground = IMQKernel(1.3)
-        diffs = np.stack([p.score(x) - q.score(x) for x in z])
+        diffs = p.batch.score(z) - q.batch.score(z)
         want = brute_force_kgfd(diffs, lambda a, b: ground(a, b), z)
         assert kgfd(p, q, z, ground) == pytest.approx(want)
 
@@ -844,7 +844,7 @@ class TestKGFD:
         for m in (1, 3, 5):
             p, q = random_gaussians(rng, 2, 2)
             z = rng.normal(size=(m, 2))
-            diffs = np.stack([p.score(x) - q.score(x) for x in z])
+            diffs = p.batch.score(z) - q.batch.score(z)
             want = float(np.sum(diffs.mean(axis=0) ** 2))
             got = kgfd(p, q, z, _ConstantGround())
             assert got == pytest.approx(want)
@@ -1011,7 +1011,7 @@ class TestMedianHeuristic:
 
 class TestSecondOrderMedianHeuristic:
     def test_deterministic_under_fixed_stream(self):
-        models = random_gaussians(np.random.default_rng(11), 6, 2)
+        models = stack(random_gaussians(np.random.default_rng(11), 6, 2))
         stream = RandomStream(5).derive("bw")
         a = second_order_median_heuristic(models, 10, stream)
         b = second_order_median_heuristic(models, 10, stream)
@@ -1020,7 +1020,7 @@ class TestSecondOrderMedianHeuristic:
     def test_matches_loop_recomputation_with_same_stream(self):
         models = random_gaussians(np.random.default_rng(12), 5, 2)
         stream = RandomStream(6).derive("bw")
-        got = second_order_median_heuristic(models, 8, stream)
+        got = second_order_median_heuristic(stack(models), 8, stream)
 
         means = np.stack([g.mean for g in models])
         variances = np.stack([g.var for g in models])
@@ -1106,7 +1106,7 @@ class TestSecondOrderMedianHeuristic:
     def test_overflowing_sample_distances_raise_without_a_warning(self):
         # samples of spread near 1e154 differ by more than the square root of the
         # largest float
-        models = [g1(float(i), 1.7e308) for i in range(4)]
+        models = stack([g1(float(i), 1.7e308) for i in range(4)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError,
@@ -1114,28 +1114,28 @@ class TestSecondOrderMedianHeuristic:
                 second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
 
     def test_single_pair_converges_to_true_mixture_median(self):
-        models = [g1(0.0, 1.0), g1(2.0, 1.0)]
+        models = stack([g1(0.0, 1.0), g1(2.0, 1.0)])
         got = second_order_median_heuristic(models, 2001, RandomStream(7).derive("bw"))
         want = mixture_distance_median(0.0, 2.0, 1.0)
         assert got == pytest.approx(want, abs=0.1)
 
     def test_near_point_mass_models_collapse_toward_zero(self):
-        models = [g1(0.0, 1e-300), g1(0.0, 1e-300)]
+        models = stack([g1(0.0, 1e-300), g1(0.0, 1e-300)])
         got = second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
         assert got < 1e-100
 
     def test_draws_that_all_round_to_the_mean_are_degenerate(self):
         # 1.0 + 1e-150 * xi rounds to 1.0 for every draw, so every distance is zero
-        models = [g1(1.0, 1e-300)] * 3
+        models = stack([g1(1.0, 1e-300)] * 3)
         with pytest.raises(DegenerateBandwidthError, match="second-order median distance is zero"):
             second_order_median_heuristic(models, 10, RandomStream(8).derive("bw"))
 
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
-            second_order_median_heuristic([g1(0.0, 1.0)], 10, RandomStream(0))
+            second_order_median_heuristic(g1(0.0, 1.0).batch, 10, RandomStream(0))
 
     def test_score_only_models_raise_capability_error(self):
-        models = [ScoredDensity(dim=1, score=lambda y: -y)] * 3
+        models = ScoredBatch([ScoredDensity(dim=1, score=lambda y: -y)] * 3)
         with pytest.raises(CapabilityError):
             second_order_median_heuristic(models, 10, RandomStream(0))
 
@@ -1189,11 +1189,11 @@ class TestSampledSecondOrderMedianHeuristic:
 
     @pytest.mark.parametrize("budget", [None, kernels.SAMPLED_PAIRS], ids=["exact", "sampled"])
     @pytest.mark.parametrize("models, error, message", [
-        ([ScoredDensity(dim=1, score=lambda y: -y)] * 100, CapabilityError,
+        (ScoredBatch([ScoredDensity(dim=1, score=lambda y: -y)] * 100), CapabilityError,
          "needs diagonal Gaussian models"),
-        ([g1(float(i), 1.7e308) for i in range(100)], NumericalError,
+        (stack([g1(float(i), 1.7e308) for i in range(100)]), NumericalError,
          "second-order sample distance is not finite"),
-        ([g1(1.0, 1e-300)] * 100, DegenerateBandwidthError,
+        (stack([g1(1.0, 1e-300)] * 100), DegenerateBandwidthError,
          "second-order median distance is zero"),
     ], ids=["score-only", "overflow", "degenerate"])
     def test_both_paths_raise_the_same_errors(self, budget, models, error, message):
@@ -1240,17 +1240,17 @@ class TestSampledSecondOrderMedianHeuristic:
 class TestGram:
     def test_single_model(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
-        matrix = kernel.gram([g1(0.0, 1.0)], RandomStream(0).derive("base"))
+        matrix = kernel.gram(g1(0.0, 1.0).batch, RandomStream(0).derive("base"))
         assert matrix.shape == (1, 1) and matrix[0, 0] == 1.0
 
     def test_single_model_needs_no_bandwidth(self):
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
-        matrix = kernel.gram([g1(0.0, 1.0)], RandomStream(0).derive("base"))
+        matrix = kernel.gram(g1(0.0, 1.0).batch, RandomStream(0).derive("base"))
         assert matrix[0, 0] == 1.0
 
     def test_two_identical_models(self):
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
-        matrix = kernel.gram([g1(0.5, 2.0), g1(0.5, 2.0)], RandomStream(1).derive("base"))
+        matrix = kernel.gram(stack([g1(0.5, 2.0), g1(0.5, 2.0)]), RandomStream(1).derive("base"))
         assert matrix == pytest.approx(np.ones((2, 2)))
 
     def test_gram_consistent_with_pairwise_evaluation(self):
@@ -1258,11 +1258,12 @@ class TestGram:
         models = random_gaussians(rng, 5, 2)
         z = rng.normal(size=(10, 2))
         kernel = ExpGFDKernel(0.9, BaseMeasure.frozen(z))
-        matrix = kernel.gram(models)
+        matrix = kernel.gram(stack(models))
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    want = direct_gfd(models[i].score, models[j].score, z)
+                    want = direct_gfd(lambda x: models[i].batch.score(x)[0],
+                                      lambda x: models[j].batch.score(x)[0], z)
                     assert matrix[i, j] == pytest.approx(np.exp(-want / (2.0 * 0.9 ** 2)))
 
     def test_kgfd_gram_consistent_with_pairwise_evaluation(self):
@@ -1270,7 +1271,7 @@ class TestGram:
         models = random_gaussians(rng, 4, 2)
         z = rng.normal(size=(7, 2))
         kernel = ExpKGFDKernel(1.1, BaseMeasure.frozen(z), IMQKernel(0.8))
-        matrix = kernel.gram(models)
+        matrix = kernel.gram(stack(models))
 
         def imq(a, b):
             return 1.0 / (1.0 + np.sum((a - b) ** 2) / 0.8 ** 2)
@@ -1278,13 +1279,13 @@ class TestGram:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    diffs = np.stack([models[i].score(x) - models[j].score(x) for x in z])
+                    diffs = models[i].batch.score(z) - models[j].batch.score(z)
                     want = brute_force_kgfd(diffs, imq, z)
                     assert matrix[i, j] == pytest.approx(np.exp(-want / (2.0 * 1.1 ** 2)))
 
     def test_median_sigma_policy_resolves_within_gram(self):
         rng = np.random.default_rng(20)
-        models = random_gaussians(rng, 6, 1)
+        models = stack(random_gaussians(rng, 6, 1))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
         matrix = kernel.gram(models, RandomStream(2).derive("base"))
         assert matrix.shape == (6, 6)
@@ -1325,8 +1326,8 @@ class TestGram:
 
     def test_all_four_kernels_are_psd_on_random_models(self):
         rng = np.random.default_rng(21)
-        iso = [g1(rng.normal(scale=2.0, size=2), np.full(2, rng.uniform(0.5, 2.0)))
-               for _ in range(20)]
+        iso = stack([g1(rng.normal(scale=2.0, size=2), np.full(2, rng.uniform(0.5, 2.0)))
+                     for _ in range(20)])
         stream = RandomStream(3)
         self._psd_check(ExpGFDKernel(None, BaseMeasure.standard_gaussian(2)),
                         iso, stream.derive("a"))
@@ -1340,8 +1341,8 @@ class TestGram:
     def test_squared_distances_are_exactly_symmetric_with_zero_diagonal(self):
         # the Gram relies on this contract instead of symmetrising
         rng = np.random.default_rng(23)
-        iso = [g1(rng.normal(scale=2.0, size=3), np.full(3, rng.uniform(0.5, 2.0)))
-               for _ in range(30)]
+        iso = stack([g1(rng.normal(scale=2.0, size=3), np.full(3, rng.uniform(0.5, 2.0)))
+                     for _ in range(30)])
         stream = RandomStream(4)
         for kernel in (ExpGFDKernel(None, BaseMeasure.standard_gaussian(3)),
                        ExpKGFDKernel(None, BaseMeasure.standard_gaussian(3), GaussianKernel(1.0)),
@@ -1365,4 +1366,4 @@ class TestGram:
     def test_wasserstein_needs_isotropic_models(self):
         kernel = ExpWassersteinKernel(1.0)
         with pytest.raises(UnsupportedKernelError):
-            kernel.gram([g1([0.0, 0.0], [1.0, 2.0]), g1([1.0, 1.0], [1.0, 1.0])])
+            kernel.gram(stack([g1([0.0, 0.0], [1.0, 2.0]), g1([1.0, 1.0], [1.0, 1.0])]))

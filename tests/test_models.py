@@ -6,17 +6,17 @@ import pytest
 from steincal.harness import read_models, write_dataset
 from steincal.kernels import BaseMeasure, ExpGFDKernel, ExpKGFDKernel, GaussianKernel
 from steincal.models import (
-    DiagonalGaussian,
+    Dataset,
     GaussianBatch,
+    ScoredBatch,
     ScoredDensity,
     SyntheticSetup,
-    as_batch,
-    as_scored,
     sample_setup,
 )
 from steincal.sampling import RandomStream
 from steincal.statistics import kccsd_stat_matrix, u_statistic
 
+from gaussians import dataset, g1, stack
 from oracles import (
     chi_square_quantile,
     chi_square_quantile_bisect,
@@ -26,65 +26,53 @@ from oracles import (
 )
 
 
-def g1(mean, var):
-    return DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
-                            np.atleast_1d(np.asarray(var, float)))
-
-
-class TestDiagonalGaussian:
+class TestGaussianBatch:
     def test_validation(self):
+        # non-positive variances: test_non_finite_or_non_positive_parameters_are_rejected
         with pytest.raises(ValueError):
-            g1([0.0], [0.0])
+            GaussianBatch(np.zeros((1, 2)), np.ones((1, 3)))
         with pytest.raises(ValueError):
-            g1([0.0], [-1.0])
-        with pytest.raises(ValueError):
-            DiagonalGaussian(np.zeros(2), np.ones(3))
-        with pytest.raises(ValueError):
-            DiagonalGaussian(np.zeros(0), np.ones(0))
+            GaussianBatch(np.zeros((1, 0)), np.ones((1, 0)))
 
     @pytest.mark.parametrize("mean, var", [([np.nan], [1.0]), ([0.0], [np.inf]),
                                            ([0.0], [0.0]), ([0.0], [-1.0])],
                              ids=["nan-mean", "inf-var", "zero-var", "negative-var"])
     def test_non_finite_or_non_positive_parameters_are_rejected(self, mean, var):
         with pytest.raises(ValueError):
-            DiagonalGaussian(np.array(mean), np.array(var))
-        with pytest.raises(ValueError):
             GaussianBatch(np.array([[1.0], mean]), np.array([[1.0], var]))
 
     def test_score_vanishes_at_the_mode(self):
-        assert g1(0.0, 1.0).score(np.array([0.0])) == pytest.approx(0.0)
+        assert g1(0.0, 1.0).batch.score(np.array([0.0]))[0] == pytest.approx(0.0)
 
     def test_score_1d(self):
-        assert g1(1.0, 4.0).score(np.array([3.0])) == pytest.approx(-0.5)
+        assert g1(1.0, 4.0).batch.score(np.array([3.0]))[0] == pytest.approx(-0.5)
 
     def test_score_2d(self):
-        s = g1([0.0, 0.0], [1.0, 2.0]).score(np.array([1.0, 1.0]))
+        s = g1([0.0, 0.0], [1.0, 2.0]).batch.score(np.array([1.0, 1.0]))[0]
         assert s == pytest.approx([-1.0, -0.5])
 
     def test_score_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            g1([0.0, 0.0], [1.0, 1.0]).score(np.array([1.0]))
+            g1([0.0, 0.0], [1.0, 1.0]).batch.rows().score_batch(np.array([[1.0]]))
 
     def test_score_matches_finite_differences_of_log_density(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             d = rng.integers(1, 4)
-            g = g1(rng.normal(size=d), rng.uniform(0.5, 3.0, size=d))
+            g = g1(rng.normal(size=d), rng.uniform(0.5, 3.0, size=d)).batch
             y = rng.normal(size=d)
-            exact = g.score(y)
-            approx = fd_gradient(g.log_density, y)
+            exact = g.score(y)[0]
+            approx = fd_gradient(lambda x: g.log_density(x)[0], y)
             assert np.all(np.abs(approx - exact) <= 1e-5 * np.maximum(np.abs(exact), 1.0))
 
     def test_json_round_trip(self):
         g = g1([1.0, -2.0], [0.5, 3.0])
         buffer = io.StringIO()
-        write_dataset([(g, np.zeros(2))], buffer)
+        write_dataset(dataset([(g, np.zeros(2))]), buffer)
         buffer.seek(0)
         back = read_models(buffer)
         assert np.array_equal(back.means, [g.mean]) and np.array_equal(back.variances, [g.var])
 
-
-class TestGaussianBatch:
     def test_later_writes_to_the_source_arrays_do_not_reach_the_batch(self):
         means, variances = np.zeros((3, 2)), np.ones((3, 2))
         batch = GaussianBatch(means, variances)
@@ -101,23 +89,52 @@ class TestGaussianBatch:
 
 
 class TestScoredDensity:
-    def test_gaussian_view_has_all_capabilities(self):
-        sd = as_scored(g1([1.0], [2.0]))
-        assert sd.log_unnorm is not None and sd.sampler is not None
-        assert sd.score(np.array([0.0])) == pytest.approx(0.5)
-
-    def test_log_density_gradient_matches_score(self):
-        sd = as_scored(g1([0.5, -1.0], [1.5, 0.7]))
+    def test_row_view_log_density_gradient_matches_score(self):
+        sd = g1([0.5, -1.0], [1.5, 0.7]).batch.rows()
         rng = np.random.default_rng(8)
         for _ in range(20):
             y = rng.normal(size=2)
-            exact = sd.score(y)
-            approx = fd_gradient(sd.log_unnorm, y)
+            exact = sd.score_batch(y[None])[0]
+            approx = fd_gradient(lambda x: sd.log_unnorm_batch(x[None])[0], y)
             assert np.all(np.abs(approx - exact) <= 1e-5 * np.maximum(np.abs(exact), 1.0))
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             ScoredDensity(dim=0, score=lambda y: y)
+
+
+class TestScoredBatch:
+    @staticmethod
+    def density(dim):
+        return ScoredDensity(dim=dim, score=lambda y: -y)
+
+    def test_keeps_the_densities_as_a_tuple(self):
+        densities = [self.density(2), self.density(2)]
+        batch = ScoredBatch(densities)
+        densities.append(self.density(2))
+        assert batch.densities == tuple(densities[:2]) and len(batch) == 2 and batch.dim == 2
+
+    def test_an_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            ScoredBatch(())
+
+    def test_a_member_that_is_not_a_scored_density_is_rejected(self):
+        with pytest.raises(TypeError, match="GaussianBatch"):
+            ScoredBatch((self.density(1), g1(0.0, 1.0).batch))
+
+    def test_members_of_different_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="dimensions 1 and 2"):
+            ScoredBatch((self.density(1), self.density(2)))
+
+
+class TestDataset:
+    def test_models_must_be_a_batch(self):
+        with pytest.raises(TypeError, match="ModelBatch"):
+            Dataset([ScoredDensity(dim=1, score=lambda y: -y)], np.zeros((1, 1)))
+
+    def test_targets_must_match_the_models(self):
+        with pytest.raises(ValueError, match="targets have shape"):
+            Dataset(g1(0.0, 1.0).batch, np.zeros((2, 1)))
 
 
 class TestSyntheticSetups:
@@ -250,30 +267,30 @@ class TestScoreStacking:
         models, targets = data.models, data.targets
         stacked = models.rows().score_batch(targets)
         for i in range(len(data)):
-            want = DiagonalGaussian(models.means[i], models.variances[i]).score(targets[i])
+            want = g1(models.means[i], models.variances[i]).batch.score(targets[i])[0]
             assert stacked[i] == pytest.approx(want)
 
     def test_score_tensor_generic_models_agree_with_gaussian_path(self):
         models = [g1([0.3, -1.0], [1.0, 2.0]), g1([0.0, 0.5], [0.5, 0.5])]
         points = np.random.default_rng(16).normal(size=(7, 2))
-        fast = as_batch(models).score_tensor(points)
-        generic = as_batch([as_scored(m) for m in models]).score_tensor(points)
-        assert fast == pytest.approx(generic)
+        fast = stack(models).score_tensor(points)
+        generic = ScoredBatch([ScoredDensity(dim=2, score=m.batch.score) for m in models])
+        assert fast == pytest.approx(generic.score_tensor(points))
 
-    def test_score_only_list_matches_the_gaussian_batch(self):
-        # user densities equal to the Gaussians go through the one-by-one adapter
+    def test_score_only_batch_matches_the_gaussian_batch(self):
+        # user densities equal to the Gaussians, called one model at a time
         data = sample_setup(SyntheticSetup("mgm", 0.3), 12, RandomStream(17).derive("d"))
         gaussian = data.models
-        user = [ScoredDensity(dim=5, score=lambda y, m=m, v=v: (m - y) / v)
-                for m, v in zip(gaussian.means, gaussian.variances)]
-        np.testing.assert_allclose(as_batch(user).rows().score_batch(data.targets),
+        user = ScoredBatch([ScoredDensity(dim=5, score=lambda y, m=m, v=v: (m - y) / v)
+                            for m, v in zip(gaussian.means, gaussian.variances)])
+        np.testing.assert_allclose(user.rows().score_batch(data.targets),
                                    gaussian.rows().score_batch(data.targets), rtol=1e-12)
         base = BaseMeasure.frozen(RandomStream(18).generator().standard_normal((10, 5)))
         for kernel in (ExpGFDKernel(None, base), ExpKGFDKernel(None, base, GaussianKernel(1.5))):
             np.testing.assert_allclose(kernel.gram(user), kernel.gram(gaussian), rtol=1e-12)
         k_gram = ExpGFDKernel(None, base).gram(gaussian)
         l = GaussianKernel(2.0)
-        got = u_statistic(kccsd_stat_matrix(k_gram, l, list(zip(user, data.targets))))
+        got = u_statistic(kccsd_stat_matrix(k_gram, l, Dataset(user, data.targets)))
         want = u_statistic(kccsd_stat_matrix(k_gram, l, data))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -283,9 +300,9 @@ class TestCopies:
     def batches():
         data = sample_setup(SyntheticSetup("hgm", 0.5), 7, RandomStream(19).derive("d"))
         gaussian = data.models
-        generic = as_batch([ScoredDensity(dim=1, score=g.score, log_unnorm=g.log_density)
-                            for g in (DiagonalGaussian(m, v)
-                                      for m, v in zip(gaussian.means, gaussian.variances))])
+        generic = ScoredBatch([ScoredDensity(dim=1, score=g.score, log_unnorm=g.log_density)
+                               for g in (g1(m, v).batch
+                                         for m, v in zip(gaussian.means, gaussian.variances))])
         return gaussian, generic
 
     @pytest.mark.parametrize("which", [0, 1], ids=["gaussian", "scored"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from steincal.models import DiagonalGaussian, ScoredDensity, as_batch, as_scored
+from steincal.models import GaussianBatch, ScoredBatch, ScoredDensity
 from steincal.sampling import CapabilityError, MalaConfig, RandomStream, run_mala
+
+from gaussians import g1, stack
 
 
 def test_stream_is_a_pure_function_of_seed_and_path():
@@ -36,18 +38,17 @@ def test_sibling_streams_pass_independence_smoke_test():
 
 
 def test_sample_gaussian_moments_and_determinism():
-    g = DiagonalGaussian(np.array([3.0]), np.array([1.0]))
+    g = g1(3.0, 1.0).batch
     stream = RandomStream(7).derive("draws")
-    x = g.sample(100_000, stream)
+    x = g.sample(100_000, stream)[0]
     assert x.shape == (100_000, 1)
     assert abs(x.mean() - 3.0) < 0.01
-    assert np.array_equal(x, g.sample(100_000, stream))
+    assert np.array_equal(x, g.sample(100_000, stream)[0])
 
 
 def test_sample_gaussian_rejects_nonpositive_count():
-    g = DiagonalGaussian(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        g.sample(0, RandomStream(0))
+        g1(0.0, 1.0).batch.sample(0, RandomStream(0))
 
 
 def test_mala_config_validation():
@@ -59,8 +60,15 @@ def test_mala_config_validation():
         MalaConfig(step_size=0.1, burn_in=-1)
 
 
+@pytest.mark.parametrize("step_size", [float("nan"), float("inf"), -float("inf")])
+def test_mala_config_rejects_a_non_finite_step_size(step_size):
+    # NaN compares False with 0, so "step_size <= 0" alone let NaN and +inf through
+    with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+        MalaConfig(step_size=step_size)
+
+
 def _standard_normal_density():
-    return as_scored(DiagonalGaussian(np.array([0.0]), np.array([1.0])))
+    return g1(0.0, 1.0).batch.rows()
 
 
 def test_mala_matches_exact_sampling_in_first_two_moments():
@@ -115,13 +123,13 @@ def test_mala_is_deterministic_given_stream():
 def _heterogeneous_gaussians():
     means = np.array([[-3.0, 0.5], [0.0, 4.0], [2.5, -1.0], [10.0, 0.0]])
     variances = np.array([[0.5, 1.0], [2.0, 0.7], [1.0, 1.5], [0.6, 2.0]])
-    return [DiagonalGaussian(m, v) for m, v in zip(means, variances)], means, variances
+    return [g1(m, v) for m, v in zip(means, variances)], means, variances
 
 
 def test_lock_step_rows_match_their_own_moments():
     models, means, variances = _heterogeneous_gaussians()
     cfg = MalaConfig(step_size=0.3, n_steps=1, burn_in=200)
-    run = run_mala(as_batch(models).rows(), cfg, means, 20_000, RandomStream(31).derive("mala"))
+    run = run_mala(stack(models).rows(), cfg, means, 20_000, RandomStream(31).derive("mala"))
     assert run.samples.shape == (4, 20_000, 2)
     # about 1500 effective samples per row: ~4 standard errors of each moment
     assert np.all(np.abs(run.samples.mean(axis=1) - means) < 0.1 * np.sqrt(variances))
@@ -131,12 +139,13 @@ def test_lock_step_rows_match_their_own_moments():
 
 def test_stacked_gaussian_and_generic_row_paths_agree():
     models, means, _ = _heterogeneous_gaussians()
-    generic = [ScoredDensity(dim=2, score=g.score, log_unnorm=g.log_density) for g in models]
+    generic = ScoredBatch([ScoredDensity(dim=2, score=g.score, log_unnorm=g.log_density)
+                           for g in (m.batch for m in models)])
     cfg = MalaConfig(step_size=0.3, n_steps=3, burn_in=10)
     init = means + 0.5
     stream = RandomStream(32).derive("mala")
-    fast = run_mala(as_batch(models).rows(), cfg, init, 50, stream)
-    slow = run_mala(as_batch(generic).rows(), cfg, init, 50, stream)
+    fast = run_mala(stack(models).rows(), cfg, init, 50, stream)
+    slow = run_mala(generic.rows(), cfg, init, 50, stream)
     assert np.allclose(fast.samples, slow.samples, rtol=1e-12, atol=1e-12)
     assert fast.acceptance_rate == slow.acceptance_rate
     assert 0.0 < fast.acceptance_rate < 1.0
@@ -157,9 +166,9 @@ def test_acceptance_rate_pools_all_chains():
 def _batches_of_dim(d):
     rng = np.random.default_rng(34 + d)
     means, variances = rng.normal(size=(5, d)), rng.uniform(0.5, 2.0, size=(5, d))
-    models = [DiagonalGaussian(m, v) for m, v in zip(means, variances)]
+    models = [g1(m, v).batch for m, v in zip(means, variances)]
     generic = [ScoredDensity(dim=d, score=g.score, log_unnorm=g.log_density) for g in models]
-    return {"gaussian": as_batch(models), "scored": as_batch(generic)}
+    return {"gaussian": GaussianBatch(means, variances), "scored": ScoredBatch(generic)}
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "scored"])

@@ -17,11 +17,11 @@ from steincal.kernels import (
     median_heuristic,
 )
 from steincal.models import (
-    DiagonalGaussian,
+    Dataset,
     NumericalError,
+    ScoredBatch,
     ScoredDensity,
     SyntheticSetup,
-    as_dataset,
     sample_setup,
 )
 from steincal.sampling import CapabilityError, MalaConfig, RandomStream, run_mala
@@ -41,6 +41,7 @@ from steincal.statistics import (
     wild_bootstrap,
 )
 
+from gaussians import dataset, g1, stack
 from oracles import (
     dense_closed_form_bracket,
     dense_mirrored_upper,
@@ -51,11 +52,6 @@ from oracles import (
     gaussian_kernel_expectation,
     stein_terms_by_differences,
 )
-
-
-def g1(mean, var):
-    return DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
-                            np.atleast_1d(np.asarray(var, float)))
 
 
 def stein_blocks(l, scores, targets):
@@ -87,26 +83,31 @@ def stein_between(l, scores1, targets1, scores2, targets2):
 def h_term(l, p, y, q, y2):
     """Stein term between (p, y) and (q, y2), read off the two-row stack."""
     y, y2 = np.atleast_1d(y), np.atleast_1d(y2)
-    return _stein_rows(l, np.stack([p.score(y), q.score(y2)]), np.stack([y, y2]))(0, 1)[0, 1]
+    return _stein_rows(l, np.vstack([p.batch.score(y), q.batch.score(y2)]),
+                       np.stack([y, y2]))(0, 1)[0, 1]
 
 
 def stein_matrix(l, pairs):
     """Stein terms of every ordered pair of a dataset, diagonal included."""
-    data = as_dataset(pairs)
+    data = dataset(pairs)
     return stein_terms(l, data.models.rows().score_batch(data.targets), data.targets)
 
 
 def stein_against(l, q, y2, p, z):
     """The Stein terms between draws z_i, scored under p, and one pair (q, y2): row 0 of
     the stack with (q, y2) first, which by symmetry holds them."""
-    scores = np.vstack([q.score(y2)[None, :], (p.mean[None, :] - z) / p.var[None, :]])
+    scores = np.vstack([q.batch.score(y2), (p.mean[None, :] - z) / p.var[None, :]])
     return _stein_rows(l, scores, np.vstack([y2[None, :], z]))(0, 1)[0, 1:]
 
 
 def skce_pair(k, l, p, y, q, y2, strategy, stream=None):
-    """Calibration-error term between (p, y) and (q, y2), read off a two-pair matrix."""
-    matrix = skce_stat_matrix(np.full((2, 2), float(k)), l, [(p, y), (q, y2)], strategy, stream)
-    return matrix[0, 1]
+    """Calibration-error term between (p, y) and (q, y2), read off a two-pair matrix;
+    p and q are both Gaussians or both score-only densities."""
+    if isinstance(p, ScoredDensity):
+        data = Dataset(ScoredBatch([p, q]), np.stack([y, y2]))
+    else:
+        data = dataset([(p, y), (q, y2)])
+    return skce_stat_matrix(np.full((2, 2), float(k)), l, data, strategy, stream)[0, 1]
 
 
 def random_dataset(rng, count, dim):
@@ -147,7 +148,8 @@ class TestHTerm:
             q = g1(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
             y, y2 = rng.normal(size=d), rng.normal(size=d)
             got = h_term(l, p, y, q, y2)
-            want = fd_h_term(lambda a, b: l(a, b), p.score, q.score, y, y2)
+            want = fd_h_term(lambda a, b: l(a, b), lambda x: p.batch.score(x)[0],
+                             lambda x: q.batch.score(x)[0], y, y2)
             assert got == pytest.approx(want, rel=1e-4, abs=1e-6)
 
     def test_h_matrix_matches_per_pair_terms(self):
@@ -215,7 +217,7 @@ class TestHTerm:
         q = g1(rng_models.normal(size=1), rng_models.uniform(0.5, 2.0, size=1))
         y2 = rng_models.normal(size=1)
         l = GaussianKernel(1.0)
-        z = p.sample(draws, RandomStream(44).derive("stein"))
+        z = p.batch.sample(draws, RandomStream(44).derive("stein"))[0]
         values = stein_against(l, q, y2, p, z)
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(draws)
 
@@ -227,7 +229,7 @@ class TestHTerm:
         y2 = np.array([0.7])
         l = GaussianKernel(1.1)
         k_value = 0.6  # arbitrary fixed distribution-kernel value
-        z = p.sample(draws, RandomStream(45).derive("stein"))
+        z = p.batch.sample(draws, RandomStream(45).derive("stein"))[0]
         values = k_value * stein_against(l, q, y2, p, z)
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(draws)
 
@@ -262,21 +264,22 @@ class TestStatMatrix:
     def test_producers_return_plain_arrays(self):
         pairs = random_dataset(np.random.default_rng(9), 3, 1)
         l = GaussianKernel(1.0)
-        for matrix in (kccsd_stat_matrix(np.ones((3, 3)), l, pairs),
-                       skce_stat_matrix(np.ones((3, 3)), l, pairs, ClosedFormGaussian())):
+        for matrix in (kccsd_stat_matrix(np.ones((3, 3)), l, dataset(pairs)),
+                       skce_stat_matrix(np.ones((3, 3)), l, dataset(pairs),
+                                        ClosedFormGaussian())):
             assert type(matrix) is np.ndarray and matrix.shape == (3, 3)
 
     def test_kccsd_matrix_zeroes_the_diagonal(self):
         rng = np.random.default_rng(5)
         pairs = random_dataset(rng, 4, 1)
-        matrix = kccsd_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), pairs)
+        matrix = kccsd_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), dataset(pairs))
         assert np.all(np.diag(matrix) == 0.0)
 
     def test_constant_distribution_kernel_recovers_plain_stein_matrix(self):
         rng = np.random.default_rng(6)
         pairs = random_dataset(rng, 5, 2)
         l = GaussianKernel(1.0)
-        matrix = kccsd_stat_matrix(np.ones((5, 5)), l, pairs)
+        matrix = kccsd_stat_matrix(np.ones((5, 5)), l, dataset(pairs))
         want = stein_matrix(l, pairs)
         np.fill_diagonal(want, 0.0)
         assert matrix == pytest.approx(want)
@@ -285,9 +288,9 @@ class TestStatMatrix:
         rng = np.random.default_rng(7)
         pairs = random_dataset(rng, 3, 1)
         k_gram = ExpGFDKernel(1.0, BaseMeasure.frozen(rng.normal(size=(5, 1)))).gram(
-            [g for g, _ in pairs])
+            stack([g for g, _ in pairs]))
         l = GaussianKernel(0.9)
-        matrix = kccsd_stat_matrix(k_gram, l, pairs)
+        matrix = kccsd_stat_matrix(k_gram, l, dataset(pairs))
         for i, (p, y) in enumerate(pairs):
             for j, (q, y2) in enumerate(pairs):
                 if i != j:
@@ -297,7 +300,7 @@ class TestStatMatrix:
     def test_gram_shape_mismatch(self):
         pairs = random_dataset(np.random.default_rng(8), 3, 1)
         with pytest.raises(ValueError):
-            kccsd_stat_matrix(np.ones((2, 2)), GaussianKernel(1.0), pairs)
+            kccsd_stat_matrix(np.ones((2, 2)), GaussianKernel(1.0), dataset(pairs))
 
 
 class TestPeakMemory:
@@ -526,7 +529,7 @@ class TestSkceMatrix:
         pairs = random_dataset(rng, 4, 1)
         l = GaussianKernel(1.1)
         k_gram = np.exp(-0.1 * np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))))
-        matrix = skce_stat_matrix(k_gram, l, pairs, ClosedFormGaussian())
+        matrix = skce_stat_matrix(k_gram, l, dataset(pairs), ClosedFormGaussian())
         for i, (p, y) in enumerate(pairs):
             for j, (q, y2) in enumerate(pairs):
                 if i != j:
@@ -542,7 +545,7 @@ class TestSkceMatrix:
     def test_sampled_matrix_is_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(14)
         pairs = random_dataset(rng, 5, 1)
-        matrix = skce_stat_matrix(np.ones((5, 5)), GaussianKernel(1.0), pairs,
+        matrix = skce_stat_matrix(np.ones((5, 5)), GaussianKernel(1.0), dataset(pairs),
                                   ExactSampler(3), RandomStream(15).derive("s"))
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
@@ -603,9 +606,9 @@ class TestSkceMatrix:
         rng = np.random.default_rng(16)
         pairs = random_dataset(rng, 4, 1)
         l = GaussianKernel(1.0)
-        closed = skce_stat_matrix(np.ones((4, 4)), l, pairs, ClosedFormGaussian())
+        closed = skce_stat_matrix(np.ones((4, 4)), l, dataset(pairs), ClosedFormGaussian())
         m = 1024
-        sampled = skce_stat_matrix(np.ones((4, 4)), l, pairs, ExactSampler(m),
+        sampled = skce_stat_matrix(np.ones((4, 4)), l, dataset(pairs), ExactSampler(m),
                                    RandomStream(17).derive("s"))
         assert np.max(np.abs(sampled - closed)) <= 3.0 / np.sqrt(m)
 
@@ -632,14 +635,15 @@ class TestSkceMatrix:
         rng = np.random.default_rng(18)
         pairs = random_dataset(rng, 4, 1)
         strategy = MalaSampler(2, MalaConfig(step_size=0.01, n_steps=5))
-        matrix = skce_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), pairs,
+        matrix = skce_stat_matrix(np.ones((4, 4)), GaussianKernel(1.0), dataset(pairs),
                                   strategy, RandomStream(19).derive("m"))
         assert np.array_equal(matrix, matrix.T)
 
     def test_sampled_strategy_needs_stream(self):
         pairs = random_dataset(np.random.default_rng(20), 3, 1)
         with pytest.raises(ValueError):
-            skce_stat_matrix(np.ones((3, 3)), GaussianKernel(1.0), pairs, ExactSampler(2))
+            skce_stat_matrix(np.ones((3, 3)), GaussianKernel(1.0), dataset(pairs),
+                             ExactSampler(2))
 
 
 class TestWildBootstrap:
@@ -659,10 +663,10 @@ class TestWildBootstrap:
 
     def test_tie_at_the_quantile_rejects(self):
         # statistic equals the quantile here; the pinned rule sends ties to rejection
-        pairs = [(g1(0.0, 1.0), np.array([0.4])), (g1(1.0, 1.0), np.array([0.9]))]
+        data = dataset([(g1(0.0, 1.0), np.array([0.4])), (g1(1.0, 1.0), np.array([0.9]))])
         l = GaussianKernel(1.0)
         kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.zeros((3, 1))))
-        result = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 500, RandomStream(23))
+        result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 500, RandomStream(23))
         statistic_sign = np.sign(result.statistic)
         assert result.quantile == pytest.approx(abs(result.statistic))
         if statistic_sign > 0:
@@ -897,33 +901,34 @@ class TestRunCalibrationTest:
         assert abs(values.mean()) <= 4.0 * values.std() / np.sqrt(values.size)
 
     def test_needs_two_pairs(self):
-        pairs = [(g1(0.0, 1.0), np.zeros(1))]
+        data = dataset([(g1(0.0, 1.0), np.zeros(1))])
         kernel, l = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1)), GaussianKernel(1.0)
         with pytest.raises(ValueError):
-            run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 100, RandomStream(0))
+            run_calibration_test(data, kernel, l, KCCSD(), 0.05, 100, RandomStream(0))
 
     def test_runs_on_score_only_densities(self):
         # models exposed through their score functions alone: no sampler, no
         # log density, as for unnormalised predictive models
         def score_only(mean, var):
-            return ScoredDensity(dim=1, score=DiagonalGaussian(mean, var).score)
+            return ScoredDensity(dim=1, score=g1(mean, var).batch.score)
 
         gaussian = self._dataset(32, seed=9)
         models = gaussian.models
-        pairs = [(score_only(mean, var), y)
-                 for mean, var, y in zip(models.means, models.variances, gaussian.targets)]
+        data = Dataset(ScoredBatch([score_only(mean, var)
+                                    for mean, var in zip(models.means, models.variances)]),
+                       gaussian.targets)
         l = GaussianKernel(median_heuristic(gaussian.targets))
         kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
-        result = run_calibration_test(pairs, kernel, l, KCCSD(), 0.05, 200, RandomStream(30))
+        result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, RandomStream(30))
         reference = run_calibration_test(gaussian, kernel, l, KCCSD(), 0.05, 200,
                                          RandomStream(30))
         assert result.statistic == pytest.approx(reference.statistic)
         assert result.reject == reference.reject
 
     def test_score_only_densities_cannot_feed_sampling_strategies(self):
-        pairs = [(ScoredDensity(dim=1, score=lambda y: -y), np.array([0.1])),
-                 (ScoredDensity(dim=1, score=lambda y: -y), np.array([-0.2]))]
+        data = Dataset(ScoredBatch([ScoredDensity(dim=1, score=lambda y: -y)] * 2),
+                       np.array([[0.1], [-0.2]]))
         kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
         with pytest.raises(CapabilityError):
-            run_calibration_test(pairs, kernel, GaussianKernel(1.0),
+            run_calibration_test(data, kernel, GaussianKernel(1.0),
                                  SKCE(ExactSampler(4)), 0.05, 100, RandomStream(31))
