@@ -9,7 +9,6 @@ strategies. Null quantiles come from a Rademacher wild bootstrap.
 """
 
 from .kernels import (
-    BaseMeasure,
     DegenerateBandwidthError,
     DistributionKernel,
     ExpGFDKernel,

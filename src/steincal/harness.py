@@ -18,7 +18,6 @@ from typing import IO, Callable, Sequence, Union
 import numpy as np
 
 from .kernels import (
-    BaseMeasure,
     DistributionKernel,
     ExpGFDKernel,
     ExpKGFDKernel,
@@ -387,9 +386,8 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: ModelBatch,
     sigma = None if isinstance(spec.sigma, str) else spec.sigma
     if spec.variant == "exp_wasserstein":
         return ExpWassersteinKernel(sigma)
-    base = BaseMeasure.standard_gaussian(models.dim)
     if spec.variant == "exp_gfd":
-        return ExpGFDKernel(sigma, base, spec.base_samples)
+        return ExpGFDKernel(sigma, spec.base_samples)
     if isinstance(spec.ground_bandwidth, str):
         if len(models) < 2:
             raise ConfigError(f"dist_kernel.ground.bandwidth: {spec.ground_bandwidth!r} "
@@ -401,8 +399,8 @@ def resolve_dist_kernel(spec: DistKernelSpec, models: ModelBatch,
         ground_bw = spec.ground_bandwidth
     ground = scalar_kernel(spec.ground_family, ground_bw)
     if spec.variant == "exp_kgfd":
-        return ExpKGFDKernel(sigma, base, ground, spec.base_samples)
-    return ExpMMDKernel(sigma, ground, mode=spec.mmd_mode, num_samples=spec.mmd_samples)
+        return ExpKGFDKernel(sigma, ground, spec.base_samples)
+    return ExpMMDKernel(sigma, ground, spec.mmd_samples if spec.mmd_mode == "sampled" else None)
 
 
 def _run_test(data: Dataset, config: TestConfig, stream: RandomStream) -> TestResult:

@@ -12,8 +12,7 @@ import functools
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -390,42 +389,6 @@ def expectation_tiles(means, variances, gamma, means2, variances2=None):
 # Distribution kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BaseMeasure:
-    """Base measure for the score divergences: standard Gaussian or frozen samples."""
-
-    dim: int
-    samples: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.samples is not None:
-            samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-            if samples.shape[0] < 1 or samples.shape[1] != self.dim:
-                raise ValueError("frozen base samples must be a nonempty (m, dim) array")
-            object.__setattr__(self, "samples", samples)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-    @classmethod
-    def standard_gaussian(cls, dim: int) -> "BaseMeasure":
-        return cls(dim=dim)
-
-    @classmethod
-    def frozen(cls, samples: np.ndarray) -> "BaseMeasure":
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        return cls(dim=samples.shape[1], samples=samples)
-
-    def draw(self, m: int, stream: Optional[RandomStream]) -> np.ndarray:
-        """Frozen samples if present, otherwise m fresh standard-normal points."""
-        if self.samples is not None:
-            return self.samples
-        if stream is None:
-            raise ValueError("drawing base samples needs a random stream")
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return stream.generator().standard_normal((m, self.dim))
-
-
 def _bit_pattern(value) -> int:
     """The IEEE-754 bits of a float >= 0 as an integer: such floats order like their bit
     patterns. Adding 0.0 maps -0.0, whose sign bit is set, to +0.0."""
@@ -696,16 +659,29 @@ def _product_tiles(left: np.ndarray, right: np.ndarray):
 
 
 class ExpGFDKernel(DistributionKernel):
-    """exp(-GFD/(2 sigma^2)) with the score divergence estimated on base samples."""
+    """exp(-GFD/(2 sigma^2)) with the score divergence estimated on base samples.
+
+    ``base_samples`` says how they are had, as ``np.histogram``'s ``bins`` does: a count
+    m >= 1 draws m standard-normal points in the models' dimension for each Gram matrix
+    or test, as one ``stream.generator().standard_normal((m, dim))`` call; an (m, d)
+    array with m >= 1 is a frozen base, kept as a read-only copy, for models on R^d.
+    """
 
     name = "exp_gfd"
 
-    def __init__(self, sigma: Optional[float], base: BaseMeasure, num_base_samples: int = 10):
+    def __init__(self, sigma: Optional[float], base_samples: Union[int, np.ndarray] = 10):
         super().__init__(sigma)
-        if num_base_samples < 1:
-            raise ValueError(f"num_base_samples must be >= 1, got {num_base_samples}")
-        self.base = base
-        self.num_base_samples = num_base_samples
+        if np.ndim(base_samples) == 0:
+            if not (isinstance(base_samples, (int, np.integer)) and base_samples >= 1):
+                raise ValueError("base_samples must be a count >= 1 or an (m, d) array, "
+                                 f"got {base_samples!r}")
+        else:
+            base_samples = np.array(base_samples, dtype=float)
+            if base_samples.ndim != 2 or base_samples.size == 0:
+                raise ValueError("frozen base samples must be a non-empty (m, d) array, "
+                                 f"got shape {base_samples.shape}")
+            base_samples.flags.writeable = False
+        self.base_samples = base_samples
 
     def _smoothed(self, scores: np.ndarray, features: np.ndarray, z: np.ndarray):
         """The left operand of the inner products and the divergence's scale: the very
@@ -713,7 +689,15 @@ class ExpGFDKernel(DistributionKernel):
         return features, len(z)
 
     def _tiles(self, models, stream):
-        z = self.base.draw(self.num_base_samples, stream)
+        z = self.base_samples
+        if isinstance(z, np.ndarray):
+            if z.shape[1] != models.dim:
+                raise ValueError(f"frozen base samples have dimension {z.shape[1]}, "
+                                 f"the models dimension {models.dim}")
+        elif stream is None:
+            raise ValueError("drawing base samples needs a random stream")
+        else:
+            z = stream.generator().standard_normal((z, models.dim))
         scores = models.score_tensor(z)
         n, m, d = scores.shape
         features = scores.reshape(n, m * d)
@@ -728,9 +712,9 @@ class ExpKGFDKernel(ExpGFDKernel):
 
     name = "exp_kgfd"
 
-    def __init__(self, sigma: Optional[float], base: BaseMeasure, ground: ScalarKernel,
-                 num_base_samples: int = 10):
-        super().__init__(sigma, base, num_base_samples)
+    def __init__(self, sigma: Optional[float], ground: ScalarKernel,
+                 base_samples: Union[int, np.ndarray] = 10):
+        super().__init__(sigma, base_samples)
         self.ground = ground
 
     def _smoothed(self, scores, features, z):
@@ -742,28 +726,25 @@ class ExpKGFDKernel(ExpGFDKernel):
 class ExpMMDKernel(DistributionKernel):
     """exp(-MMD^2/(2 sigma^2)) with a Gaussian ground kernel.
 
-    ``mode="closed_form"`` needs diagonal-Gaussian inputs; ``mode="sampled"``
-    draws ``num_samples`` points per density once per Gram matrix, as one
-    (n, num_samples, d) block from ``stream.derive("mmd-samples")``, and uses
-    the V-statistic between the empirical measures, which keeps the matrix PSD.
+    With ``samples`` None the MMD is in closed form, which needs diagonal-Gaussian
+    inputs; a count m >= 1 draws m points per density once per Gram matrix, as one
+    (n, m, d) block from ``stream.derive("mmd-samples")``, and uses the V-statistic
+    between the empirical measures, which keeps the matrix PSD.
     """
 
     name = "exp_mmd"
 
     def __init__(self, sigma: Optional[float], ground: ScalarKernel,
-                 mode: str = "closed_form", num_samples: int = 10):
+                 samples: Optional[int] = None):
         super().__init__(sigma)
-        if mode not in ("closed_form", "sampled"):
-            raise ValueError(f"mode must be 'closed_form' or 'sampled', got {mode!r}")
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
+            raise ValueError(f"samples must be None or a count >= 1, got {samples!r}")
         self.ground = ground
-        self.mode = mode
-        self.num_samples = num_samples
+        self.samples = samples
 
     def _tiles(self, models, stream):
         n, labels = len(models), None
-        if self.mode == "closed_form":
+        if self.samples is None:
             if not isinstance(self.ground, GaussianKernel):
                 raise UnsupportedKernelError("closed-form MMD needs a Gaussian ground kernel")
             if not isinstance(models, GaussianBatch):
@@ -774,7 +755,7 @@ class ExpMMDKernel(DistributionKernel):
         else:
             if stream is None:
                 raise ValueError("sampled MMD needs a random stream")
-            m = self.num_samples
+            m = self.samples
             draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, models.dim)
             source = self.ground.mean_gram_tiles(draws, m, draws, m)
         # each model's inner product with itself: the square tiles of _ROW_TILE-model runs

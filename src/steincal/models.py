@@ -114,8 +114,9 @@ class GaussianBatch(ModelBatch):
     def __post_init__(self):
         means = np.array(self.means, dtype=float)
         variances = np.array(self.variances, dtype=float)
-        if means.ndim != 2 or means.shape != variances.shape or means.shape[1] < 1:
-            raise ValueError("means and variances must be (n, d) arrays of one shape, d >= 1")
+        if means.ndim != 2 or means.shape != variances.shape or min(means.shape) < 1:
+            raise ValueError("means and variances must be (n, d) arrays of one shape, "
+                             "n >= 1 and d >= 1")
         if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < np.inf))):
             raise ValueError("means must be finite, variances finite and strictly positive")
         means.flags.writeable = False
@@ -132,15 +133,23 @@ class GaussianBatch(ModelBatch):
 
     def score(self, points: np.ndarray) -> np.ndarray:
         """Row-wise scores (means - points) / variances."""
+        self._check_last_axis(points)
         return (self.means - points) / self.variances
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Row-wise log densities: entry i is model i's log density at points[i]."""
+        self._check_last_axis(points)
         norms = np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
         return -0.5 * (np.sum((points - self.means) ** 2 / self.variances, axis=1) + norms)
 
     def rows(self) -> ScoredDensity:
         return ScoredDensity(dim=self.dim, score=self.score, log_unnorm=self.log_density)
+
+    def _check_last_axis(self, points) -> None:
+        """Points broadcast against the rows, but their last axis must be ``dim``."""
+        if np.shape(points)[-1:] != (self.dim,):
+            raise ValueError(f"points must have a last axis of {self.dim}, "
+                             f"got shape {np.shape(points)}")
 
     def _score_tensor(self, points):
         return (self.means[:, None, :] - points[None, :, :]) / self.variances[:, None, :]
@@ -254,14 +263,6 @@ class SyntheticSetup:
             raise ValueError(f"delta: must be >= 0, got {self.delta}")
         if self.mgm_shift not in (MGM_SHIFT_ALL, MGM_SHIFT_FIRST):
             raise ValueError(f"mgm_shift: must be 'all' or 'first', got {self.mgm_shift!r}")
-
-    @property
-    def input_dim(self) -> int:
-        return {"mgm": 5, "lgm": 5, "hgm": 3, "qgm": 1}[self.family]
-
-    @property
-    def target_dim(self) -> int:
-        return {"mgm": 5, "lgm": 1, "hgm": 1, "qgm": 1}[self.family]
 
 
 def sample_setup(setup: SyntheticSetup, n: int, stream: RandomStream) -> Dataset:

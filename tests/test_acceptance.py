@@ -18,7 +18,6 @@ from steincal.harness import (
     run_experiment,
 )
 from steincal.kernels import (
-    BaseMeasure,
     ExpGFDKernel,
     ExpKGFDKernel,
     ExpMMDKernel,
@@ -147,7 +146,7 @@ def test_criterion_06_statistic_is_unbiased_under_the_null():
         stream = RandomStream(108).derive("dataset", rep)
         data = sample_setup(SyntheticSetup("lgm", 0.0), 64, stream)
         l = GaussianKernel(median_heuristic(data.targets))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(None)
         k_gram = kernel.gram(data.models, stream.derive("base"))
         values.append(u_statistic(kccsd_stat_matrix(k_gram, l, data)))
     values = np.asarray(values)
@@ -190,7 +189,7 @@ def test_criterion_08_kernel_correctness_oracles():
         z = RandomStream(3000 + seed).derive("base").generator().standard_normal((m, 2))
         per_sample = np.sum((p.batch.score(z) - q.batch.score(z)) ** 2, axis=1)
         tol = 3.0 * per_sample.std() / np.sqrt(m)
-        kernel = ExpGFDKernel(None, BaseMeasure.frozen(z))
+        kernel = ExpGFDKernel(None, base_samples=z)
         gfd = kernel.distance_blocks(stack([p, q])).dense()[0, 1]
         if abs(gfd - gfd_gaussian_closed(p, q)) > tol:
             problems.append(f"gfd seed {seed}")
@@ -213,8 +212,8 @@ def test_criterion_08_kernel_correctness_oracles():
     m_mmd = 400
     models = stack([g1(0.0, 1.0), g1(1.2, 1.8)])
     closed = ExpMMDKernel(1.0, GaussianKernel(1.0)).gram(models)[0, 1]
-    sampled = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled",
-                           num_samples=m_mmd).gram(models, RandomStream(112).derive("mmd"))[0, 1]
+    sampled = ExpMMDKernel(1.0, GaussianKernel(1.0), samples=m_mmd).gram(
+        models, RandomStream(112).derive("mmd"))[0, 1]
     if abs(sampled - closed) > 3.0 / np.sqrt(m_mmd):
         problems.append("sampled mmd")
 
@@ -245,9 +244,8 @@ def test_criterion_09_gram_matrices_are_psd():
                        for _ in range(20)])
     stream = RandomStream(115)
     kernels = {
-        "exp_gfd": (ExpGFDKernel(None, BaseMeasure.standard_gaussian(2)), diagonal),
-        "exp_kgfd": (ExpKGFDKernel(None, BaseMeasure.standard_gaussian(2),
-                                   GaussianKernel(1.0)), diagonal),
+        "exp_gfd": (ExpGFDKernel(None), diagonal),
+        "exp_kgfd": (ExpKGFDKernel(None, GaussianKernel(1.0)), diagonal),
         "exp_mmd": (ExpMMDKernel(None, GaussianKernel(1.0)), diagonal),
         "exp_wasserstein": (ExpWassersteinKernel(None), isotropic),
     }

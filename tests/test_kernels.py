@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from steincal import kernels
 from steincal.kernels import (
-    BaseMeasure,
     DegenerateBandwidthError,
     ExpGFDKernel,
     ExpKGFDKernel,
@@ -95,12 +94,12 @@ def pair(p, q):
 
 def gfd(p, q, z):
     """Score divergence between two models on frozen base samples z."""
-    return ExpGFDKernel(None, BaseMeasure.frozen(z)).distance_blocks(pair(p, q)).dense()[0, 1]
+    return ExpGFDKernel(None, base_samples=z).distance_blocks(pair(p, q)).dense()[0, 1]
 
 
 def kgfd(p, q, z, ground):
     """Kernel-smoothed score divergence between two models on frozen base samples z."""
-    kernel = ExpKGFDKernel(None, BaseMeasure.frozen(z), ground)
+    kernel = ExpKGFDKernel(None, ground, base_samples=z)
     return kernel.distance_blocks(pair(p, q)).dense()[0, 1]
 
 
@@ -464,7 +463,7 @@ class TestRowBlocks:
         pick = rng.integers(0, distinct, size=n) if distinct < n else np.arange(n)
         models = GaussianBatch(rng.normal(size=(distinct, 2))[pick],
                                rng.uniform(0.5, 2.0, size=(distinct, 2))[pick])
-        base = BaseMeasure.frozen(rng.normal(size=(5, 2)))
+        base = rng.normal(size=(5, 2))
         sq = ExpGFDKernel(None, base).distance_blocks(models).dense()
         sigma = dense_median_sigma(sq)
         assert sigma > 0.0
@@ -486,11 +485,10 @@ def test_tiles_yield_the_recorded_cuts():
 
 
 _DIST_KERNELS = {
-    "exp_gfd": lambda: ExpGFDKernel(None, BaseMeasure.standard_gaussian(3)),
-    "exp_kgfd": lambda: ExpKGFDKernel(None, BaseMeasure.standard_gaussian(3), GaussianKernel(1.0)),
+    "exp_gfd": lambda: ExpGFDKernel(None),
+    "exp_kgfd": lambda: ExpKGFDKernel(None, GaussianKernel(1.0)),
     "exp_mmd": lambda: ExpMMDKernel(None, GaussianKernel(1.0)),
-    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled",
-                                            num_samples=3),
+    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(1.0), samples=3),
     "exp_wasserstein": lambda: ExpWassersteinKernel(None),
 }
 
@@ -760,25 +758,66 @@ class TestGFD:
         assert gfd(p, q, z) == pytest.approx(1.0)
 
 
+_BASE_SAMPLED = [
+    pytest.param(lambda base_samples: ExpGFDKernel(None, base_samples), id="exp_gfd"),
+    pytest.param(lambda base_samples: ExpKGFDKernel(None, GaussianKernel(1.0), base_samples),
+                 id="exp_kgfd"),
+]
+
+
 class TestExpGFD:
+    @pytest.mark.parametrize("make", _BASE_SAMPLED)
+    @pytest.mark.parametrize("base_samples", [0, -3, 2.5, "10", None, np.zeros((0, 2)),
+                                              [[]], np.zeros(3), np.zeros((2, 2, 2))],
+                             ids=["zero", "negative", "float", "string", "none", "no-rows",
+                                  "no-columns", "1-d", "3-d"])
+    def test_base_samples_must_be_a_count_or_an_m_by_d_array(self, make, base_samples):
+        with pytest.raises(ValueError, match="base_samples must be|frozen base samples must"):
+            make(base_samples)
+
+    @pytest.mark.parametrize("make", _BASE_SAMPLED)
+    def test_a_frozen_base_of_another_dimension_is_rejected(self, make):
+        kernel = make(np.zeros((10, 1)))
+        models = stack([g1([0.0, 0.0], [1.0, 1.0]), g1([1.0, 0.0], [1.0, 2.0])])
+        with pytest.raises(ValueError, match="dimension 1, the models dimension 2"):
+            kernel.gram(models)
+
+    @pytest.mark.parametrize("make", _BASE_SAMPLED)
+    def test_a_count_draws_one_standard_normal_block_in_the_models_dimension(self, make):
+        rng = np.random.default_rng(12)
+        models = GaussianBatch(rng.normal(size=(9, 3)), rng.uniform(0.5, 2.0, size=(9, 3)))
+        stream = RandomStream(5).derive("base")
+        frozen = make(stream.generator().standard_normal((4, 3)))
+        assert np.array_equal(make(4).distance_blocks(models, stream).dense(),
+                              frozen.distance_blocks(models).dense())
+
+    def test_a_frozen_base_is_kept_as_a_read_only_copy(self):
+        z = np.random.default_rng(3).normal(size=(6, 1))
+        kernel = ExpGFDKernel(1.0, base_samples=z)
+        before = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 2.0))
+        z[:] = 0.0
+        assert pair_value(kernel, g1(0.0, 1.0), g1(1.0, 2.0)) == before
+        with pytest.raises(ValueError):
+            kernel.base_samples[0, 0] = 1.0
+
     def test_diagonal_is_one(self):
         g = g1([0.2], [1.5])
-        kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.zeros((3, 1))))
+        kernel = ExpGFDKernel(1.0, base_samples=np.zeros((3, 1)))
         assert pair_value(kernel, g, g) == 1.0
 
     def test_unit_mean_shift(self):
-        kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.random.default_rng(0).normal(size=(7, 1))))
+        kernel = ExpGFDKernel(1.0, base_samples=np.random.default_rng(0).normal(size=(7, 1)))
         got = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
         assert got == pytest.approx(np.exp(-0.5))
 
     def test_variance_mismatch_with_large_base(self):
         z = RandomStream(8).derive("base").generator().standard_normal((20_000, 2))
-        kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(z))
+        kernel = ExpGFDKernel(1.0, base_samples=z)
         got = pair_value(kernel, g1([0.0, 0.0], [1.0, 1.0]), g1([0.0, 0.0], [2.0, 2.0]))
         assert got == pytest.approx(np.exp(-0.25), abs=5e-3)
 
     def test_requires_frozen_base(self):
-        kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(1.0)
         with pytest.raises(ValueError):
             pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
@@ -790,7 +829,7 @@ class TestExpGFD:
         mu, v = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
         models = GaussianBatch(np.vstack([mu + rng.normal(size=(4, d)), np.tile(mu, (26, 1))]),
                                np.tile(v, (30, 1)))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(d))
+        kernel = ExpGFDKernel(None)
         sq = kernel.distance_blocks(models, RandomStream(0).derive("base")).dense()
         assert np.all(sq[4:, 4:] == 0.0)
         assert np.array_equal(sq, sq.T) and np.all(sq[:4, :4][~np.eye(4, dtype=bool)] > 0.0)
@@ -813,7 +852,7 @@ class TestKGFD:
         assert kgfd(g, g, z, GaussianKernel(1.0)) == 0.0
 
     def test_requires_stream_without_frozen_base(self):
-        kernel = ExpKGFDKernel(1.0, BaseMeasure.standard_gaussian(1), GaussianKernel(1.0))
+        kernel = ExpKGFDKernel(1.0, GaussianKernel(1.0))
         with pytest.raises(ValueError, match="needs a random stream"):
             pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
 
@@ -854,23 +893,29 @@ class TestKGFD:
 class TestExpKGFD:
     def test_diagonal_is_one(self):
         g = g1([0.4], [2.0])
-        kernel = ExpKGFDKernel(1.0, BaseMeasure.frozen(np.zeros((2, 1))), GaussianKernel(1.0))
+        kernel = ExpKGFDKernel(1.0, GaussianKernel(1.0), base_samples=np.zeros((2, 1)))
         assert pair_value(kernel, g, g) == 1.0
 
     def test_symmetry_is_bit_exact(self):
         rng = np.random.default_rng(7)
-        base = BaseMeasure.frozen(rng.normal(size=(6, 2)))
-        kernel = ExpKGFDKernel(0.7, base, IMQKernel(1.1))
+        base = rng.normal(size=(6, 2))
+        kernel = ExpKGFDKernel(0.7, IMQKernel(1.1), base)
         p, q = random_gaussians(rng, 2, 2)
         assert pair_value(kernel, p, q) == pair_value(kernel, q, p)
 
     def test_single_base_sample_closed_form(self):
-        kernel = ExpKGFDKernel(1.0, BaseMeasure.frozen(np.zeros((1, 1))), GaussianKernel(1.0))
+        kernel = ExpKGFDKernel(1.0, GaussianKernel(1.0), base_samples=np.zeros((1, 1)))
         got = pair_value(kernel, g1(0.0, 1.0), g1(1.0, 1.0))
         assert got == pytest.approx(np.exp(-0.5))
 
 
 class TestExpMMD:
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, "sampled", np.zeros(3)],
+                             ids=["zero", "negative", "float", "string", "array"])
+    def test_samples_must_be_none_or_a_count(self, samples):
+        with pytest.raises(ValueError, match="samples must be None or a count"):
+            ExpMMDKernel(1.0, GaussianKernel(1.0), samples=samples)
+
     def test_diagonal_is_one(self):
         g = g1([0.3, 0.1], [1.0, 1.0])
         kernel = ExpMMDKernel(1.0, GaussianKernel(1.0))
@@ -898,7 +943,7 @@ class TestExpMMD:
         m = 400
         p, q = g1(0.0, 1.0), g1(1.5, 2.0)
         closed = pair_value(ExpMMDKernel(1.0, GaussianKernel(1.0)), p, q)
-        sampled_kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled", num_samples=m)
+        sampled_kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), samples=m)
         got = pair_value(sampled_kernel, p, q, RandomStream(41).derive("mmd"))
         assert abs(got - closed) <= 3.0 / np.sqrt(m)
 
@@ -908,7 +953,7 @@ class TestExpMMD:
         n, m = 700, 3
         rng = np.random.default_rng(70 + d)
         models = GaussianBatch(rng.normal(size=(n, d)), rng.uniform(0.5, 2.0, size=(n, d)))
-        kernel = ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled", num_samples=m)
+        kernel = ExpMMDKernel(None, GaussianKernel(1.0), samples=m)
         stream = RandomStream(17)
         got = kernel.distance_blocks(models, stream).dense()
         draws = models.sample(m, stream.derive("mmd-samples")).reshape(n * m, d)
@@ -921,7 +966,7 @@ class TestExpMMD:
 
     def test_sampled_mode_requires_sampler(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
-        kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), mode="sampled", num_samples=4)
+        kernel = ExpMMDKernel(1.0, GaussianKernel(1.0), samples=4)
         with pytest.raises(CapabilityError):
             pair_value(kernel, sd, sd, RandomStream(0))
 
@@ -1239,17 +1284,17 @@ class TestSampledSecondOrderMedianHeuristic:
 
 class TestGram:
     def test_single_model(self):
-        kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(1.0)
         matrix = kernel.gram(g1(0.0, 1.0).batch, RandomStream(0).derive("base"))
         assert matrix.shape == (1, 1) and matrix[0, 0] == 1.0
 
     def test_single_model_needs_no_bandwidth(self):
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(None)
         matrix = kernel.gram(g1(0.0, 1.0).batch, RandomStream(0).derive("base"))
         assert matrix[0, 0] == 1.0
 
     def test_two_identical_models(self):
-        kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(1.0)
         matrix = kernel.gram(stack([g1(0.5, 2.0), g1(0.5, 2.0)]), RandomStream(1).derive("base"))
         assert matrix == pytest.approx(np.ones((2, 2)))
 
@@ -1257,7 +1302,7 @@ class TestGram:
         rng = np.random.default_rng(19)
         models = random_gaussians(rng, 5, 2)
         z = rng.normal(size=(10, 2))
-        kernel = ExpGFDKernel(0.9, BaseMeasure.frozen(z))
+        kernel = ExpGFDKernel(0.9, base_samples=z)
         matrix = kernel.gram(stack(models))
         for i in range(5):
             for j in range(5):
@@ -1270,7 +1315,7 @@ class TestGram:
         rng = np.random.default_rng(22)
         models = random_gaussians(rng, 4, 2)
         z = rng.normal(size=(7, 2))
-        kernel = ExpKGFDKernel(1.1, BaseMeasure.frozen(z), IMQKernel(0.8))
+        kernel = ExpKGFDKernel(1.1, IMQKernel(0.8), base_samples=z)
         matrix = kernel.gram(stack(models))
 
         def imq(a, b):
@@ -1286,7 +1331,7 @@ class TestGram:
     def test_median_sigma_policy_resolves_within_gram(self):
         rng = np.random.default_rng(20)
         models = stack(random_gaussians(rng, 6, 1))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(None)
         matrix = kernel.gram(models, RandomStream(2).derive("base"))
         assert matrix.shape == (6, 6)
         assert np.all((matrix > 0) & (matrix <= 1.0))
@@ -1294,7 +1339,7 @@ class TestGram:
     @pytest.mark.parametrize("make", [
         pytest.param(ExpWassersteinKernel, id="exp_wasserstein"),
         pytest.param(lambda sigma: ExpGFDKernel(
-            sigma, BaseMeasure.frozen(np.random.default_rng(7).normal(size=(5, 2)))),
+            sigma, base_samples=np.random.default_rng(7).normal(size=(5, 2))),
             id="exp_gfd"),
     ])
     @pytest.mark.parametrize("n, distinct", [(2, 1), (7, 1), (5, 2), (6, 3), (24, 3), (25, 4),
@@ -1329,12 +1374,10 @@ class TestGram:
         iso = stack([g1(rng.normal(scale=2.0, size=2), np.full(2, rng.uniform(0.5, 2.0)))
                      for _ in range(20)])
         stream = RandomStream(3)
-        self._psd_check(ExpGFDKernel(None, BaseMeasure.standard_gaussian(2)),
-                        iso, stream.derive("a"))
-        self._psd_check(ExpKGFDKernel(None, BaseMeasure.standard_gaussian(2), GaussianKernel(1.0)),
-                        iso, stream.derive("b"))
+        self._psd_check(ExpGFDKernel(None), iso, stream.derive("a"))
+        self._psd_check(ExpKGFDKernel(None, GaussianKernel(1.0)), iso, stream.derive("b"))
         self._psd_check(ExpMMDKernel(None, GaussianKernel(1.0)), iso, stream.derive("c"))
-        self._psd_check(ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled", num_samples=10),
+        self._psd_check(ExpMMDKernel(None, GaussianKernel(1.0), samples=10),
                         iso, stream.derive("d"))
         self._psd_check(ExpWassersteinKernel(None), iso)
 
@@ -1344,10 +1387,10 @@ class TestGram:
         iso = stack([g1(rng.normal(scale=2.0, size=3), np.full(3, rng.uniform(0.5, 2.0)))
                      for _ in range(30)])
         stream = RandomStream(4)
-        for kernel in (ExpGFDKernel(None, BaseMeasure.standard_gaussian(3)),
-                       ExpKGFDKernel(None, BaseMeasure.standard_gaussian(3), GaussianKernel(1.0)),
+        for kernel in (ExpGFDKernel(None),
+                       ExpKGFDKernel(None, GaussianKernel(1.0)),
                        ExpMMDKernel(None, GaussianKernel(1.0)),
-                       ExpMMDKernel(None, GaussianKernel(1.0), mode="sampled"),
+                       ExpMMDKernel(None, GaussianKernel(1.0), samples=10),
                        ExpWassersteinKernel(None)):
             sq = kernel.distance_blocks(iso, stream.derive(kernel.name)).dense()
             assert np.array_equal(sq, sq.T), kernel.name
@@ -1356,7 +1399,7 @@ class TestGram:
     def test_median_sigma_is_the_square_root_of_the_median_squared_distance(self):
         rng = np.random.default_rng(24)
         models = GaussianBatch(rng.normal(size=(41, 2)), rng.uniform(0.5, 2.0, size=(41, 2)))
-        base = BaseMeasure.frozen(rng.normal(size=(10, 2)))
+        base = rng.normal(size=(10, 2))
         sq = ExpGFDKernel(None, base).distance_blocks(models).dense()
         dist = np.sort(np.sqrt(sq[np.triu_indices(41, k=1)]))
         sigma = dist[(dist.size - 1) // 2]

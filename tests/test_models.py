@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steincal.harness import read_models, write_dataset
-from steincal.kernels import BaseMeasure, ExpGFDKernel, ExpKGFDKernel, GaussianKernel
+from steincal.kernels import ExpGFDKernel, ExpKGFDKernel, GaussianKernel
 from steincal.models import (
     Dataset,
     GaussianBatch,
@@ -40,6 +40,17 @@ class TestGaussianBatch:
     def test_non_finite_or_non_positive_parameters_are_rejected(self, mean, var):
         with pytest.raises(ValueError):
             GaussianBatch(np.array([[1.0], mean]), np.array([[1.0], var]))
+
+    def test_an_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            GaussianBatch(np.zeros((0, 1)), np.ones((0, 1)))
+
+    @pytest.mark.parametrize("method", ["score", "log_density"])
+    @pytest.mark.parametrize("shape", [(3, 1), (1,), (1, 3), ()])
+    def test_points_of_another_dimension_are_rejected(self, method, shape):
+        batch = GaussianBatch(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="last axis of 2"):
+            getattr(batch, method)(np.ones(shape))
 
     def test_score_vanishes_at_the_mode(self):
         assert g1(0.0, 1.0).batch.score(np.array([0.0]))[0] == pytest.approx(0.0)
@@ -139,11 +150,9 @@ class TestDataset:
 
 class TestSyntheticSetups:
     def test_family_dimensions(self):
-        dims = {"mgm": (5, 5), "lgm": (5, 1), "hgm": (3, 1), "qgm": (1, 1)}
-        for family, (dx, dy) in dims.items():
-            setup = SyntheticSetup(family)
-            assert (setup.input_dim, setup.target_dim) == (dx, dy)
-            data = sample_setup(setup, 3, RandomStream(0).derive("d"))
+        dims = {"mgm": 5, "lgm": 1, "hgm": 1, "qgm": 1}
+        for family, dy in dims.items():
+            data = sample_setup(SyntheticSetup(family), 3, RandomStream(0).derive("d"))
             assert data.models.dim == dy and data.targets.shape == (3, dy)
 
     def test_validation(self):
@@ -285,8 +294,8 @@ class TestScoreStacking:
                             for m, v in zip(gaussian.means, gaussian.variances)])
         np.testing.assert_allclose(user.rows().score_batch(data.targets),
                                    gaussian.rows().score_batch(data.targets), rtol=1e-12)
-        base = BaseMeasure.frozen(RandomStream(18).generator().standard_normal((10, 5)))
-        for kernel in (ExpGFDKernel(None, base), ExpKGFDKernel(None, base, GaussianKernel(1.5))):
+        base = RandomStream(18).generator().standard_normal((10, 5))
+        for kernel in (ExpGFDKernel(None, base), ExpKGFDKernel(None, GaussianKernel(1.5), base)):
             np.testing.assert_allclose(kernel.gram(user), kernel.gram(gaussian), rtol=1e-12)
         k_gram = ExpGFDKernel(None, base).gram(gaussian)
         l = GaussianKernel(2.0)

@@ -6,7 +6,6 @@ import pytest
 
 from steincal import kernels, statistics
 from steincal.kernels import (
-    BaseMeasure,
     ExpGFDKernel,
     ExpKGFDKernel,
     ExpMMDKernel,
@@ -287,7 +286,7 @@ class TestStatMatrix:
     def test_entries_are_gram_times_stein_terms(self):
         rng = np.random.default_rng(7)
         pairs = random_dataset(rng, 3, 1)
-        k_gram = ExpGFDKernel(1.0, BaseMeasure.frozen(rng.normal(size=(5, 1)))).gram(
+        k_gram = ExpGFDKernel(1.0, base_samples=rng.normal(size=(5, 1))).gram(
             stack([g for g, _ in pairs]))
         l = GaussianKernel(0.9)
         matrix = kccsd_stat_matrix(k_gram, l, dataset(pairs))
@@ -344,7 +343,7 @@ class TestPeakMemory:
         # sigma's selection holds less
         n, b = 1024, 100
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(65).derive("d"))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        kernel = ExpGFDKernel(None)
         peak = self.traced_peak_floats(lambda: run_calibration_test(
             data, kernel, GaussianKernel(1.0), SKCE(strategy), 0.05, b, RandomStream(66)))
         assert peak <= 0.6 * n * n
@@ -359,7 +358,7 @@ class TestPeakMemory:
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(63).derive("d"))
         (start, stop), *_ = kernels.row_blocks(n, n)
         assert stop < n
-        kernel = ExpGFDKernel(sigma, BaseMeasure.standard_gaussian(5))
+        kernel = ExpGFDKernel(sigma)
         peak = self.traced_peak_floats(lambda: run_calibration_test(
             data, kernel, GaussianKernel(1.0), KCCSD(), 0.05, b, RandomStream(64)))
         assert peak <= (b + 1) * n + 5 * (stop - start) * n
@@ -370,12 +369,11 @@ class TestPeakMemory:
         # n(n - 1)/2 = 8.4M floats here, against the test's (B + 1) n signs and blocks
         n, b = 4096, 100
         data = sample_setup(SyntheticSetup("mgm", 0.0), n, RandomStream(67).derive("d"))
-        base = BaseMeasure.standard_gaussian(5)
 
         def kccsd(sigma, gamma):
             def call():
                 bandwidth = median_heuristic(data.targets) if gamma is None else gamma
-                run_calibration_test(data, ExpGFDKernel(sigma, base), GaussianKernel(bandwidth),
+                run_calibration_test(data, ExpGFDKernel(sigma), GaussianKernel(bandwidth),
                                      KCCSD(), 0.05, b, RandomStream(68))
             return call
         fixed = self.traced_peak_floats(kccsd(1.0, 1.0))
@@ -393,7 +391,7 @@ class TestStatMatrixOut:
     @staticmethod
     def gram_and_data(n=130):
         data = sample_setup(SyntheticSetup("mgm", 0.2), n, RandomStream(70).derive("d"))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(5))
+        kernel = ExpGFDKernel(None)
         return kernel.gram(data.models, RandomStream(71)), data
 
     def test_kccsd_matrix_mirrors_the_upper_triangle(self):
@@ -665,7 +663,7 @@ class TestWildBootstrap:
         # statistic equals the quantile here; the pinned rule sends ties to rejection
         data = dataset([(g1(0.0, 1.0), np.array([0.4])), (g1(1.0, 1.0), np.array([0.9]))])
         l = GaussianKernel(1.0)
-        kernel = ExpGFDKernel(1.0, BaseMeasure.frozen(np.zeros((3, 1))))
+        kernel = ExpGFDKernel(1.0, base_samples=np.zeros((3, 1)))
         result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 500, RandomStream(23))
         statistic_sign = np.sign(result.statistic)
         assert result.quantile == pytest.approx(abs(result.statistic))
@@ -738,13 +736,12 @@ class TestWildBootstrap:
 
 
 _STREAMED_KERNELS = {
-    "exp_gfd": lambda: ExpGFDKernel(None, BaseMeasure.standard_gaussian(5)),
-    "exp_kgfd": lambda: ExpKGFDKernel(None, BaseMeasure.standard_gaussian(5), GaussianKernel(2.0)),
+    "exp_gfd": lambda: ExpGFDKernel(None),
+    "exp_kgfd": lambda: ExpKGFDKernel(None, GaussianKernel(2.0)),
     "exp_mmd": lambda: ExpMMDKernel(None, GaussianKernel(2.0)),
-    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(2.0), mode="sampled",
-                                            num_samples=2),
+    "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(2.0), samples=2),
     "exp_wasserstein": lambda: ExpWassersteinKernel(None),
-    "exp_gfd_fixed_sigma": lambda: ExpGFDKernel(3.0, BaseMeasure.standard_gaussian(5)),
+    "exp_gfd_fixed_sigma": lambda: ExpGFDKernel(3.0),
 }
 
 
@@ -850,7 +847,7 @@ class TestRunCalibrationTest:
 
     def _kernels(self, data):
         l = GaussianKernel(median_heuristic(data.targets))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(None)
         return kernel, l
 
     def test_deterministic_given_stream(self):
@@ -902,7 +899,7 @@ class TestRunCalibrationTest:
 
     def test_needs_two_pairs(self):
         data = dataset([(g1(0.0, 1.0), np.zeros(1))])
-        kernel, l = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1)), GaussianKernel(1.0)
+        kernel, l = ExpGFDKernel(1.0), GaussianKernel(1.0)
         with pytest.raises(ValueError):
             run_calibration_test(data, kernel, l, KCCSD(), 0.05, 100, RandomStream(0))
 
@@ -918,7 +915,7 @@ class TestRunCalibrationTest:
                                     for mean, var in zip(models.means, models.variances)]),
                        gaussian.targets)
         l = GaussianKernel(median_heuristic(gaussian.targets))
-        kernel = ExpGFDKernel(None, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(None)
         result = run_calibration_test(data, kernel, l, KCCSD(), 0.05, 200, RandomStream(30))
         reference = run_calibration_test(gaussian, kernel, l, KCCSD(), 0.05, 200,
                                          RandomStream(30))
@@ -928,7 +925,7 @@ class TestRunCalibrationTest:
     def test_score_only_densities_cannot_feed_sampling_strategies(self):
         data = Dataset(ScoredBatch([ScoredDensity(dim=1, score=lambda y: -y)] * 2),
                        np.array([[0.1], [-0.2]]))
-        kernel = ExpGFDKernel(1.0, BaseMeasure.standard_gaussian(1))
+        kernel = ExpGFDKernel(1.0)
         with pytest.raises(CapabilityError):
             run_calibration_test(data, kernel, GaussianKernel(1.0),
                                  SKCE(ExactSampler(4)), 0.05, 100, RandomStream(31))

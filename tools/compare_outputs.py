@@ -18,6 +18,9 @@ block) and n = 700 (several). Each case runs once per tree, with
   bandwidth ``"second_order_median"`` named in the config (the ``*_exact_ground``
   cases); the other exp_kgfd and exp_mmd cases take the default, sampled ground
   bandwidth;
+- both of these for exp_kgfd with 3 base samples and sampled exp_mmd with 3 samples
+  per model (the ``*_m3`` cases), so that a count other than the default 10 reaches
+  each kernel's sampling parameter;
 - on "wide" only the `test` and `gram` cases of exp_gfd and exp_wasserstein: they
   sum squared differences of 12 coordinates (the median heuristic of the targets,
   and the Wasserstein distance of the means), past the 8 below which numpy adds a
@@ -55,6 +58,8 @@ _KERNELS = {
                               "ground": {"bandwidth": "second_order_median"}},
     "exp_mmd_exact_ground": {"variant": "exp_mmd", "mode": "closed_form",
                              "ground": {"bandwidth": "second_order_median"}},
+    "exp_kgfd_m3": {"variant": "exp_kgfd", "base_samples": 3},
+    "exp_mmd_sampled_m3": {"variant": "exp_mmd", "mode": "sampled", "samples": 3},
 }
 _WIDE_KERNELS = ("exp_gfd", "exp_wasserstein")
 _STRATEGIES = {
