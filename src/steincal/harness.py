@@ -360,10 +360,10 @@ def load_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not valid text ({exc})") from exc
+        except ValueError as exc:  # JSONDecodeError, or an int of over 4300 digits
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return obj
@@ -555,6 +555,8 @@ def _read_lines(fh: IO[str], where: str, with_targets: bool) -> list[np.ndarray]
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{at}: not valid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # an int of over 4300 digits
+            raise DatasetFormatError(f"{at}: not valid JSON ({exc})") from exc
         is_row = isinstance(obj, dict) and "model" in obj
         if with_targets and not (is_row and "y" in obj):
             raise DatasetFormatError(f"{at}: expected an object with 'model' and 'y'")
@@ -564,7 +566,7 @@ def _read_lines(fh: IO[str], where: str, with_targets: bool) -> list[np.ndarray]
             if any(map(_holds_bool_or_str, values)):
                 raise TypeError("a boolean or a string where a number belongs")
             row = [np.atleast_1d(np.asarray(value, dtype=float)) for value in values]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past float range
             raise DatasetFormatError(f"{at}: bad model or target ({exc})") from exc
         if row[0].size < 1 or any(a.ndim != 1 or a.size != row[0].size for a in row):
             shapes = ", ".join(str(a.shape) for a in row)

@@ -103,13 +103,23 @@ class ScalarKernel(ABC):
         its m x m2 blocks: the Gram comes from one :func:`squared_distance_rows` of the
         whole stacks and is formed a tile (``height`` m, ``depth`` m2) at a time, each tile
         averaged as soon as it is formed.
+
+        A tile is averaged by two contiguous reductions and one division: the m rows of
+        each group are added in order, then each group's m2 adjacent columns are added
+        (numpy's pairwise sum along a contiguous axis), and the sums are divided by
+        m m2. The Gram tile goes before the columns are added, so nothing larger than
+        1/m of it is held beside it.
         """
         rows_of = squared_distance_rows(points, points2)
 
         def form(i0, i1, j0, j1):
             block = rows_of(i0 * m, i1 * m, j0 * m2, j1 * m2)
             self._f(block, out=block)
-            return block.reshape(-1, m, j1 - j0, m2).mean(axis=(1, 3))
+            groups = np.add.reduce(block.reshape(i1 - i0, m, -1), axis=1)
+            del block
+            tile = np.add.reduce(groups.reshape(i1 - i0, j1 - j0, m2), axis=2)
+            tile /= m * m2
+            return tile
         return _tile_source(len(points) // m, len(points2) // m2, m, m2, form)
 
 
@@ -443,8 +453,8 @@ class DistanceBlocks:
     arrays fixed when the kernel made it. Entries on and below the diagonal of a tile
     are unspecified. Every reader forms a row block [start, stop) (blocks from
     :func:`row_blocks`) by the same two calls, its diagonal tile and the rectangle to
-    the right of it, so the median ``sigma``, the dense matrix and the streamed test
-    all read the same bytes.
+    the right of it, each contiguous, so the median ``sigma``, the dense matrix and the
+    streamed test all read the same bytes.
     """
 
     def __init__(self, n: int, tile):
@@ -452,21 +462,23 @@ class DistanceBlocks:
         self._tile = tile
         self._whole = None  # the one block of a one-block matrix, kept by median_sigma
 
-    def block(self, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rows [start, stop) and columns [start, n), into ``out`` if given; entries on
-        and below the diagonal unspecified."""
+    def row_tiles(self, start: int, stop: int):
+        """Rows [start, stop) and columns [start, n) as ``(columns, tile)`` pairs: the
+        diagonal tile, then the rectangle right of it if stop < n, each a contiguous
+        array, with ``columns`` the slice of the row block it covers. Both are formed
+        into one buffer made for the block, so a reader takes what it needs from a tile
+        before it asks for the next. Entries on and below the diagonal are unspecified."""
         rows, n = stop - start, self.n
         whole, self._whole = self._whole, None
         if whole is not None:  # the one block (0, n), kept by median_sigma
-            if out is None:
-                return whole
-            out[...] = whole
-            return out
-        out = np.empty((rows, n - start)) if out is None else out
-        self._tile(start, stop, start, stop, out=out[:, :rows])
+            yield slice(0, rows), whole
+            return
+        buffer = np.empty(rows * max(rows, n - stop))
+        yield slice(0, rows), self._tile(start, stop, start, stop,
+                                         out=buffer[:rows * rows].reshape(rows, rows))
         if stop < n:
-            self._tile(start, stop, stop, n, out=out[:, rows:])
-        return out
+            yield slice(rows, n - start), self._tile(
+                start, stop, stop, n, out=buffer[:rows * (n - stop)].reshape(rows, n - stop))
 
     def median_sigma(self) -> float:
         """The lower median of the pairwise distances, selected exactly over tiles formed
@@ -557,9 +569,12 @@ class DistanceBlocks:
         return math.sqrt(median)
 
     def dense(self) -> np.ndarray:
-        """The whole exactly symmetric matrix with a zero diagonal: the row blocks above
+        """The whole exactly symmetric matrix with a zero diagonal: the row tiles above
         the diagonal, mirrored (:func:`mirrored_rows`)."""
-        return mirrored_rows(self.n, self.block)
+        def fill(start, stop, out):
+            for columns, tile in self.row_tiles(start, stop):
+                out[:, columns] = tile
+        return mirrored_rows(self.n, fill)
 
 
 def distance_weights(sq: np.ndarray, sigma: float) -> np.ndarray:

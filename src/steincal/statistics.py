@@ -336,11 +336,14 @@ def _statistic_blocks(distances: DistanceBlocks, sigma: float, pair_rows):
     :func:`_upper_bootstrap` reads them. ``pair_rows(start, stop)`` forms the pair terms
     t of rows [start, stop) and columns [start, n): the Stein terms of KCCSD or the
     bracket of SKCE. Each unordered pair is formed once, from its term and the weight
-    of its squared distance (:func:`steincal.kernels.distance_weights`), and nothing
-    larger than a row block is held."""
+    of its squared distance (:func:`steincal.kernels.distance_weights`), multiplied into
+    the block's columns one distance tile at a time, and nothing larger than a row block
+    is held."""
     for start, stop in row_blocks(distances.n, distances.n):
         block = pair_rows(start, stop)
-        block *= distance_weights(distances.block(start, stop), sigma)
+        for columns, tile in distances.row_tiles(start, stop):
+            block[:, columns] *= distance_weights(tile, sigma)
+        del tile  # the tiles' buffer goes before the bootstrap reads the block
         yield start, stop, require_finite(_zero_lower(block), "statistic matrix")
         del block  # before the next block is formed
 

@@ -108,22 +108,30 @@ def dense_stein_terms(f, f1, f2, scores1, targets1, scores2, targets2, same=Fals
     return h
 
 
+def group_means(gram, m, m2):
+    """[i, j] = mean of the m x m2 block (i, j) of a whole Gram: the m rows of each group
+    added in order, then each group's m2 adjacent columns (numpy's pairwise sum along a
+    contiguous axis), then the sums divided by m m2."""
+    rows, columns = len(gram) // m, gram.shape[1] // m2
+    sums = np.add.reduce(gram.reshape(rows, m, -1), axis=1)
+    return np.add.reduce(sums.reshape(rows, columns, m2), axis=2) / (m * m2)
+
+
 def dense_mean_gram(f, points, m, points2, m2):
     """[i, j] = mean over k < m, l < m2 of f(||points[i m + k] - points2[j m2 + l]||^2),
-    averaged from the whole Gram; ``points2`` None is ``points`` against itself."""
-    gram = f(dense_squared_distances(points, points2))
-    return gram.reshape(len(points) // m, m, gram.shape[1] // m2, m2).mean(axis=(1, 3))
+    averaged from the whole Gram (:func:`group_means`); ``points2`` None is ``points``
+    against itself."""
+    return group_means(f(dense_squared_distances(points, points2)), m, m2)
 
 
 def dense_sampled_bracket(f, targets, batch_a, batch_b, batch_c, batch_d):
     """Whole-matrix sampled calibration-error bracket l - E l - E l + E E l from four
     (n, m, d) sample batches."""
     n, m, d = batch_a.shape
-    term2 = f(dense_squared_distances(batch_a.reshape(n * m, d), targets))
-    term3 = f(dense_squared_distances(batch_b.reshape(n * m, d), targets))
+    term2 = dense_mean_gram(f, batch_a.reshape(n * m, d), m, targets, 1)
+    term3 = dense_mean_gram(f, batch_b.reshape(n * m, d), m, targets, 1)
     term4 = dense_mean_gram(f, batch_c.reshape(n * m, d), m, batch_d.reshape(n * m, d), m)
-    return (f(dense_squared_distances(targets)) - term2.reshape(n, m, n).mean(axis=1)
-            - term3.reshape(n, m, n).mean(axis=1).T + term4)
+    return f(dense_squared_distances(targets)) - term2 - term3.T + term4
 
 
 def dense_closed_form_bracket(f, targets, means, variances, gamma):

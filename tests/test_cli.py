@@ -591,6 +591,9 @@ _BAD_MODEL_LINES = {
     "negative-var": '{"model": {"mean": [0.5], "var": [-1]}, "y": [0.5]}',
     "length-mismatch": '{"model": {"mean": [0.5], "var": [1.0, 1.0]}, "y": [0.5]}',
     "missing-var": '{"model": {"mean": [0.5]}, "y": [0.5]}',
+    "huge-int-mean": '{"model": {"mean": [%s], "var": [1.0]}, "y": [0.5]}' % ("9" * 400),
+    "int-past-the-digit-limit": '{"model": {"mean": [%s], "var": [1.0]}, "y": [0.5]}' % (
+        "9" * 5000),
 }
 
 
@@ -642,6 +645,22 @@ def test_files_that_cannot_be_opened_or_decoded_exit_one(command, fault, dataset
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("steincal: error: ") and str(paths[target]) in err
+
+
+@pytest.mark.parametrize("command", ["test", "gram", "experiment"])
+def test_config_integer_past_the_digit_limit_exits_one(command, dataset_file, tmp_path,
+                                                       capsys):
+    # json refuses to convert an integer of over 4300 digits, with a plain ValueError
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": %s}' % ("9" * 5000))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out.txt")]
+    if command != "experiment":
+        argv += ["--data", str(dataset_file)]
+    code = cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"steincal: error: {config}: not valid JSON (Exceeds the limit")
 
 
 _NOT_NUMBERS = {

@@ -341,6 +341,24 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="line 1: bad model or target"):
             read_dataset(io.StringIO(line + "\n"), where="data.jsonl")
 
+    @pytest.mark.parametrize("read, line", [
+        (read_dataset, '{"model": {"mean": [%s], "var": [1]}, "y": [0]}'),
+        (read_dataset, '{"model": {"mean": [0], "var": %s}, "y": [0]}'),
+        (read_dataset, '{"model": {"mean": [0], "var": [1]}, "y": [-%s]}'),
+        (read_models, '{"mean": [%s], "var": [1]}'),
+    ], ids=["mean", "var", "y", "models-mean"])
+    @pytest.mark.parametrize("digits, problem", [
+        (400, r"bad model or target \(int too large to convert to float\)"),
+        (5000, r"not valid JSON \(Exceeds the limit \(4300 digits\)"),
+    ], ids=["past-float-range", "past-the-digit-limit"])
+    def test_huge_integers_are_rejected_naming_the_line(self, read, line, digits, problem):
+        # JSON integers parse exactly up to Python's 4300-digit limit, and one past
+        # float range overflows when converted
+        good = '{"model": {"mean": [0], "var": [1]}, "y": [0]}\n'
+        buffer = io.StringIO(good + line % ("9" * digits) + "\n")
+        with pytest.raises(DatasetFormatError, match="data.jsonl: line 2: " + problem):
+            read(buffer, where="data.jsonl")
+
     def test_dimension_mismatch_names_the_line(self):
         buffer = io.StringIO('{"model": {"mean": [0, 0], "var": [1, 1]}, "y": [0]}\n')
         with pytest.raises(DatasetFormatError) as err:

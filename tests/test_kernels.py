@@ -484,6 +484,44 @@ def test_tiles_yield_the_recorded_cuts():
         assert [list(tile) for tile in got] == case["tiles"], case["args"]
 
 
+class TestMeanGramReduction:
+    """How ``mean_gram_tiles`` averages a tile: two contiguous reductions (the group's
+    rows in order, then its adjacent columns) and one division."""
+
+    @pytest.mark.parametrize("m, m2", [(10, 10), (3, 1), (4, 9)])
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_stays_within_1e_14_of_the_two_axis_mean(self, d, m, m2):
+        # 30 groups a side fit one tile, so the tile's Gram is the whole product and
+        # only the order of the additions differs from the two-axis mean
+        rng = np.random.default_rng(70 + d + m)
+        a, b = rng.normal(size=(30 * m, d)), rng.normal(size=(30 * m2, d))
+        kernel = GaussianKernel(0.9)
+        (rows, columns, got), = kernel.mean_gram_tiles(a, m, b, m2)()
+        assert (rows, columns) == (slice(0, 30), slice(0, 30))
+        gram = kernel._f(dense_squared_distances(a, b))
+        want = gram.reshape(30, m, 30, m2).mean(axis=(1, 3))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("m, m2", [(10, 1), (4, 4)])
+    def test_one_tile_holds_no_temporary_beyond_a_1_over_m_share_of_its_gram(self, m, m2):
+        # the tile's Gram, then its row sums (1/m of it) beside it; the Gram goes before
+        # the column sums are formed
+        rng = np.random.default_rng(80 + m)
+        a, b = rng.normal(size=(200 * m, 3)), rng.normal(size=(400 * m2, 3))
+        source = GaussianKernel(1.0).mean_gram_tiles(a, m, b, m2)
+        next(source())  # outside the trace: imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, columns, _ = next(source())
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 8.0
+        finally:
+            tracemalloc.stop()
+        gram = (rows.stop - rows.start) * m * (columns.stop - columns.start) * m2
+        assert gram >= 1 << 16
+        assert peak <= gram * (1.0 + 1.0 / m) + 512
+
+
 _DIST_KERNELS = {
     "exp_gfd": lambda: ExpGFDKernel(None),
     "exp_kgfd": lambda: ExpKGFDKernel(None, GaussianKernel(1.0)),
@@ -510,6 +548,20 @@ class TestDistanceBlocks:
         variances = np.repeat(rng.uniform(0.5, 2.0, size=(count, 1)), 3, axis=1)[pick]
         return GaussianBatch(means, variances), pick
 
+    @staticmethod
+    def row_block(distances, start, stop):
+        """Rows [start, stop) and columns [start, n) assembled from the row tiles, each
+        copied before the next is formed; the tiles must be contiguous and cover the
+        block's columns in order."""
+        parts, covered = [], 0
+        for columns, tile in distances.row_tiles(start, stop):
+            assert tile.flags.c_contiguous
+            assert (columns.start, tile.shape) == (covered, (stop - start, columns.stop - covered))
+            covered = columns.stop
+            parts.append(tile.copy())
+        assert covered == distances.n - start
+        return np.hstack(parts)
+
     @pytest.mark.parametrize("n", [7, 130])
     @pytest.mark.parametrize("name", sorted(_DIST_KERNELS))
     def test_blocks_hold_the_dense_entries_above_the_diagonal(self, name, n):
@@ -519,7 +571,7 @@ class TestDistanceBlocks:
         distances = kernel.distance_blocks(models, RandomStream(5))
         assert distances.median_sigma() == dense_median_sigma(dense)
         for start, stop in kernels.row_blocks(n, n):
-            block = distances.block(start, stop)
+            block = self.row_block(distances, start, stop)
             above = np.triu(np.ones(block.shape, dtype=bool), k=1)
             assert np.array_equal(block[above], dense[start:stop, start:][above])
 
@@ -528,7 +580,7 @@ class TestDistanceBlocks:
         models, pick = self.isotropic(np.random.default_rng(9), 130, distinct=6)
         distances = _DIST_KERNELS[name]().distance_blocks(models, RandomStream(6))
         for start, stop in kernels.row_blocks(130, 130):
-            block = distances.block(start, stop)
+            block = self.row_block(distances, start, stop)
             above = np.triu(np.ones(block.shape, dtype=bool), k=1)
             same = pick[start:stop, None] == pick[None, start:]
             assert np.all(block[same & above] == 0.0)

@@ -19,8 +19,9 @@ block) and n = 700 (several). Each case runs once per tree, with
   cases); the other exp_kgfd and exp_mmd cases take the default, sampled ground
   bandwidth;
 - both of these for exp_kgfd with 3 base samples and sampled exp_mmd with 3 samples
-  per model (the ``*_m3`` cases), so that a count other than the default 10 reaches
-  each kernel's sampling parameter;
+  per model, and the SKCE test with the exact sampler's 3 samples per model (the
+  ``*_m3`` cases), so that a count other than the default 10 reaches each kernel's
+  sampling parameter and the sampled means' group size;
 - on "wide" only the `test` and `gram` cases of exp_gfd and exp_wasserstein: they
   sum squared differences of 12 coordinates (the median heuristic of the targets,
   and the Wasserstein distance of the means), past the 8 below which numpy adds a
@@ -65,6 +66,7 @@ _WIDE_KERNELS = ("exp_gfd", "exp_wasserstein")
 _STRATEGIES = {
     "closed_form": {"mode": "closed_form"},
     "exact_sampler": {"mode": "exact_sampler", "samples": 10},
+    "exact_sampler_m3": {"mode": "exact_sampler", "samples": 3},
     "mala": {"mode": "mala", "samples": 10, "step_size": 0.05, "steps": 5, "burn_in": 2},
 }
 _EXPERIMENT = {"setup": {"family": "lgm", "delta": 0.1}, "n_grid": [16, 64],
