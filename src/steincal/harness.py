@@ -269,7 +269,8 @@ def parse_dist_kernel(obj: dict) -> DistKernelSpec:
     ground = r("ground", dict, {}) if spec.variant in ("exp_kgfd", "exp_mmd") else {}
     if spec.variant == "exp_mmd":
         fields["mmd_mode"] = r("mode", str, spec.mmd_mode)
-        fields["mmd_samples"] = r("samples", int, spec.mmd_samples, minimum=1)
+        if fields["mmd_mode"] != "closed_form":  # the closed form draws no samples
+            fields["mmd_samples"] = r("samples", int, spec.mmd_samples, minimum=1)
     r.done()
     fields["ground_family"], fields["ground_bandwidth"] = _scalar_kernel_fields(
         ground, "dist_kernel.ground.", spec.ground_family, spec.ground_bandwidth)

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .models import GaussianBatch, ModelBatch, require_finite
+from .models import GaussianBatch, ModelBatch, require_count, require_finite
 from .sampling import CapabilityError, RandomStream
 
 # Model pairs per chunk of the second-order heuristic. The chunk size and the order of
@@ -29,7 +29,6 @@ _PAIR_SUB_CHUNK = 1024
 SAMPLED_PAIRS = 4096
 _ROW_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n2) block of a pairwise matrix
 _ROW_TILE = 48  # a block's first row is a multiple of this; see row_blocks
-_MIRROR_TILE = 128  # edge of the square tiles that mirror_upper copies
 
 
 class DegenerateBandwidthError(ValueError):
@@ -302,30 +301,19 @@ def _filled(source, start: int, stop: int, first: int, last: int,
     return out
 
 
-def mirror_upper(x: np.ndarray) -> np.ndarray:
-    """The strict upper triangle of the square matrix x written over its strict lower
-    one, one square tile at a time, so that the transposed reads stay within a tile;
-    x is returned."""
-    n = len(x)
-    for start in range(0, n, _MIRROR_TILE):
-        stop = min(start + _MIRROR_TILE, n)
-        for left in range(0, start, _MIRROR_TILE):
-            x[start:stop, left:left + _MIRROR_TILE] = x[left:left + _MIRROR_TILE, start:stop].T
-        tile = x[start:stop, start:stop]
-        lower = np.tri(stop - start, k=-1, dtype=bool)
-        tile[lower] = tile.T[lower]
-    return x
-
-
 def mirrored_rows(n: int, fill) -> np.ndarray:
     """The exactly symmetric (n, n) matrix with a zero diagonal whose row blocks above
     the diagonal ``fill(start, stop, out)`` writes into ``out``: the rows [start, stop)
-    and columns [start, n) for each block of ``row_blocks(n, n)``, then mirrored
-    (:func:`mirror_upper`)."""
+    and columns [start, n) for each block of ``row_blocks(n, n)``, each mirrored as soon
+    as it is written: the rectangle right of its diagonal square as one transposed strip,
+    the square's strict upper triangle over its strict lower one."""
     out = np.empty((n, n))
     for start, stop in row_blocks(n, n):
-        fill(start, stop, out[start:stop, start:])
-    mirror_upper(out)
+        rows, k = out[start:stop, start:], stop - start
+        fill(start, stop, rows)
+        out[stop:, start:stop] = rows[:, k:].T
+        square, lower = rows[:, :k], np.tri(k, k=-1, dtype=bool)
+        square[lower] = square.T[lower]
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -486,7 +474,7 @@ class DistanceBlocks:
         :func:`median_heuristic`. A non-finite distance raises
         :class:`~steincal.models.NumericalError`, a zero median
         :class:`DegenerateBandwidthError`. A one-block matrix keeps its block for the
-        next :meth:`block` call.
+        next :meth:`row_tiles` call.
 
         The diagonal tiles are formed first, into one reused buffer, and the strict upper
         triangles of all of them kept as a sample. Its quantiles 4 standard errors (with
@@ -621,9 +609,7 @@ class DistributionKernel(ABC):
             return np.ones((1, 1))
         distances = self.distance_blocks(models, stream)
         sigma = self.bandwidth(distances)
-        gram = distance_weights(distances.dense(), sigma)
-        np.fill_diagonal(gram, 1.0)
-        return gram
+        return distance_weights(distances.dense(), sigma)
 
 
 def _equal_row_labels(rows: np.ndarray) -> Optional[np.ndarray]:
@@ -687,9 +673,7 @@ class ExpGFDKernel(DistributionKernel):
     def __init__(self, sigma: Optional[float], base_samples: Union[int, np.ndarray] = 10):
         super().__init__(sigma)
         if np.ndim(base_samples) == 0:
-            if not (isinstance(base_samples, (int, np.integer)) and base_samples >= 1):
-                raise ValueError("base_samples must be a count >= 1 or an (m, d) array, "
-                                 f"got {base_samples!r}")
+            require_count(base_samples, "base_samples must be a count >= 1 or an (m, d) array")
         else:
             base_samples = np.array(base_samples, dtype=float)
             if base_samples.ndim != 2 or base_samples.size == 0:
@@ -752,8 +736,8 @@ class ExpMMDKernel(DistributionKernel):
     def __init__(self, sigma: Optional[float], ground: ScalarKernel,
                  samples: Optional[int] = None):
         super().__init__(sigma)
-        if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
-            raise ValueError(f"samples must be None or a count >= 1, got {samples!r}")
+        if samples is not None:
+            require_count(samples, "samples must be None or a count >= 1")
         self.ground = ground
         self.samples = samples
 

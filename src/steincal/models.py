@@ -33,6 +33,13 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def require_count(value, requirement: str) -> None:
+    """Raise ``ValueError`` stating ``requirement`` and the value unless ``value`` is an
+    integer >= 1, a Python or numpy one; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{requirement}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScoredDensity:
     """Capability record for a (possibly unnormalised) density.

@@ -24,7 +24,7 @@ from .kernels import (
     row_blocks,
     squared_distance_rows,
 )
-from .models import Dataset, GaussianBatch, ModelBatch, require_finite
+from .models import Dataset, GaussianBatch, ModelBatch, require_count, require_finite
 from .sampling import CapabilityError, MalaConfig, RandomStream, run_mala
 
 
@@ -139,8 +139,7 @@ class ExactSampler:
     num_samples: int
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
+        require_count(self.num_samples, "num_samples must be a count >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,7 @@ class MalaSampler:
     config: MalaConfig
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
+        require_count(self.num_samples, "num_samples must be a count >= 1")
 
 
 ExpectationStrategy = Union[ClosedFormGaussian, ExactSampler, MalaSampler]

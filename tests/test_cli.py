@@ -450,6 +450,9 @@ _GOOD_EXPERIMENT = dict(_GOOD_TEST, setup={"family": "lgm"}, n_grid=[8], repetit
     pytest.param("gram", _GOOD_TEST, "statistic", id="gram-test-config"),
     pytest.param("gram", {"variant": "exp_gfd", "sigam": 1.0}, "dist_kernel.sigam",
                  id="gram-bare"),
+    pytest.param("test", dict(_GOOD_TEST, dist_kernel={"variant": "exp_mmd",
+                                                       "mode": "closed_form", "samples": 3}),
+                 "dist_kernel.samples", id="test-closed-form-exp_mmd-samples"),
 ])
 def test_unknown_config_key_exits_one_naming_the_key(command, config, key, dataset_file,
                                                      tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""tools/compare_outputs.py: its verdicts on synthetic outputs, and a few n = 40 cases
-of the working tree against itself."""
+"""tools/compare_outputs.py: its verdicts on synthetic outputs, and a few cases of the
+working tree against itself: five at n = 40 (one row block) and a dense Gram at n = 700
+(five row blocks)."""
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ def test_runs_that_cannot_be_paired_differ():
 def test_the_working_tree_is_identical_to_itself():
     patterns = ["mgm-40/test/kccsd/exp_mmd_sampled", "lgm-40/test/skce/mala",
                 "mgm-40/gram/exp_kgfd", "lgm-40/gram/exp_mmd_exact_ground",
-                "wide-40/gram/exp_wasserstein"]
+                "wide-40/gram/exp_wasserstein", "lgm-700/gram/exp_gfd"]
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"),
                            "--parent", str(ROOT), "--change", str(ROOT),
                            *[arg for p in patterns for arg in ("--case", p)]],

@@ -116,6 +116,9 @@ class TestConfigParsing:
          "dist_kernel.base_samples"),
         ({"dist_kernel": {"variant": "exp_wasserstein", "mode": "sampled"}}, "dist_kernel.mode"),
         ({"dist_kernel": {"variant": "exp_wasserstein", "samples": 5}}, "dist_kernel.samples"),
+        ({"dist_kernel": {"variant": "exp_mmd", "mode": "closed_form", "samples": 3}},
+         "dist_kernel.samples"),
+        ({"dist_kernel": {"variant": "exp_mmd", "samples": 3}}, "dist_kernel.samples"),
         ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "step_size": 0.1}}},
          "statistic.strategy.step_size"),
         ({"statistic": {"name": "skce", "strategy": {"mode": "closed_form", "steps": 4}}},
@@ -144,6 +147,20 @@ class TestConfigParsing:
     ])
     def test_every_key_a_variant_reads_is_accepted(self, dist_kernel):
         parse_experiment_config(minimal_config(dist_kernel=dist_kernel))
+
+    @pytest.mark.parametrize("dist_kernel", [{"variant": "exp_mmd", "mode": "sampeld"},
+                                             {"variant": "exp_mmd", "mode": "sampeld",
+                                              "samples": 3}])
+    def test_a_misspelt_mmd_mode_is_named(self, dist_kernel):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_config(minimal_config(dist_kernel=dist_kernel))
+        assert str(err.value).startswith("dist_kernel.mode: ")
+
+    def test_closed_form_mmd_is_described_with_the_default_sample_count(self):
+        spec = parse_experiment_config(minimal_config(dist_kernel={"variant": "exp_mmd"}))
+        assert spec.test.dist_kernel.describe() == (
+            "exp_mmd(sigma=median;mode=closed_form;m=10;"
+            "ground=gaussian(second_order_median_sampled))")
 
     @pytest.mark.parametrize("parse, obj", [
         pytest.param(parse_test_config, {

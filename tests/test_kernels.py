@@ -417,14 +417,6 @@ class TestRowBlocks:
         assert np.array_equal(got, got.T)
         assert np.array_equal(got, dense_mirrored_upper(dense_distances_from_inner(upper, diag)))
 
-    @pytest.mark.parametrize("n", [2, 47, 130, 300])
-    def test_mirror_upper_writes_the_upper_triangle_over_the_lower(self, n):
-        x = np.random.default_rng(6 + n).normal(size=(n, n))
-        want = np.triu(x) + np.triu(x, 1).T
-        got = kernels.mirror_upper(x)
-        assert got is x
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 63, 127, 128, 129, 136, 257, 300])
     def test_squared_differences_hold_the_bytes_of_the_summed_tensor(self, d):
         # the squares are added in order; numpy sums the tensor's last axis in that
@@ -529,6 +521,26 @@ _DIST_KERNELS = {
     "exp_mmd_sampled": lambda: ExpMMDKernel(None, GaussianKernel(1.0), samples=3),
     "exp_wasserstein": lambda: ExpWassersteinKernel(None),
 }
+
+
+@pytest.mark.parametrize("elements", [1, kernels._ROW_BLOCK_ELEMENTS], ids=["48-rows", "default"])
+@pytest.mark.parametrize("n", [2, 47, 130, 300, 650, 700])
+def test_mirrored_rows_write_the_upper_triangle_over_the_lower(n, elements, monkeypatch):
+    """Row blocks of 48 rows, and of the default size: one block up to n = 300, three at
+    n = 650 (the last a merged tail of 266 rows) and five at n = 700."""
+    monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", elements)
+    x = np.random.default_rng(6 + n).normal(size=(n, n))
+    got = kernels.mirrored_rows(n, lambda start, stop, out: np.copyto(out, x[start:stop, start:]))
+    assert np.array_equal(got, np.triu(x, 1) + np.triu(x, 1).T)
+
+
+@pytest.mark.parametrize("name", sorted(_DIST_KERNELS))
+def test_gram_over_five_row_blocks_is_symmetric_with_a_unit_diagonal(name):
+    assert len(kernels.row_blocks(700, 700)) == 5
+    data = sample_setup(SyntheticSetup("mgm", 0.2), 700, RandomStream(1))
+    gram = _DIST_KERNELS[name]().gram(data.models, RandomStream(2))
+    assert np.all(np.diagonal(gram) == 1.0)
+    assert np.array_equal(gram, gram.T)
 
 
 class TestDistanceBlocks:
@@ -828,6 +840,13 @@ class TestExpGFD:
             make(base_samples)
 
     @pytest.mark.parametrize("make", _BASE_SAMPLED)
+    def test_a_bool_is_named_and_a_numpy_integer_is_a_count(self, make):
+        with pytest.raises(ValueError, match="base_samples must be a count >= 1 or an "
+                                             r"\(m, d\) array, got True"):
+            make(True)
+        assert make(np.int64(3)).base_samples == 3
+
+    @pytest.mark.parametrize("make", _BASE_SAMPLED)
     def test_a_frozen_base_of_another_dimension_is_rejected(self, make):
         kernel = make(np.zeros((10, 1)))
         models = stack([g1([0.0, 0.0], [1.0, 1.0]), g1([1.0, 0.0], [1.0, 2.0])])
@@ -967,6 +986,11 @@ class TestExpMMD:
     def test_samples_must_be_none_or_a_count(self, samples):
         with pytest.raises(ValueError, match="samples must be None or a count"):
             ExpMMDKernel(1.0, GaussianKernel(1.0), samples=samples)
+
+    def test_a_bool_is_named_and_a_numpy_integer_is_a_count(self):
+        with pytest.raises(ValueError, match="samples must be None or a count >= 1, got True"):
+            ExpMMDKernel(1.0, GaussianKernel(1.0), samples=True)
+        assert ExpMMDKernel(1.0, GaussianKernel(1.0), samples=np.int64(3)).samples == 3
 
     def test_diagonal_is_one(self):
         g = g1([0.3, 0.1], [1.0, 1.0])

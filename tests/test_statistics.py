@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -506,6 +507,17 @@ class TestSkceGTerm:
         with pytest.raises(CapabilityError):
             skce_pair(1.0, GaussianKernel(1.0), sd, np.zeros(1), sd, np.zeros(1),
                         ClosedFormGaussian())
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(ExactSampler, id="exact_sampler"),
+        pytest.param(lambda m: MalaSampler(m, MalaConfig(step_size=0.1)), id="mala")])
+    @pytest.mark.parametrize("num_samples", [0, 2.5, True, "3"],
+                             ids=["zero", "float", "bool", "string"])
+    def test_samples_must_be_a_count(self, make, num_samples):
+        with pytest.raises(ValueError, match="num_samples must be a count >= 1, got "
+                                             + re.escape(repr(num_samples))):
+            make(num_samples)
+        assert make(np.int64(3)).num_samples == 3
 
     def test_exact_sampler_requires_sampler(self):
         sd = ScoredDensity(dim=1, score=lambda y: -y)
